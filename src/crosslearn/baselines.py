@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .simplex import ftrl_weights, sample_index
+from .simplex import BlockUniforms, ftrl_weights, sample_index
 
 TINY_DENOM = 1e-9
 
@@ -28,7 +28,7 @@ class PerContextExp3:
     def __init__(self, n_arms, rng, active=None):
         self.n_arms = int(n_arms)
         self.rng = rng
-        self._gen = rng.gen
+        self._gen = BlockUniforms(rng.gen)
         self._active = active
         self._is_matrix = isinstance(active, np.ndarray)
         self._states = {}
@@ -120,7 +120,7 @@ class KnownNuLearner:
         self.oracle = oracle
         self.eta = float(eta)
         self.rng = rng
-        self._gen = rng.gen
+        self._gen = BlockUniforms(rng.gen)
         self._active = active
         self._is_matrix = isinstance(active, np.ndarray)
         self.tiny_denominator_count = 0

@@ -9,7 +9,8 @@ run is reproducible from (spec, seed) alone. The learner-facing surface is:
     active_mask(context)  None (all arms) or a boolean (K,) mask
     reveal(t, arm)        LossFunction of the played arm, full context map
     loss_scalar(t, c, k)  realized loss value
-    loss_column(t, c)     losses of all arms at context c (regret accounting)
+    loss_column(t, c)     losses of all arms at context c
+    loss_columns(ts, cs)  loss_column of many rounds at once (regret scoring)
 
 Auction losses are affinely rescaled into [0, 1] as (1 - (v-b)*win)/2; the
 harness multiplies reported auction regret by regret_scale = 2 to undo it.
@@ -26,6 +27,12 @@ from .accumulator import AFFINE, CONSTANT, TABULAR, AffineLoss, ConstantLoss, Ta
 from .baselines import KnownNuOracle
 
 
+# rows of Bernoulli availability drawn at once by SleepingEnv.generate
+AVAILABILITY_BLOCK = 1 << 14
+# rounds scored at once by RegretTracker
+SCORE_BLOCK = 256
+
+
 class EnvError(ValueError):
     pass
 
@@ -40,6 +47,40 @@ def auction_loss(value, bid, payment):
 def _categorical(probs, n, gen):
     cs = np.cumsum(probs)
     return np.searchsorted(cs, gen.random(n) * cs[-1], side="right").astype(np.int64)
+
+
+def _active_matrix(active, n_contexts, n_arms):
+    """The active sets of a finite context space as a read-only (C, K) bool
+    matrix, from a matrix, a list of rows or a dict {context: row}; None
+    stays None (every arm always active)."""
+    if active is None:
+        return None
+    if isinstance(active, dict):
+        unknown = [c for c in active
+                   if not (isinstance(c, (int, np.integer)) and 0 <= c < n_contexts)]
+        if unknown:
+            raise EnvError(f"active set given for unknown context {unknown[0]!r}")
+        rows = [active.get(c) for c in range(n_contexts)]
+    elif isinstance(active, (list, tuple, np.ndarray)):
+        rows = list(active)
+        if len(rows) != n_contexts:
+            raise EnvError(f"active sets given for {len(rows)} contexts, "
+                           f"expected {n_contexts}")
+    else:
+        raise EnvError("active must be a (C, K) boolean matrix, a list of "
+                       "rows or a dict {context: row}")
+    out = np.zeros((n_contexts, n_arms), dtype=bool)
+    for c, row in enumerate(rows):
+        if row is None:
+            raise EnvError(f"active set missing for context {c}")
+        m = np.asarray(row)
+        if m.shape != (n_arms,) or m.dtype.kind not in "biu" or not np.isin(m, (0, 1)).all():
+            raise EnvError(f"active set of context {c} must be {n_arms} booleans")
+        if not m.any():
+            raise EnvError(f"active set of context {c} is empty")
+        out[c] = m
+    out.flags.writeable = False
+    return out
 
 
 class TabularEnv:
@@ -68,7 +109,7 @@ class TabularEnv:
         self._noise = noise
         if (tensor is None) == (mu is None):
             raise EnvError("provide exactly one of tensor or mu")
-        self.active = active
+        self.active = _active_matrix(active, self.n_contexts, self.n_arms)
         for arr in (self._tensor, self._mu, self._noise, self.contexts):
             if arr is not None:
                 arr.flags.writeable = False
@@ -159,6 +200,13 @@ class TabularEnv:
         if self._tensor is not None:
             return self._tensor[t, :, context]
         return self._mu[:, context] + self._amp * self._noise[t]
+
+    def loss_columns(self, ts, contexts):
+        """loss_column of every (t, context) pair, as a (len(ts), K) array."""
+        contexts = np.asarray(contexts, dtype=np.int64)
+        if self._tensor is not None:
+            return self._tensor[ts, :, contexts]
+        return self._mu[:, contexts].T + self._amp * self._noise[ts]
 
     def known_nu_oracle(self):
         return KnownNuOracle.finite(self.nu, self.active)
@@ -270,6 +318,12 @@ class AuctionEnv:
         win = self.bids >= self.payments[t]
         return 0.5 * (1.0 - (context - self.bids) * win)
 
+    def loss_columns(self, ts, contexts):
+        """loss_column of every (t, context) pair, as a (len(ts), K) array."""
+        values = np.asarray(contexts, dtype=float)[:, None]
+        win = self.bids >= self.payments[ts][:, None]
+        return 0.5 * (1.0 - (values - self.bids) * win)
+
     def known_nu_oracle(self, n_nodes=512):
         if self._atoms is not None:
             atoms, probs = self._atoms
@@ -318,14 +372,21 @@ class SleepingEnv:
             probs = np.asarray(availability["probs"], dtype=float)
             if probs.size != n_arms:
                 raise EnvError("availability probs must have length K")
+            if not (probs > 0).any():
+                raise EnvError("availability probs are all zero")
+            # one row per attempt, rejecting empty rows, in the order a
+            # per-round redraw loop would make them: a block never has more
+            # rows than rounds still unfilled, so it draws no uniform the
+            # loop would not have drawn
             subsets = np.empty(horizon, dtype=np.int64)
             bits = 1 << np.arange(n_arms)
-            for t in range(horizon):
-                while True:
-                    draw = gen.random(n_arms) < probs
-                    if draw.any():
-                        break
-                subsets[t] = int(bits[draw].sum())
+            done = 0
+            while done < horizon:
+                need = min(horizon - done, AVAILABILITY_BLOCK)
+                draw = gen.random((need, n_arms)) < probs
+                kept = draw[draw.any(axis=1)]
+                subsets[done:done + len(kept)] = kept @ bits
+                done += len(kept)
             subset_probs = None
             if n_arms <= 16:
                 subset_probs = cls._bernoulli_subset_probs(probs)
@@ -375,7 +436,7 @@ class SleepingEnv:
         return m
 
     def reveal(self, t, arm):
-        if not subset_to_mask(self.subsets[t], self.n_arms)[arm]:
+        if not self.active_mask(int(self.subsets[t]))[arm]:
             raise EnvError(f"arm {arm} is asleep in round {t}")
         return ConstantLoss(self.losses[t, arm], validate=False)
 
@@ -384,6 +445,10 @@ class SleepingEnv:
 
     def loss_column(self, t, context):
         return self.losses[t]
+
+    def loss_columns(self, ts, contexts):
+        """loss_column of every (t, context) pair, as a (len(ts), K) array."""
+        return self.losses[ts]
 
     def known_nu_oracle(self):
         if self._subset_probs is None:
@@ -394,10 +459,18 @@ class SleepingEnv:
 
 
 class RegretTracker:
-    """Streaming hindsight-regret accounting against the best context-to-arm
-    mapping on the realized prefix. Grouping modes: "context" keys rounds by
-    the realized context, "value" by the realized scalar value, and "round"
-    treats every round as its own group (continuous values, a.s. unique)."""
+    """Hindsight-regret accounting against the best context-to-arm mapping
+    on the realized prefix. Grouping modes: "context" keys rounds by the
+    realized context, "value" by the realized scalar value, and "round"
+    treats every round as its own group (continuous auction values, a.s.
+    unique; every arm is always active there).
+
+    Rounds are scored in blocks of at most SCORE_BLOCK by score(); update()
+    scores a single round. Every sum runs in round order (played loss, per-group loss
+    rows, per-round minima) and the comparator sums group minima in a fixed
+    order (ascending context for tabular envs, first appearance otherwise),
+    so the result does not depend on how rounds are blocked.
+    """
 
     def __init__(self, env):
         self.env = env
@@ -409,38 +482,47 @@ class RegretTracker:
         elif self._mode == "round":
             self._best = 0.0
         else:
-            self._groups = {}
+            self._groups = {}  # context -> row of _rows, in first-appearance order
+            self._rows = np.zeros((0, env.n_arms))
 
     def update(self, t, context, arm):
+        self.score([t], [context], [arm])
+
+    def score(self, ts, contexts, arms):
+        """Account for the rounds ts (in order) with their contexts and arms."""
+        for a in range(0, len(ts), SCORE_BLOCK):
+            b = a + SCORE_BLOCK
+            self._score_block(np.asarray(ts[a:b], dtype=np.int64), list(contexts[a:b]),
+                              np.asarray(arms[a:b], dtype=np.int64))
+
+    def _score_block(self, ts, contexts, arms):
         env = self.env
-        self.played += env.loss_scalar(t, context, arm)
-        col = env.loss_column(t, context)
+        cols = env.loss_columns(ts, contexts)
+        self.played = _running_sum(self.played, cols[np.arange(ts.size), arms])
         if self._mode == "round":
-            mask = env.active_mask(context)
-            self._best += float(col.min() if mask is None else col[mask].min())
+            self._best = _running_sum(self._best, cols.min(axis=1))
         elif self._mode == "context" and env.kind == "tabular":
-            self._table[context] += col
-            self._visited[context] = True
+            ids = np.asarray(contexts, dtype=np.int64)
+            np.add.at(self._table, ids, cols)  # unbuffered, in round order
+            self._visited[ids] = True
         else:
-            row = self._groups.get(context)
-            if row is None:
-                row = np.zeros(env.n_arms)
-                self._groups[context] = row
-            row += col
+            groups = self._groups
+            ids = [groups.setdefault(c, len(groups)) for c in contexts]
+            new = len(groups) - len(self._rows)
+            if new:
+                self._rows = np.concatenate([self._rows, np.zeros((new, env.n_arms))])
+            np.add.at(self._rows, ids, cols)
 
     def comparator(self):
         env = self.env
         if self._mode == "round":
             return self._best
         if self._mode == "context" and env.kind == "tabular":
-            total = 0.0
-            for c in np.flatnonzero(self._visited):
-                mask = env.active_mask(c)
-                row = self._table[c]
-                total += float(row.min() if mask is None else row[mask].min())
-            return total
+            groups = [(c, self._table[c]) for c in np.flatnonzero(self._visited)]
+        else:
+            groups = [(c, self._rows[i]) for c, i in self._groups.items()]
         total = 0.0
-        for context, row in self._groups.items():
+        for context, row in groups:
             mask = env.active_mask(context)
             total += float(row.min() if mask is None else row[mask].min())
         return total
@@ -450,10 +532,16 @@ class RegretTracker:
         return self.played - self.comparator()
 
 
+def _running_sum(total, values):
+    """total + values[0] + values[1] + ..., added left to right."""
+    for v in values.tolist():
+        total += v
+    return total
+
+
 def hindsight_regret(history, env):
     """Regret of a played history [(context, arm), ...] against the best
     fixed context-to-arm mapping on that history (raw loss units)."""
     tracker = RegretTracker(env)
-    for t, (context, arm) in enumerate(history):
-        tracker.update(t, context, arm)
+    tracker.score(range(len(history)), [c for c, _ in history], [a for _, a in history])
     return tracker.regret()

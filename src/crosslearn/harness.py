@@ -30,7 +30,8 @@ import numpy as np
 
 from .accumulator import make_accumulator
 from .baselines import KnownNuLearner, PerContextExp3, known_nu_rate
-from .envs import AuctionEnv, EnvError, RegretTracker, SleepingEnv, TabularEnv
+from .envs import (SCORE_BLOCK, AuctionEnv, EnvError, RegretTracker, SleepingEnv,
+                   TabularEnv)
 from .learner import (CrossLearner, ParamError, calibrated_params,
                       tune_parameters, with_overrides)
 from .simplex import RngStream
@@ -116,7 +117,8 @@ def build_algo(name, env, horizon, seed, overrides):
         acc = make_accumulator(env.acc_kind, env.n_arms, n_contexts)
         active = env.active if env.kind == "tabular" else (
             None if env.kind == "auction" else env.active_mask)
-        return CrossLearner(params, acc, rng, active=active)
+        return CrossLearner(params, acc, rng, active=active,
+                            contexts_repeat=env.grouping != "round")
     if name == "known_nu":
         acc = make_accumulator(env.acc_kind, env.n_arms, n_contexts)
         active = env.active if env.kind == "tabular" else (
@@ -131,7 +133,8 @@ def build_algo(name, env, horizon, seed, overrides):
 
 
 def run_single(env_spec, algo_name, horizon, seed, overrides=None):
-    """Execute one run and return its RunResult (regret per checkpoint)."""
+    """Execute one run and return its RunResult (regret per checkpoint).
+    Rounds are scored in blocks of SCORE_BLOCK, and at every checkpoint."""
     env = build_env(env_spec, horizon, RngStream(seed, ENV_STREAM))
     algo = build_algo(algo_name, env, horizon, seed, overrides)
     tracker = RegretTracker(env)
@@ -139,14 +142,20 @@ def run_single(env_spec, algo_name, horizon, seed, overrides=None):
     out = []
     cp_iter = iter(cps)
     next_cp = next(cp_iter)
+    contexts = []
+    arms = []
     start = time.perf_counter()
     for t in range(horizon):
         context = env.context(t)
-        arm = algo.step(context, lambda a: env.reveal(t, a))
-        tracker.update(t, context, arm)
-        if t + 1 == next_cp:
-            out.append((t + 1, tracker.regret() * env.regret_scale))
-            next_cp = next(cp_iter, None)
+        contexts.append(context)
+        arms.append(algo.step(context, lambda a: env.reveal(t, a)))
+        if len(arms) == SCORE_BLOCK or t + 1 == next_cp:
+            tracker.score(range(t + 1 - len(arms), t + 1), contexts, arms)
+            contexts.clear()
+            arms.clear()
+            if t + 1 == next_cp:
+                out.append((t + 1, tracker.regret() * env.regret_scale))
+                next_cp = next(cp_iter, None)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return RunResult(
         run_id=f"{algo_name}-T{horizon}-s{seed}",
@@ -172,6 +181,11 @@ def validate_config(config):
     seeds = config.get("seeds")
     if not seeds:
         raise ConfigError("config needs a nonempty seeds list")
+    if "workers" in config:
+        workers = config["workers"]
+        if (isinstance(workers, bool) or not isinstance(workers, (int, np.integer))
+                or workers < 1):
+            raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     if "overrides" in config and config["overrides"] is not None:
         # validated against a representative horizon so a bad override
         # fails before any run starts

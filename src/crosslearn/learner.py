@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .accumulator import snapshot
-from .simplex import ftrl_weights, sample_index
+from .simplex import BlockUniforms, ftrl_weights, sample_index
 
 BERN_TOL = 1e-12
 _REL_TOL = 1e-9
@@ -187,9 +187,9 @@ def select_sampling_distribution(p, s, mask=None):
     """Rejection fallback: returns (q, fallback) with q = p when p >= s/2
     on every active arm (ties count as no fallback), else q = s."""
     if mask is None:
-        ok = bool(np.all(p >= 0.5 * s))
+        ok = bool((p >= 0.5 * s).all())
     else:
-        ok = bool(np.all(p[mask] >= 0.5 * s[mask]))
+        ok = bool((p[mask] >= 0.5 * s[mask]).all())
     return (p, False) if ok else (s, True)
 
 
@@ -237,13 +237,17 @@ class LearnerObserver:
 
 
 class _SnapView:
-    """Snapshot plus an optional precomputed distribution table (finite
-    context spaces only) so per-round lookups stay O(K)."""
+    """Snapshot plus a precomputed distribution table (finite context
+    spaces) or, without one, an optional per-context memo of the
+    distributions served so far, so per-round lookups stay O(K). A frozen
+    snapshot's distribution at a context never changes, and the mask is a
+    function of the context."""
 
-    __slots__ = ("handle", "table")
+    __slots__ = ("handle", "table", "_memo")
 
-    def __init__(self, handle, n_contexts=None, masks=None):
+    def __init__(self, handle, n_contexts=None, masks=None, memo=True):
         self.handle = handle
+        self._memo = {} if memo else None
         if n_contexts is None:
             self.table = None
         else:
@@ -252,7 +256,14 @@ class _SnapView:
     def weights(self, context, mask=None):
         if self.table is not None:
             return self.table[context]
-        return self.handle.weights(context, mask)
+        if self._memo is None:
+            return self.handle.weights(context, mask)
+        w = self._memo.get(context)
+        if w is None:
+            w = self.handle.weights(context, mask)
+            w.flags.writeable = False
+            self._memo[context] = w
+        return w
 
 
 class CrossLearner:
@@ -260,21 +271,24 @@ class CrossLearner:
 
     active: None (every arm always active), a (C, K) boolean matrix indexed
     by integer context ids, or a callable context -> mask/None.
+    contexts_repeat: False when no context is expected twice (continuous
+    auction values); snapshots then keep no per-context memo.
     reveal passed to step: callable arm -> LossFunction for the played arm.
     """
 
     def __init__(self, params, accumulator, rng, active=None,
-                 record_rounds=False, observer=None):
+                 record_rounds=False, observer=None, contexts_repeat=True):
         params.validate_structure()
         self.params = params
         self.acc = accumulator
         self.rng = rng
-        self._gen = rng.gen
+        self._gen = BlockUniforms(rng.gen)
         if accumulator.n_arms != params.n_arms:
             raise ParamError("accumulator and params disagree on the number of arms")
         self._active = active
         self._is_matrix = isinstance(active, np.ndarray)
         self._n_contexts = getattr(accumulator, "n_contexts", None)
+        self._contexts_repeat = contexts_repeat
         self.fallback_count = 0
         self.records = [] if record_rounds else None
         self.observer = observer
@@ -293,7 +307,7 @@ class CrossLearner:
 
     def _view(self, handle):
         masks = self._active if self._is_matrix else None
-        return _SnapView(handle, self._n_contexts, masks)
+        return _SnapView(handle, self._n_contexts, masks, self._contexts_repeat)
 
     def _mask(self, context):
         if self._active is None:

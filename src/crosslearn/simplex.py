@@ -8,9 +8,12 @@ active arms; it is computed with a max shift so any finite input is safe.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 SUM_TOL = 1e-12
+UNIFORM_BLOCK = 256
 
 
 class SimplexError(ValueError):
@@ -126,6 +129,29 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
+class BlockUniforms:
+    """Scalar uniform draws from a Generator, fetched UNIFORM_BLOCK at a time.
+
+    random() returns exactly the floats that repeated gen.random() calls
+    would, because Generator.random(n) yields the same values as n scalar
+    draws. The generator runs ahead by up to one block, so the view must be
+    the only reader of its generator.
+    """
+
+    __slots__ = ("_gen", "_next")
+
+    def __init__(self, gen):
+        self._gen = gen
+        self._next = iter(()).__next__
+
+    def random(self):
+        try:
+            return self._next()
+        except StopIteration:
+            self._next = iter(self._gen.random(UNIFORM_BLOCK).tolist()).__next__
+            return self._next()
+
+
 def ftrl_weights(cum_loss, eta, mask=None):
     """Softmax of -eta * cum_loss restricted to `mask` (None means all arms).
 
@@ -197,11 +223,11 @@ def sample_index(weights, gen):
     Never returns an index with zero weight (roundoff at the top edge walks
     back to the last positive entry).
     """
-    cs = np.cumsum(weights)
+    cs = weights.cumsum().tolist()
     u = gen.random() * cs[-1]
-    k = int(np.searchsorted(cs, u, side="right"))
-    if k >= len(weights):
-        k = len(weights) - 1
+    k = bisect_right(cs, u)
+    if k >= len(cs):
+        k = len(cs) - 1
     while weights[k] == 0.0:
         k -= 1
     return k

@@ -264,6 +264,9 @@ def test_sleeping_categorical_subsets():
         SleepingEnv.generate(10, 2, RngStream(0, 0),
                              availability={"kind": "categorical",
                                            "subsets": [[]], "probs": [1.0]})
+    with pytest.raises(EnvError, match="all zero"):
+        SleepingEnv.generate(10, 2, RngStream(0, 0),
+                             availability={"kind": "bernoulli", "probs": [0.0, 0.0]})
 
 
 def test_sleeping_hindsight_uses_available_best():

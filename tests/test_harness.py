@@ -1,13 +1,17 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from crosslearn.envs import EnvError, TabularEnv
 from crosslearn.harness import (
+    ALGO_STREAMS,
     CSV_HEADER,
     ConfigError,
     bootstrap_ci,
+    build_algo,
     checkpoint_schedule,
     fit_scaling,
     load_results_csv,
@@ -19,6 +23,7 @@ from crosslearn.harness import (
     worker_cap,
     write_csv,
 )
+from crosslearn.simplex import RngStream
 
 SMALL_ENV = {"kind": "tabular_synthetic", "C": 4, "K": 3}
 
@@ -96,6 +101,18 @@ def test_validate_config_errors():
         validate_config(small_config(T_grid=[128, 64]))
     with pytest.raises(ConfigError, match="seeds"):
         validate_config(small_config(seeds=[]))
+    validate_config(small_config(workers=1))
+    validate_config(small_config(workers=np.int64(3)))
+
+
+@pytest.mark.parametrize("workers", ["two", 2.5, 0, -1, True])
+def test_cli_reports_invalid_workers(tmp_path, capsys, workers):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(small_config(workers=workers,
+                                                output=str(tmp_path / "r.csv"))))
+    assert main(["run", str(cfg_path)]) == 1
+    assert "error: workers must be an integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_overrides_only_reach_crosslearn():
@@ -194,3 +211,56 @@ def test_run_single_auction_and_sleeping():
     assert res.env_name == "sleeping"
     res = run_single({"kind": "sleeping", "K": 3}, "known_nu", 128, 0)
     assert res.checkpoints[-1][0] == 128
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_synthetic_quick_reproduces_golden_csv(tmp_path):
+    config = json.loads((ROOT / "configs" / "synthetic_quick.json").read_text())
+    config["output"] = str(tmp_path / "results.csv")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["run", str(cfg_path)]) == 0
+    golden = (Path(__file__).parent / "data" / "synthetic_quick.csv").read_bytes()
+    assert (tmp_path / "results.csv").read_bytes() == golden
+
+
+def test_every_algo_runs_on_dict_active_sets():
+    gen = np.random.default_rng(0)
+    tensor = gen.random((96, 3, 2))
+    mask0 = np.array([True, False, True])
+    mask1 = np.array([False, True, True])
+    env = TabularEnv.from_tensor(tensor, np.ones(2) / 2, RngStream(0, 0),
+                                 active={0: mask0, 1: mask1})
+    assert env.active.tolist() == [mask0.tolist(), mask1.tolist()]
+    for name in ALGO_STREAMS:
+        algo = build_algo(name, env, 96, 0, "calibrated")
+        for t in range(96):
+            context = env.context(t)
+            arm = algo.step(context, lambda a: env.reveal(t, a))
+            assert env.active[context, arm], (name, t)
+
+
+def test_env_spec_active_rows_from_json():
+    spec = {"kind": "tabular_synthetic", "C": 2, "K": 3,
+            "active": [[True, False, True], [0, 1, 1]]}
+    for name in ALGO_STREAMS:
+        res = run_single(json.loads(json.dumps(spec)), name, 64, 1,
+                         overrides="calibrated" if name == "crosslearn" else None)
+        assert res.checkpoints[-1][0] == 64
+
+
+@pytest.mark.parametrize("active, match", [
+    ({0: [True, True, False]}, "context 1"),
+    ({0: [True, True, False], 1: [True, False]}, "context 1"),
+    ({0: [True, True, False], 1: [False, False, False]}, "context 1 is empty"),
+    ({0: [True, True, True], 1: [True, True, True], 2: [True, True, True]},
+     "unknown context 2"),
+    ([[True, True, True]], "1 contexts"),
+    ([[True, True, True], [1, 2, 0]], "context 1"),
+    (lambda c: None, "matrix"),
+])
+def test_malformed_active_sets_name_the_context(active, match):
+    with pytest.raises(EnvError, match=match):
+        TabularEnv.synthetic(2, 3, 16, RngStream(0, 0), active=active)
