@@ -15,6 +15,8 @@ FTRL distributions that later adds cannot perturb.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .simplex import ftrl_weights, ftrl_weights_batch
@@ -86,7 +88,7 @@ def _check_add(kind, arm, n_arms, weight, loss):
         raise AccumulatorError(f"cannot add a {loss.kind} loss to a {kind} accumulator")
     if not 0 <= arm < n_arms:
         raise AccumulatorError(f"arm {arm} outside [0, {n_arms})")
-    if not (np.isfinite(weight) and weight >= 0):
+    if not (math.isfinite(weight) and weight >= 0):
         raise AccumulatorError(f"weight must be finite and nonnegative, got {weight!r}")
 
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .simplex import BlockUniforms, ftrl_weights, sample_index
+from .simplex import BlockUniforms, ftrl_weights, ftrl_weights_batch, sample_index
 
 TINY_DENOM = 1e-9
 
@@ -70,20 +70,24 @@ class KnownNuOracle:
     Finite context spaces use the context ids with their exact nu weights;
     scalar value distributions use a fixed quadrature grid whose cell
     weights are CDF differences (exact per cell). probes/weights/masks are
-    aligned arrays; masks is None when every arm is always active.
+    aligned arrays; masks is None when every arm is always active, else
+    row i is the active set at probe i. exact is True when the probes are
+    the contexts themselves (finite supports), so every context that
+    occurs is a probe.
     """
 
-    def __init__(self, probes, weights, masks=None):
+    def __init__(self, probes, weights, masks=None, exact=False):
         self.probes = np.asarray(probes)
         self.weights = np.asarray(weights, dtype=float)
         if self.weights.min() < 0 or abs(self.weights.sum() - 1.0) > 1e-9:
             raise ValueError("probe weights must form a distribution")
         self.masks = masks
+        self.exact = exact
 
     @classmethod
     def finite(cls, nu, masks=None):
         nu = np.asarray(nu, dtype=float)
-        return cls(np.arange(nu.size), nu, masks)
+        return cls(np.arange(nu.size), nu, masks, exact=True)
 
     @classmethod
     def quadrature(cls, cdf, n_nodes=512):
@@ -112,6 +116,13 @@ class KnownNuLearner:
     Denominators below TINY_DENOM are floored and counted in
     tiny_denominator_count; FTRL keeps every active arm's probability
     positive, so this flags numerical trouble instead of guessing.
+
+    When the oracle is exact (its probes are the contexts), a round computes
+    the probe table once: the played distribution is the current context's
+    row, which equals ftrl_weights at that context bit for bit, and the
+    denominator comes from the same table. A context whose probe has another
+    active set than the learner's, and every context of a quadrature
+    oracle, is played from ftrl_weights at the context itself.
     """
 
     def __init__(self, n_arms, accumulator, oracle, eta, rng, active=None):
@@ -123,6 +134,14 @@ class KnownNuLearner:
         self._gen = BlockUniforms(rng.gen)
         self._active = active
         self._is_matrix = isinstance(active, np.ndarray)
+        # exact oracles: probe -> its first row of the probe table, and
+        # context -> the row it is played from, or -1 (filled on first sight)
+        self._probe_rows = self._rows = None
+        if oracle.exact:
+            self._probe_rows = {}
+            for i, probe in enumerate(oracle.probes.tolist()):
+                self._probe_rows.setdefault(probe, i)
+            self._rows = {}
         self.tiny_denominator_count = 0
         self.fallback_count = 0
 
@@ -131,11 +150,22 @@ class KnownNuLearner:
             return None
         return self._active[context] if self._is_matrix else self._active(context)
 
+    def _table_row(self, context):
+        """Probe-table row that holds the distribution played at context, or
+        -1 when no row is computed from the same active set."""
+        i = self._probe_rows.get(context)
+        if i is None:
+            return -1
+        full = np.ones(self.n_arms, dtype=bool)
+        mine = self._mask(context)
+        theirs = None if self.oracle.masks is None else self.oracle.masks[i]
+        same = np.array_equal(full if mine is None else mine,
+                              full if theirs is None else theirs)
+        return i if same else -1
+
     def probe_table(self):
         """Current play distributions at every oracle probe context."""
         cum = self.acc.eval_batch(self.oracle.probes)
-        from .simplex import ftrl_weights_batch
-
         return ftrl_weights_batch(cum, self.eta, self.oracle.masks)
 
     def distribution(self, context):
@@ -145,18 +175,32 @@ class KnownNuLearner:
         """E_{c~nu}[p(c, k)] for every arm at the current state."""
         return self.oracle.expectation(self.probe_table())
 
-    def _denominator(self, arm):
-        denom = float(self.expected_play_probs()[arm])
+    def _denominator(self, arm, expected=None):
+        """Floored E[p(., arm)], from `expected` (E[p] of the current state)
+        when the caller has it."""
+        if expected is None:
+            expected = self.expected_play_probs()
+        denom = float(expected[arm])
         if denom < TINY_DENOM:
             self.tiny_denominator_count += 1
             denom = TINY_DENOM
         return denom
 
     def step(self, context, reveal, t=None):
-        w = ftrl_weights(self.acc.eval_column(context), self.eta, self._mask(context))
+        row = -1
+        if self._rows is not None:
+            row = self._rows.get(context)
+            if row is None:
+                row = self._rows[context] = self._table_row(context)
+        if row < 0:
+            w = ftrl_weights(self.acc.eval_column(context), self.eta, self._mask(context))
+            expected = None
+        else:
+            table = self.probe_table()
+            w, expected = table[row], self.oracle.expectation(table)
         arm = sample_index(w, self._gen)
         fn = reveal(arm)
-        self.acc.add(arm, 1.0 / self._denominator(arm), fn)
+        self.acc.add(arm, 1.0 / self._denominator(arm, expected), fn)
         return arm
 
 

@@ -188,8 +188,7 @@ class TabularEnv:
             raise EnvError(f"arm {arm} inactive at context {self.contexts[t]}")
         if self._tensor is not None:
             return TabularLoss(self._tensor[t, arm], validate=False)
-        row = self._mu[arm] + self._amp * self._noise[t, arm]
-        return TabularLoss(row, validate=False)
+        return _StructuredLoss(self, t, arm)
 
     def loss_scalar(self, t, context, arm):
         if self._tensor is not None:
@@ -217,6 +216,32 @@ class TabularEnv:
             w.writerow(["t", "context"])
             for t, c in enumerate(self.contexts):
                 w.writerow([t, int(c)])
+
+
+class _StructuredLoss:
+    """Revealed loss of a structured TabularEnv round: the row
+    mu[arm] + amp * noise[t, arm] is built when .values is first read, which
+    learners that only call eval never do; eval(context) is loss_scalar,
+    the same float as that row's entry."""
+
+    kind = TABULAR
+    __slots__ = ("_env", "_t", "_arm", "_values")
+
+    def __init__(self, env, t, arm):
+        self._env = env
+        self._t = t
+        self._arm = arm
+        self._values = None
+
+    @property
+    def values(self):
+        if self._values is None:
+            env, arm = self._env, self._arm
+            self._values = env._mu[arm] + env._amp * env._noise[self._t, arm]
+        return self._values
+
+    def eval(self, context):
+        return self._env.loss_scalar(self._t, context, self._arm)
 
 
 def _value_sampler(spec, n, gen):
@@ -264,6 +289,11 @@ def _payment_sequence(spec, n, gen):
     raise EnvError(f"unknown payment process {kind!r}")
 
 
+def default_auction_arms(horizon):
+    """Bid-grid size of an auction without an explicit K: ceil(T^(1/3))."""
+    return math.ceil(horizon ** (1.0 / 3.0))
+
+
 class AuctionEnv:
     """Repeated first-price auction: context is the private value v_t drawn
     iid, arms are the grid bids {0, 1/K, ..., (K-1)/K}, and the only
@@ -292,7 +322,7 @@ class AuctionEnv:
         values = values or {"kind": "uniform"}
         payments = payments or {"kind": "iid_uniform"}
         if n_arms is None:
-            n_arms = math.ceil(horizon ** (1.0 / 3.0))
+            n_arms = default_auction_arms(horizon)
         v, cdf, atoms = _value_sampler(values, horizon, gen)
         m = _payment_sequence(payments, horizon, gen)
         return cls(v, m, n_arms, value_cdf=cdf, atoms=atoms)
@@ -327,8 +357,7 @@ class AuctionEnv:
     def known_nu_oracle(self, n_nodes=512):
         if self._atoms is not None:
             atoms, probs = self._atoms
-            oracle = KnownNuOracle(atoms, probs)
-            return oracle
+            return KnownNuOracle(atoms, probs, exact=True)
         return KnownNuOracle.quadrature(self._value_cdf, n_nodes)
 
     def export_payments(self, path):
@@ -455,7 +484,7 @@ class SleepingEnv:
             raise EnvError("exact subset distribution unavailable (K too large)")
         masks, probs = self._subset_probs
         mask_matrix = np.stack([subset_to_mask(int(m), self.n_arms) for m in masks])
-        return KnownNuOracle(masks, probs, mask_matrix)
+        return KnownNuOracle(masks, probs, mask_matrix, exact=True)
 
 
 class RegretTracker:

@@ -31,7 +31,7 @@ import numpy as np
 from .accumulator import make_accumulator
 from .baselines import KnownNuLearner, PerContextExp3, known_nu_rate
 from .envs import (SCORE_BLOCK, AuctionEnv, EnvError, RegretTracker, SleepingEnv,
-                   TabularEnv)
+                   TabularEnv, default_auction_arms)
 from .learner import (CrossLearner, ParamError, calibrated_params,
                       tune_parameters, with_overrides)
 from .simplex import RngStream
@@ -43,6 +43,13 @@ ENV_STREAM = 0
 ALGO_STREAMS = {"crosslearn": 1, "known_nu": 2, "exp3_per_context": 3}
 
 THREADS_VAR = "CROSSLEARN_THREADS"
+
+# env kind -> (required fields, optional fields) of its spec, besides "kind"
+ENV_FIELDS = {
+    "tabular_synthetic": (("C", "K"), ("gap", "noise", "nu", "active")),
+    "auction": ((), ("K", "values", "payments")),
+    "sleeping": (("K",), ("availability", "losses")),
+}
 
 
 class ConfigError(ValueError):
@@ -69,9 +76,49 @@ def checkpoint_schedule(horizon):
     return cps
 
 
+def _is_int(value, low):
+    """value is an integer (not a bool) >= low."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= low)
+
+
+def check_env_spec(env_spec):
+    """Return the kind of an env spec; raise ConfigError naming the first
+    missing or unknown field, or a C or K that is not an integer >= 1 (or
+    null, where it is optional)."""
+    if not isinstance(env_spec, dict) or "kind" not in env_spec:
+        raise ConfigError("config needs an env spec with a kind")
+    kind = env_spec["kind"]
+    if kind not in ENV_FIELDS:
+        raise ConfigError(f"unknown environment kind {kind!r}")
+    required, optional = ENV_FIELDS[kind]
+    for key in required:
+        if key not in env_spec:
+            raise ConfigError(f"{kind} env spec needs the field {key!r}")
+    for key in env_spec:
+        if key != "kind" and key not in required and key not in optional:
+            raise ConfigError(f"unknown field {key!r} in the {kind} env spec")
+    for key in ("C", "K"):
+        if key not in env_spec:
+            continue
+        value = env_spec[key]
+        # an optional size given as null takes its default
+        if not (_is_int(value, 1) or value is None and key in optional):
+            raise ConfigError(f"env spec field {key!r} must be an integer >= 1, "
+                              f"got {value!r}")
+    return kind
+
+
+def spec_arms(env_spec, horizon):
+    """Number of arms of the env a checked spec builds at this horizon."""
+    n_arms = env_spec.get("K")
+    return default_auction_arms(horizon) if n_arms is None else int(n_arms)
+
+
 def build_env(env_spec, horizon, rng):
+    kind = check_env_spec(env_spec)
     spec = dict(env_spec)
-    kind = spec.pop("kind", None)
+    del spec["kind"]
     if kind == "tabular_synthetic":
         return TabularEnv.synthetic(
             n_contexts=int(spec.pop("C")), n_arms=int(spec.pop("K")),
@@ -82,12 +129,10 @@ def build_env(env_spec, horizon, rng):
             horizon, rng, values=spec.pop("values", None),
             payments=spec.pop("payments", None),
             n_arms=int(n_arms) if n_arms is not None else None)
-    if kind == "sleeping":
-        return SleepingEnv.generate(
-            horizon, int(spec.pop("K")), rng,
-            availability=spec.pop("availability", None),
-            losses=spec.pop("losses", None))
-    raise ConfigError(f"unknown environment kind {kind!r}")
+    return SleepingEnv.generate(
+        horizon, int(spec.pop("K")), rng,
+        availability=spec.pop("availability", None),
+        losses=spec.pop("losses", None))
 
 
 def crosslearn_params(n_arms, horizon, overrides):
@@ -104,7 +149,7 @@ def crosslearn_params(n_arms, horizon, overrides):
         base = tune_parameters(n_arms, horizon)
         try:
             return with_overrides(base, unsafe=unsafe, **ov)
-        except ParamError as err:
+        except (TypeError, ValueError) as err:  # ParamError is a ValueError
             raise ConfigError(f"invalid override: {err}") from err
     raise ConfigError(f"overrides must be a dict, 'tuned', or 'calibrated': {overrides!r}")
 
@@ -165,32 +210,40 @@ def run_single(env_spec, algo_name, horizon, seed, overrides=None):
 
 
 def validate_config(config):
-    if "env" not in config or "kind" not in config["env"]:
-        raise ConfigError("config needs an env spec with a kind")
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
+    check_env_spec(config.get("env"))
     algos = config.get("algos")
-    if not algos:
-        raise ConfigError("config needs a nonempty algos list")
+    if not isinstance(algos, (list, tuple)) or not algos:
+        raise ConfigError(f"config needs a nonempty algos list, got {algos!r}")
     for a in algos:
-        if a not in ALGO_STREAMS:
+        if not isinstance(a, str) or a not in ALGO_STREAMS:
             raise ConfigError(f"unknown algorithm {a!r}")
     grid = config.get("T_grid")
-    if not grid or any(int(t) <= 0 for t in grid):
-        raise ConfigError("T_grid must be a nonempty list of positive horizons")
-    if list(grid) != sorted(set(int(t) for t in grid)):
+    if (not isinstance(grid, (list, tuple)) or not grid
+            or not all(_is_int(t, 1) for t in grid)):
+        raise ConfigError(f"T_grid must be a nonempty list of positive integer "
+                          f"horizons, got {grid!r}")
+    if list(grid) != sorted(set(grid)):
         raise ConfigError("T_grid must be strictly ascending")
     seeds = config.get("seeds")
-    if not seeds:
-        raise ConfigError("config needs a nonempty seeds list")
+    if not isinstance(seeds, (list, tuple)) or not seeds:
+        raise ConfigError(f"config needs a nonempty seeds list, got {seeds!r}")
+    for seed in seeds:
+        if not _is_int(seed, 0):
+            raise ConfigError(f"seeds must be integers >= 0, got {seed!r}")
+    if not isinstance(config.get("output", ""), str):
+        raise ConfigError(f"output must be a path, got {config['output']!r}")
     if "workers" in config:
         workers = config["workers"]
-        if (isinstance(workers, bool) or not isinstance(workers, (int, np.integer))
-                or workers < 1):
+        if not _is_int(workers, 1):
             raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     if "overrides" in config and config["overrides"] is not None:
         # validated against a representative horizon so a bad override
         # fails before any run starts
-        env = build_env(config["env"], int(grid[0]), RngStream(0, ENV_STREAM))
-        crosslearn_params(env.n_arms, int(grid[0]), config["overrides"])
+        horizon = int(grid[0])
+        crosslearn_params(spec_arms(config["env"], horizon), horizon,
+                          config["overrides"])
 
 
 def _run_task(task):
@@ -337,7 +390,7 @@ def _cmd_run(args):
     except (OSError, json.JSONDecodeError) as err:
         print(f"error: cannot read config: {err}", file=sys.stderr)
         return 1
-    if args.workers is not None:
+    if args.workers is not None and isinstance(config, dict):
         config["workers"] = args.workers
     try:
         results = run_experiment(config)

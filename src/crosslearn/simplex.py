@@ -156,19 +156,22 @@ def ftrl_weights(cum_loss, eta, mask=None):
     """Softmax of -eta * cum_loss restricted to `mask` (None means all arms).
 
     Hot-path core without finiteness checks; `ftrl_distribution` is the
-    validating wrapper. Returns a fresh length-K array.
+    validating wrapper. Returns a fresh length-K array. The ufunc reductions
+    are called directly: they run the loops of .max() and .sum() without
+    those methods' Python wrappers.
     """
     z = np.multiply(cum_loss, -eta)
     if mask is None:
-        z -= z.max()
-        w = np.exp(z)
+        z -= np.maximum.reduce(z)
+        w = np.exp(z, out=z)
     else:
         zm = z[mask]
         if zm.size == 0:
             raise SimplexError("active set is empty")
         w = np.zeros(z.shape[0])
-        w[mask] = np.exp(zm - zm.max())
-    w /= w.sum()
+        zm -= np.maximum.reduce(zm)
+        w[mask] = np.exp(zm, out=zm)
+    w /= np.add.reduce(w)
     return w
 
 
@@ -176,23 +179,32 @@ def ftrl_weights_batch(cum_loss, eta, masks=None):
     """Row-wise ftrl_weights for an (n, K) array of cumulative losses.
 
     `masks` may be None (all active), a (K,) mask shared by all rows, or an
-    (n, K) mask matrix.
+    (n, K) mask matrix. Row i equals ftrl_weights(cum_loss[i], eta, mask_i)
+    bit for bit. Row maxima are reduced along the contiguous axis of a
+    transposed copy (a max is exact, so the layout cannot change it); row
+    sums must stay along the rows of the C-ordered (n, K) array, where they
+    add in the order of the one-row sum.
     """
-    z = np.multiply(cum_loss, -eta)
+    z = np.multiply(cum_loss, -eta, order="C")
     if masks is None:
-        z -= z.max(axis=1, keepdims=True)
-        w = np.exp(z)
+        z -= _row_max(z)
+        w = np.exp(z, out=z)
     else:
         masks = np.asarray(masks, dtype=bool)
         if masks.ndim == 1:
             masks = np.broadcast_to(masks, z.shape)
-        if not masks.any(axis=1).all():
+        if not np.logical_or.reduce(np.ascontiguousarray(masks.T), axis=0).all():
             raise SimplexError("empty active set in batch")
         neg_inf = np.where(masks, z, -np.inf)
-        neg_inf -= neg_inf.max(axis=1, keepdims=True)
+        neg_inf -= _row_max(neg_inf)
         w = np.exp(neg_inf, where=masks, out=np.zeros_like(z))
-    w /= w.sum(axis=1, keepdims=True)
+    w /= np.add.reduce(w, axis=1, keepdims=True)
     return w
+
+
+def _row_max(z):
+    """Maximum of each row of a 2-D array, as an (n, 1) column."""
+    return np.maximum.reduce(np.ascontiguousarray(z.T), axis=0)[:, None]
 
 
 def ftrl_distribution(cum_loss, eta, active=None):

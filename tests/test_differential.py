@@ -1,12 +1,27 @@
-"""Differential tests: the block-drawn and block-scored code paths against
-per-round reference copies kept here. Every comparison is exact (==): the
-block paths do the same float operations in the same order."""
+"""Differential tests: the block-drawn and block-scored code paths, the
+softmax reductions, the once-per-round known-nu probe table, the s/2
+fallback test and the lazily built tabular loss rows against reference
+copies kept here. Every comparison is exact (==): the new paths do the same
+float operations in the same order."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+from crosslearn import learner as learner_module
+from crosslearn.accumulator import (
+    AFFINE,
+    CONSTANT,
+    TABULAR,
+    AffineLoss,
+    ConstantLoss,
+    TabularLoss,
+    make_accumulator,
+    snapshot,
+)
+from crosslearn.baselines import KnownNuLearner, KnownNuOracle, known_nu_rate
 from crosslearn.envs import (
     AVAILABILITY_BLOCK,
     SCORE_BLOCK,
@@ -24,7 +39,16 @@ from crosslearn.harness import (
     checkpoint_schedule,
     run_single,
 )
-from crosslearn.simplex import UNIFORM_BLOCK, BlockUniforms, RngStream, sample_index
+from crosslearn.learner import CrossLearner, calibrated_params
+from crosslearn.simplex import (
+    UNIFORM_BLOCK,
+    BlockUniforms,
+    RngStream,
+    SimplexError,
+    ftrl_weights,
+    ftrl_weights_batch,
+    sample_index,
+)
 
 
 class PerRoundRegretTracker:
@@ -242,3 +266,255 @@ def test_block_availability_matches_rejection_loop(horizon, probs):
     subsets, losses = _per_round_sleeping(horizon, len(probs), 9, probs)
     assert np.array_equal(env.subsets, subsets)
     assert np.array_equal(env.losses, losses)
+
+
+# Reference copies of the softmaxes as they were before their reductions
+# were called as ufuncs and the batch row max moved to the contiguous axis.
+def _ref_ftrl_weights(cum_loss, eta, mask=None):
+    z = np.multiply(cum_loss, -eta)
+    if mask is None:
+        z -= z.max()
+        w = np.exp(z)
+    else:
+        zm = z[mask]
+        if zm.size == 0:
+            raise SimplexError("active set is empty")
+        w = np.zeros(z.shape[0])
+        w[mask] = np.exp(zm - zm.max())
+    w /= w.sum()
+    return w
+
+
+def _ref_ftrl_weights_batch(cum_loss, eta, masks=None):
+    z = np.multiply(cum_loss, -eta)
+    if masks is None:
+        z -= z.max(axis=1, keepdims=True)
+        w = np.exp(z)
+    else:
+        masks = np.asarray(masks, dtype=bool)
+        if masks.ndim == 1:
+            masks = np.broadcast_to(masks, z.shape)
+        if not masks.any(axis=1).all():
+            raise SimplexError("empty active set in batch")
+        neg_inf = np.where(masks, z, -np.inf)
+        neg_inf -= neg_inf.max(axis=1, keepdims=True)
+        w = np.exp(neg_inf, where=masks, out=np.zeros_like(z))
+    w /= w.sum(axis=1, keepdims=True)
+    return w
+
+
+def _random_accumulator(kind, gen, n_arms, n_contexts):
+    """An accumulator of the kind after a few hundred weighted adds."""
+    acc = make_accumulator(kind, n_arms, n_contexts)
+    for _ in range(300):
+        arm, weight = int(gen.integers(n_arms)), float(gen.uniform(0, 40))
+        if kind == TABULAR:
+            loss = TabularLoss(gen.random(n_contexts))
+        elif kind == AFFINE:
+            a = float(gen.random())
+            loss = AffineLoss(a, float(gen.uniform(-a, 1 - a)))
+        else:
+            loss = ConstantLoss(float(gen.random()))
+        acc.add(arm, weight, loss)
+    return acc
+
+
+def _random_masks(gen, shape):
+    masks = gen.random(shape) < 0.6
+    rows = masks.reshape(-1, shape[-1])
+    rows[np.arange(rows.shape[0]), gen.integers(shape[-1], size=rows.shape[0])] = True
+    return masks
+
+
+@pytest.mark.parametrize("kind", [TABULAR, AFFINE, CONSTANT])
+def test_softmaxes_match_reference_on_every_eval_batch_layout(kind):
+    gen = np.random.default_rng(["tabular", "affine", "constant"].index(kind))
+    for trial in range(60):
+        n_arms, n_contexts = int(gen.integers(2, 24)), int(gen.integers(1, 70))
+        acc = _random_accumulator(kind, gen, n_arms, n_contexts)
+        contexts = (np.arange(n_contexts) if kind == TABULAR
+                    else gen.random(n_contexts))
+        eta = float(gen.uniform(1e-3, 1.5))
+        for source in (acc, snapshot(acc, eta)):
+            cum = source.eval_batch(contexts)
+            for masks in (None, _random_masks(gen, (n_arms,)),
+                          _random_masks(gen, (n_contexts, n_arms))):
+                got = ftrl_weights_batch(cum, eta, masks)
+                assert np.array_equal(got, _ref_ftrl_weights_batch(cum, eta, masks))
+                for i, context in enumerate(contexts.tolist()):
+                    col = source.eval_column(context)
+                    mask = masks if masks is None or masks.ndim == 1 else masks[i]
+                    row = ftrl_weights(col, eta, mask)
+                    assert np.array_equal(row, _ref_ftrl_weights(col, eta, mask))
+                    # what the known-nu probe table relies on
+                    assert np.array_equal(row, got[i])
+
+
+def test_batch_rows_match_one_row_softmax_on_a_transposed_input():
+    cum = np.random.default_rng(4).random((8, 64)) * 30
+    eta = 0.37
+    got = ftrl_weights_batch(cum.T, eta)
+    for i in range(64):
+        assert np.array_equal(got[i], ftrl_weights(cum[:, i], eta))
+
+
+class _RefKnownNuLearner:
+    """KnownNuLearner as it was before the once-per-round probe table: plays
+    the softmax at the context, then rebuilds the table for the denominator."""
+
+    def __init__(self, n_arms, accumulator, oracle, eta, rng, active=None):
+        self.acc, self.oracle, self.eta = accumulator, oracle, float(eta)
+        self._gen = BlockUniforms(rng.gen)
+        self._active = active
+        self.denominators = []
+
+    def _mask(self, context):
+        if self._active is None:
+            return None
+        if isinstance(self._active, np.ndarray):
+            return self._active[context]
+        return self._active(context)
+
+    def step(self, context, reveal):
+        w = _ref_ftrl_weights(self.acc.eval_column(context), self.eta, self._mask(context))
+        arm = sample_index(w, self._gen)
+        fn = reveal(arm)
+        cum = self.acc.eval_batch(self.oracle.probes)
+        table = _ref_ftrl_weights_batch(cum, self.eta, self.oracle.masks)
+        denom = max(float(self.oracle.expectation(table)[arm]), 1e-9)
+        self.denominators.append(denom)
+        self.acc.add(arm, 1.0 / denom, fn)
+        return arm
+
+
+KNOWN_NU_HORIZON = 1500
+
+
+def _unmasked_oracle(env):
+    """The env's finite oracle without its masks: only a context whose
+    active set is every arm may be played from the probe table."""
+    return KnownNuOracle.finite(env.nu)
+
+
+KNOWN_NU_CASES = {
+    "tabular": ("tabular_synthetic", {"C": 6, "K": 4}, None),
+    "tabular_active": ("tabular_synthetic", {"C": 4, "K": 3, "active": [
+        [1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]]}, None),
+    "tabular_active_unmasked_oracle": ("tabular_synthetic", {"C": 4, "K": 3, "active": [
+        [1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]]}, _unmasked_oracle),
+    "sleeping_bernoulli": ("sleeping", {"K": 5, "availability": {
+        "kind": "bernoulli", "probs": [0.2, 0.5, 0.3, 0.7, 0.4]}}, None),
+    "sleeping_categorical": ("sleeping", {"K": 4, "availability": {
+        "kind": "categorical", "subsets": [[0, 1], [2], [1, 2, 3], [0, 1]],
+        "probs": [0.3, 0.2, 0.4, 0.1]}}, None),
+    "auction_atoms": ("auction", {"values": {
+        "kind": "discrete", "atoms": [0.1, 0.35, 0.6, 0.9], "probs": [1, 2, 3, 4]}}, None),
+    "auction_continuous": ("auction", {}, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KNOWN_NU_CASES))
+def test_known_nu_matches_reference_round_by_round(case):
+    kind, fields, make_oracle = KNOWN_NU_CASES[case]
+    env = build_env(dict(fields, kind=kind), KNOWN_NU_HORIZON, RngStream(6, ENV_STREAM))
+    oracle = env.known_nu_oracle() if make_oracle is None else make_oracle(env)
+    active = env.active if env.kind == "tabular" else (
+        None if env.kind == "auction" else env.active_mask)
+
+    def learner(cls):
+        acc = make_accumulator(env.acc_kind, env.n_arms, getattr(env, "n_contexts", None))
+        # 4x the default rate, so the distributions move far from uniform
+        return cls(env.n_arms, acc, oracle, 4 * known_nu_rate(env.n_arms, env.horizon),
+                   RngStream(6, ALGO_STREAMS["known_nu"]), active=active)
+
+    new, ref = learner(KnownNuLearner), learner(_RefKnownNuLearner)
+    weights = []
+    add = new.acc.add
+    new.acc.add = lambda arm, weight, fn: (weights.append(weight), add(arm, weight, fn))
+    arms = set()
+    for t in range(env.horizon):
+        context = env.context(t)
+        arm = new.step(context, lambda a: env.reveal(t, a))
+        assert arm == ref.step(context, lambda a: env.reveal(t, a)), t
+        assert weights[-1] == 1.0 / ref.denominators[-1], t
+        arms.add(arm)
+    assert len(arms) == env.n_arms
+    assert np.array_equal(new.acc.frozen_state()[0], ref.acc.frozen_state()[0])
+    # which contexts were played from a probe-table row
+    from_table = (None if new._rows is None
+                  else {row >= 0 for row in new._rows.values()})
+    assert from_table == {"auction_continuous": None,
+                          # only context 3, whose active set is every arm
+                          "tabular_active_unmasked_oracle": {True, False}}.get(case, {True})
+
+
+def _ref_select(p, s, mask=None):
+    """select_sampling_distribution with the masked test, as it was."""
+    if mask is None:
+        ok = bool((p >= 0.5 * s).all())
+    else:
+        ok = bool((p[mask] >= 0.5 * s[mask]).all())
+    return (p, False) if ok else (s, True)
+
+
+MASKED_SPECS = {
+    "tabular_active": KNOWN_NU_CASES["tabular_active"][:2],
+    "sleeping_bernoulli": KNOWN_NU_CASES["sleeping_bernoulli"][:2],
+    "sleeping_categorical": KNOWN_NU_CASES["sleeping_categorical"][:2],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MASKED_SPECS))
+def test_half_snapshot_fallback_matches_masked_test(name, monkeypatch):
+    kind, fields = MASKED_SPECS[name]
+    horizon = 6000
+    env = build_env(dict(fields, kind=kind), horizon, RngStream(8, ENV_STREAM))
+    params = calibrated_params(env.n_arms, horizon)
+    mask_now = []
+    decisions = []
+    select = learner_module.select_sampling_distribution
+
+    def checked(p, s, mask=None, half=None):
+        assert mask is None and half is not None
+        assert np.array_equal(half, 0.5 * s)
+        got = select(p, s, half=half)
+        want = _ref_select(p, s, mask_now[-1])
+        assert got[1] == want[1] and got[0] is want[0]
+        assert got == select(p, s, mask_now[-1])
+        decisions.append(got[1])
+        return got
+
+    monkeypatch.setattr(learner_module, "select_sampling_distribution", checked)
+    # a hot rate makes the FTRL state drift from its snapshots, so both
+    # branches of the fallback test occur
+    hot = dataclasses.replace(params, eta=8 * params.eta)
+    active = env.active if env.kind == "tabular" else env.active_mask
+    algo = CrossLearner(hot, make_accumulator(env.acc_kind, env.n_arms,
+                                              getattr(env, "n_contexts", None)),
+                        RngStream(8, ALGO_STREAMS["crosslearn"]), active=active)
+    for t in range(horizon):
+        context = env.context(t)
+        mask_now.append(env.active_mask(context))
+        algo.step(context, lambda a: env.reveal(t, a))
+    assert True in decisions and False in decisions
+    assert algo.fallback_count == sum(decisions)
+
+
+def test_lazy_tabular_row_matches_eager_row():
+    env = TabularEnv.synthetic(7, 4, 400, RngStream(9, 0))
+    mu, amp, noise = env._mu, env._amp, env._noise
+    for t in range(env.horizon):
+        for arm in range(env.n_arms):
+            fn = env.reveal(t, arm)
+            eager = mu[arm] + amp * noise[t, arm]
+            assert np.array_equal(fn.values, eager) and fn.values is fn.values
+            for context in range(env.n_contexts):
+                value = fn.eval(context)
+                assert value == env.loss_scalar(t, context, arm) == float(eager[context])
+    # a tensor env still hands out its stored row
+    tensor = np.random.default_rng(3).random((50, 3, 4))
+    env = TabularEnv.from_tensor(tensor, np.ones(4) / 4, RngStream(1, 0))
+    for t in range(50):
+        fn = env.reveal(t, 2)
+        assert np.array_equal(fn.values, tensor[t, 2])
+        assert [fn.eval(c) for c in range(4)] == [env.loss_scalar(t, c, 2) for c in range(4)]
