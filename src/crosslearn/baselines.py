@@ -71,23 +71,20 @@ class KnownNuOracle:
     scalar value distributions use a fixed quadrature grid whose cell
     weights are CDF differences (exact per cell). probes/weights/masks are
     aligned arrays; masks is None when every arm is always active, else
-    row i is the active set at probe i. exact is True when the probes are
-    the contexts themselves (finite supports), so every context that
-    occurs is a probe.
+    row i is the active set at probe i.
     """
 
-    def __init__(self, probes, weights, masks=None, exact=False):
+    def __init__(self, probes, weights, masks=None):
         self.probes = np.asarray(probes)
         self.weights = np.asarray(weights, dtype=float)
         if self.weights.min() < 0 or abs(self.weights.sum() - 1.0) > 1e-9:
             raise ValueError("probe weights must form a distribution")
         self.masks = masks
-        self.exact = exact
 
     @classmethod
     def finite(cls, nu, masks=None):
         nu = np.asarray(nu, dtype=float)
-        return cls(np.arange(nu.size), nu, masks, exact=True)
+        return cls(np.arange(nu.size), nu, masks)
 
     @classmethod
     def quadrature(cls, cdf, n_nodes=512):
@@ -117,12 +114,11 @@ class KnownNuLearner:
     tiny_denominator_count; FTRL keeps every active arm's probability
     positive, so this flags numerical trouble instead of guessing.
 
-    When the oracle is exact (its probes are the contexts), a round computes
-    the probe table once: the played distribution is the current context's
-    row, which equals ftrl_weights at that context bit for bit, and the
-    denominator comes from the same table. A context whose probe has another
-    active set than the learner's, and every context of a quadrature
-    oracle, is played from ftrl_weights at the context itself.
+    When the context is a probe with the learner's own active set (finite
+    supports), a round computes the probe table once: the played
+    distribution is that probe's row, which equals ftrl_weights at the
+    context bit for bit, and the denominator comes from the same table.
+    Any other context is played from ftrl_weights at the context itself.
     """
 
     def __init__(self, n_arms, accumulator, oracle, eta, rng, active=None):
@@ -134,14 +130,16 @@ class KnownNuLearner:
         self._gen = BlockUniforms(rng.gen)
         self._active = active
         self._is_matrix = isinstance(active, np.ndarray)
-        # exact oracles: probe -> its first row of the probe table, and
-        # context -> the row it is played from, or -1 (filled on first sight)
-        self._probe_rows = self._rows = None
-        if oracle.exact:
-            self._probe_rows = {}
-            for i, probe in enumerate(oracle.probes.tolist()):
-                self._probe_rows.setdefault(probe, i)
-            self._rows = {}
+        # probe -> its first probe-table row computed with the learner's
+        # active set (no mask and an all-True mask give the same bits)
+        self._rows = {}
+        full = np.ones(self.n_arms, dtype=bool)
+        for i, probe in enumerate(oracle.probes.tolist()):
+            mine = self._mask(probe)
+            theirs = None if oracle.masks is None else oracle.masks[i]
+            if np.array_equal(full if mine is None else mine,
+                              full if theirs is None else theirs):
+                self._rows.setdefault(probe, i)
         self.tiny_denominator_count = 0
         self.fallback_count = 0
 
@@ -149,19 +147,6 @@ class KnownNuLearner:
         if self._active is None:
             return None
         return self._active[context] if self._is_matrix else self._active(context)
-
-    def _table_row(self, context):
-        """Probe-table row that holds the distribution played at context, or
-        -1 when no row is computed from the same active set."""
-        i = self._probe_rows.get(context)
-        if i is None:
-            return -1
-        full = np.ones(self.n_arms, dtype=bool)
-        mine = self._mask(context)
-        theirs = None if self.oracle.masks is None else self.oracle.masks[i]
-        same = np.array_equal(full if mine is None else mine,
-                              full if theirs is None else theirs)
-        return i if same else -1
 
     def probe_table(self):
         """Current play distributions at every oracle probe context."""
@@ -187,12 +172,8 @@ class KnownNuLearner:
         return denom
 
     def step(self, context, reveal, t=None):
-        row = -1
-        if self._rows is not None:
-            row = self._rows.get(context)
-            if row is None:
-                row = self._rows[context] = self._table_row(context)
-        if row < 0:
+        row = self._rows.get(context)
+        if row is None:
             w = ftrl_weights(self.acc.eval_column(context), self.eta, self._mask(context))
             expected = None
         else:

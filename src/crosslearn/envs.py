@@ -357,7 +357,7 @@ class AuctionEnv:
     def known_nu_oracle(self, n_nodes=512):
         if self._atoms is not None:
             atoms, probs = self._atoms
-            return KnownNuOracle(atoms, probs, exact=True)
+            return KnownNuOracle(atoms, probs)
         return KnownNuOracle.quadrature(self._value_cdf, n_nodes)
 
     def export_payments(self, path):
@@ -484,7 +484,7 @@ class SleepingEnv:
             raise EnvError("exact subset distribution unavailable (K too large)")
         masks, probs = self._subset_probs
         mask_matrix = np.stack([subset_to_mask(int(m), self.n_arms) for m in masks])
-        return KnownNuOracle(masks, probs, mask_matrix, exact=True)
+        return KnownNuOracle(masks, probs, mask_matrix)
 
 
 class RegretTracker:

@@ -82,10 +82,17 @@ def _is_int(value, low):
             and value >= low)
 
 
+def _is_whole(value, low):
+    """value is an integer (not a bool) or a float with no fractional part
+    (JSON may write 1e3 or 512.0), >= low; the runs apply int() to it."""
+    return _is_int(value, low) or (isinstance(value, float) and value.is_integer()
+                                   and value >= low)
+
+
 def check_env_spec(env_spec):
     """Return the kind of an env spec; raise ConfigError naming the first
-    missing or unknown field, or a C or K that is not an integer >= 1 (or
-    null, where it is optional)."""
+    missing or unknown field, or a C or K that is not a whole number >= 1
+    (or null, where it is optional)."""
     if not isinstance(env_spec, dict) or "kind" not in env_spec:
         raise ConfigError("config needs an env spec with a kind")
     kind = env_spec["kind"]
@@ -103,7 +110,7 @@ def check_env_spec(env_spec):
             continue
         value = env_spec[key]
         # an optional size given as null takes its default
-        if not (_is_int(value, 1) or value is None and key in optional):
+        if not (_is_whole(value, 1) or value is None and key in optional):
             raise ConfigError(f"env spec field {key!r} must be an integer >= 1, "
                               f"got {value!r}")
     return kind
@@ -221,7 +228,7 @@ def validate_config(config):
             raise ConfigError(f"unknown algorithm {a!r}")
     grid = config.get("T_grid")
     if (not isinstance(grid, (list, tuple)) or not grid
-            or not all(_is_int(t, 1) for t in grid)):
+            or not all(_is_whole(t, 1) for t in grid)):
         raise ConfigError(f"T_grid must be a nonempty list of positive integer "
                           f"horizons, got {grid!r}")
     if list(grid) != sorted(set(grid)):
@@ -230,7 +237,7 @@ def validate_config(config):
     if not isinstance(seeds, (list, tuple)) or not seeds:
         raise ConfigError(f"config needs a nonempty seeds list, got {seeds!r}")
     for seed in seeds:
-        if not _is_int(seed, 0):
+        if not _is_whole(seed, 0):
             raise ConfigError(f"seeds must be integers >= 0, got {seed!r}")
     if not isinstance(config.get("output", ""), str):
         raise ConfigError(f"output must be a path, got {config['output']!r}")

@@ -183,17 +183,13 @@ def with_overrides(params, eta=None, gamma=None, L=None, unsafe=False):
     return out
 
 
-def select_sampling_distribution(p, s, mask=None, half=None):
+def select_sampling_distribution(p, s, mask=None):
     """Rejection fallback: returns (q, fallback) with q = p when p >= s/2
-    on every active arm (ties count as no fallback), else q = s.
-
-    half, when given, is 0.5 * s computed ahead; p and s must then be exactly
-    zero off the active set, as FTRL distributions are, so the test runs
-    over every arm and needs no mask."""
-    if half is not None:
-        ok = np.logical_and.reduce(p >= half)
-    elif mask is None:
-        ok = bool((p >= 0.5 * s).all())
+    on every active arm (ties count as no fallback), else q = s. FTRL
+    distributions are exactly zero off their active set, so for them the
+    test without a mask decides the same as the masked one."""
+    if mask is None:
+        ok = np.logical_and.reduce(p >= 0.5 * s)
     else:
         ok = bool((p[mask] >= 0.5 * s[mask]).all())
     return (p, False) if ok else (s, True)
@@ -245,44 +241,31 @@ class LearnerObserver:
 class _SnapView:
     """Snapshot plus a precomputed distribution table (finite context
     spaces) or, without one, an optional per-context memo of the
-    distributions served so far, so per-round lookups stay O(K). Each row
-    s comes with s/2 for the fallback test. A frozen snapshot's
-    distribution at a context never changes, and the mask is a function of
-    the context."""
+    distributions served so far, so per-round lookups stay O(K). A frozen
+    snapshot's distribution at a context never changes, and the mask is a
+    function of the context."""
 
-    __slots__ = ("handle", "table", "halves", "_memo")
+    __slots__ = ("handle", "table", "_memo")
 
     def __init__(self, handle, n_contexts=None, masks=None, memo=True):
         self.handle = handle
         self._memo = {} if memo else None
         if n_contexts is None:
-            self.table = self.halves = None
+            self.table = None
         else:
             self.table = handle.weights_batch(np.arange(n_contexts), masks)
-            self.halves = 0.5 * self.table
 
     def weights(self, context, mask=None):
         if self.table is not None:
             return self.table[context]
         if self._memo is None:
             return self.handle.weights(context, mask)
-        return self.row(context, mask)[0]
-
-    def row(self, context, mask=None):
-        """(s, s/2) for the snapshot distribution s at context."""
-        if self.table is not None:
-            return self.table[context], self.halves[context]
-        if self._memo is None:
+        w = self._memo.get(context)
+        if w is None:
             w = self.handle.weights(context, mask)
-            return w, 0.5 * w
-        entry = self._memo.get(context)
-        if entry is None:
-            w = self.handle.weights(context, mask)
-            half = 0.5 * w
             w.flags.writeable = False
-            half.flags.writeable = False
-            entry = self._memo[context] = (w, half)
-        return entry
+            self._memo[context] = w
+        return w
 
 
 class CrossLearner:
@@ -410,9 +393,9 @@ class CrossLearner:
         elif t_next > self._full_epochs * L:
             # horizon not divisible by the epoch length: play on without
             # producing estimates, from the state frozen at the last boundary
-            s, half = self._snap_cur.row(context, mask)
+            s = self._snap_cur.weights(context, mask)
             p = ftrl_weights(self.acc.eval_column(context), self.params.eta, mask)
-            q, fb = select_sampling_distribution(p, s, half=half)
+            q, fb = select_sampling_distribution(p, s)
             arm = sample_index(q, gen)
             fn = reveal(arm)
             self.fallback_count += fb
@@ -422,9 +405,9 @@ class CrossLearner:
                 self.observer.round_played(self, t_next, self._epoch, fb)
         else:
             pos = (t_next - 1) % L
-            s, half = self._snap_cur.row(context, mask)
+            s = self._snap_cur.weights(context, mask)
             p = ftrl_weights(self.acc.eval_column(context), self.params.eta, mask)
-            q, fb = select_sampling_distribution(p, s, half=half)
+            q, fb = select_sampling_distribution(p, s)
             arm = sample_index(q, gen)
             fn = reveal(arm)
             self.fallback_count += fb

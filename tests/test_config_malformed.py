@@ -16,7 +16,9 @@ from crosslearn.harness import ENV_FIELDS, ConfigError, main, run_experiment
 
 NOT_A_LIST = st.one_of(st.none(), st.integers(), st.text(), st.floats(allow_nan=False),
                        st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
-NOT_AN_INT = st.one_of(st.none(), st.booleans(), st.text(), st.floats(allow_nan=False),
+# a float with no fractional part (512.0, or 1e3 in JSON) counts as an integer
+NOT_AN_INT = st.one_of(st.none(), st.booleans(), st.text(),
+                       st.floats(allow_nan=False).filter(lambda x: not x.is_integer()),
                        st.lists(st.integers(), max_size=2))
 
 
@@ -90,6 +92,30 @@ def test_cli_reports_malformed_config(case, capsys):
         assert main(["run", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("T_grid", [64, 128.5]), ("seeds", [0, 0.5]),
+    ("C", 2.5), ("K", 3.5), ("T_grid", [64, float("inf")]),
+])
+def test_fractional_numbers_rejected(field, value):
+    cfg = (config(env=dict(BASE_ENVS["tabular_synthetic"], **{field: value}))
+           if field in ("C", "K") else config(**{field: value}))
+    with pytest.raises(ConfigError, match=field):
+        run_experiment(cfg)
+
+
+def test_whole_number_floats_run_as_integers(tmp_path):
+    ints = config(env={"kind": "tabular_synthetic", "C": 4, "K": 3}, T_grid=[64, 128],
+                  seeds=[0, 1], output=str(tmp_path / "ints.csv"))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(ints).replace('"C": 4', '"C": 4.0')
+                    .replace("[64, 128]", "[64.0, 1.28e2]").replace("[0, 1]", "[0, 1.0]")
+                    .replace("ints.csv", "floats.csv"))
+    assert isinstance(json.loads(path.read_text())["T_grid"][1], float)
+    assert main(["run", str(path)]) == 0
+    harness.write_csv(run_experiment(ints), ints["output"])
+    assert (tmp_path / "floats.csv").read_bytes() == (tmp_path / "ints.csv").read_bytes()
 
 
 @pytest.mark.parametrize("text", ["[1, 2]", "7", "null"])
