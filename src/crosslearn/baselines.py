@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .simplex import BlockUniforms, ftrl_weights, ftrl_weights_batch, sample_index
+from .simplex import BlockUniforms, ftrl_weights, ftrl_weights_batch, mask_lookup, sample_index
 
 TINY_DENOM = 1e-9
 
@@ -29,16 +29,10 @@ class PerContextExp3:
         self.n_arms = int(n_arms)
         self.rng = rng
         self._gen = BlockUniforms(rng.gen)
-        self._active = active
-        self._is_matrix = isinstance(active, np.ndarray)
+        self._mask = mask_lookup(active)
         self._states = {}
         self._log_k = math.log(self.n_arms)
         self.fallback_count = 0
-
-    def _mask(self, context):
-        if self._active is None:
-            return None
-        return self._active[context] if self._is_matrix else self._active(context)
 
     def _state(self, context):
         st = self._states.get(context)
@@ -128,8 +122,7 @@ class KnownNuLearner:
         self.eta = float(eta)
         self.rng = rng
         self._gen = BlockUniforms(rng.gen)
-        self._active = active
-        self._is_matrix = isinstance(active, np.ndarray)
+        self._mask = mask_lookup(active)
         # probe -> its first probe-table row computed with the learner's
         # active set (no mask and an all-True mask give the same bits)
         self._rows = {}
@@ -142,11 +135,6 @@ class KnownNuLearner:
                 self._rows.setdefault(probe, i)
         self.tiny_denominator_count = 0
         self.fallback_count = 0
-
-    def _mask(self, context):
-        if self._active is None:
-            return None
-        return self._active[context] if self._is_matrix else self._active(context)
 
     def probe_table(self):
         """Current play distributions at every oracle probe context."""

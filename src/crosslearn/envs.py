@@ -7,7 +7,9 @@ run is reproducible from (spec, seed) alone. The learner-facing surface is:
 
     context(t)            realized context of round t (0-based)
     active_mask(context)  None (all arms) or a boolean (K,) mask
-    reveal(t, arm)        LossFunction of the played arm, full context map
+    active                the active sets in the form learners take: None,
+                          a (C, K) matrix, or the callable active_mask
+    reveal(t, arm)        LinearLoss of the played arm, full context map
     loss_scalar(t, c, k)  realized loss value
     loss_column(t, c)     losses of all arms at context c
     loss_columns(ts, cs)  loss_column of many rounds at once (regret scoring)
@@ -23,7 +25,8 @@ import math
 
 import numpy as np
 
-from .accumulator import AFFINE, CONSTANT, TABULAR, AffineLoss, ConstantLoss, TabularLoss
+from .accumulator import (AFFINE, CONSTANT, TABULAR, AffineAccumulator, ConstantAccumulator,
+                          LinearLoss, TabularAccumulator)
 from .baselines import KnownNuOracle
 
 
@@ -42,6 +45,24 @@ def auction_loss(value, bid, payment):
     bid >= payment. Lies in [0, 1] for value, bid, payment in [0, 1]."""
     win = 1.0 if bid >= payment else 0.0
     return 0.5 * (1.0 - (value - bid) * win)
+
+
+def _number(value, name):
+    """value as a float; EnvError naming the field if it is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise EnvError(f"{name} must be a number, got {value!r}") from None
+
+
+def _spec(spec, name, default):
+    """A nested spec object of an env (values, payments, availability,
+    losses): the default when empty, else a dict, or EnvError naming it."""
+    if not spec:
+        return default
+    if not isinstance(spec, dict):
+        raise EnvError(f"{name} must be an object with a kind, got {spec!r}")
+    return spec
 
 
 def _categorical(probs, n, gen):
@@ -120,6 +141,7 @@ class TabularEnv:
         """Instance with per-context distinct best arms: arm c mod K has
         mean (1-gap)/2 at context c, every other arm (1+gap)/2, plus
         per-round per-arm noise shared across contexts."""
+        gap, noise = _number(gap, "gap"), _number(noise, "noise")
         if gap <= 0 or gap >= 1:
             raise EnvError("gap must lie in (0, 1)")
         lo, hi = (1.0 - gap) / 2.0, (1.0 + gap) / 2.0
@@ -187,7 +209,7 @@ class TabularEnv:
         if m is not None and not m[arm]:
             raise EnvError(f"arm {arm} inactive at context {self.contexts[t]}")
         if self._tensor is not None:
-            return TabularLoss(self._tensor[t, arm], validate=False)
+            return LinearLoss(TabularAccumulator, self._tensor[t, arm], validate=False)
         return _StructuredLoss(self, t, arm)
 
     def loss_scalar(self, t, context, arm):
@@ -210,35 +232,28 @@ class TabularEnv:
     def known_nu_oracle(self):
         return KnownNuOracle.finite(self.nu, self.active)
 
-    def export_contexts(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "context"])
-            for t, c in enumerate(self.contexts):
-                w.writerow([t, int(c)])
 
-
-class _StructuredLoss:
+class _StructuredLoss(LinearLoss):
     """Revealed loss of a structured TabularEnv round: the row
-    mu[arm] + amp * noise[t, arm] is built when .values is first read, which
+    mu[arm] + amp * noise[t, arm] is built when .coef is first read, which
     learners that only call eval never do; eval(context) is loss_scalar,
     the same float as that row's entry."""
 
-    kind = TABULAR
-    __slots__ = ("_env", "_t", "_arm", "_values")
+    phi = TabularAccumulator
+    __slots__ = ("_env", "_t", "_arm", "_row")
 
     def __init__(self, env, t, arm):
         self._env = env
         self._t = t
         self._arm = arm
-        self._values = None
+        self._row = None
 
     @property
-    def values(self):
-        if self._values is None:
+    def coef(self):
+        if self._row is None:
             env, arm = self._env, self._arm
-            self._values = env._mu[arm] + env._amp * env._noise[self._t, arm]
-        return self._values
+            self._row = env._mu[arm] + env._amp * env._noise[self._t, arm]
+        return self._row
 
     def eval(self, context):
         return self._env.loss_scalar(self._t, context, self._arm)
@@ -249,7 +264,8 @@ def _value_sampler(spec, n, gen):
     if kind == "uniform":
         return gen.random(n), (lambda x: np.clip(x, 0.0, 1.0)), None
     if kind == "beta":
-        a, b = float(spec["a"]), float(spec["b"])
+        a = _number(spec.get("a"), "values field 'a'")
+        b = _number(spec.get("b"), "values field 'b'")
         from scipy.stats import beta as beta_dist
 
         return gen.beta(a, b, n), (lambda x: beta_dist.cdf(x, a, b)), None
@@ -268,7 +284,8 @@ def _payment_sequence(spec, n, gen):
         lo, hi = float(spec.get("lo", 0.0)), float(spec.get("hi", 1.0))
         return lo + (hi - lo) * gen.random(n)
     if kind == "iid_beta":
-        return gen.beta(float(spec["a"]), float(spec["b"]), n)
+        return gen.beta(_number(spec.get("a"), "payments field 'a'"),
+                        _number(spec.get("b"), "payments field 'b'"), n)
     if kind == "iid_discrete":
         atoms = np.asarray(spec["atoms"], dtype=float)
         probs = np.asarray(spec["probs"], dtype=float)
@@ -302,6 +319,7 @@ class AuctionEnv:
 
     kind = "auction"
     acc_kind = AFFINE
+    active = None
     regret_scale = 2.0
 
     def __init__(self, values, payments, n_arms, value_cdf=None, atoms=None):
@@ -313,14 +331,19 @@ class AuctionEnv:
         self._value_cdf = value_cdf
         self._atoms = atoms
         self.grouping = "value" if atoms is not None else "round"
-        for arr in (self.values, self.payments, self.bids):
+        # the revealed losses: (1 - (v - b)) / 2 on a win at bid b, 1/2 on a loss
+        wins = np.stack([(1.0 + self.bids) / 2.0, np.full(self.n_arms, -0.5)], axis=1)
+        lose = np.array([0.5, 0.0])
+        for arr in (self.values, self.payments, self.bids, wins, lose):
             arr.flags.writeable = False
+        self._win = [LinearLoss(AffineAccumulator, row, validate=False) for row in wins]
+        self._lose = LinearLoss(AffineAccumulator, lose, validate=False)
 
     @classmethod
     def generate(cls, horizon, rng, values=None, payments=None, n_arms=None):
         gen = rng.gen
-        values = values or {"kind": "uniform"}
-        payments = payments or {"kind": "iid_uniform"}
+        values = _spec(values, "values", {"kind": "uniform"})
+        payments = _spec(payments, "payments", {"kind": "iid_uniform"})
         if n_arms is None:
             n_arms = default_auction_arms(horizon)
         v, cdf, atoms = _value_sampler(values, horizon, gen)
@@ -336,10 +359,7 @@ class AuctionEnv:
     def reveal(self, t, arm):
         if not 0 <= arm < self.n_arms:
             raise EnvError(f"arm {arm} outside the bid grid")
-        b = self.bids[arm]
-        if b >= self.payments[t]:
-            return AffineLoss((1.0 + b) / 2.0, -0.5, validate=False)
-        return AffineLoss(0.5, 0.0, validate=False)
+        return self._win[arm] if self.bids[arm] >= self.payments[t] else self._lose
 
     def loss_scalar(self, t, context, arm):
         return auction_loss(context, self.bids[arm], self.payments[t])
@@ -359,13 +379,6 @@ class AuctionEnv:
             atoms, probs = self._atoms
             return KnownNuOracle(atoms, probs)
         return KnownNuOracle.quadrature(self._value_cdf, n_nodes)
-
-    def export_payments(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "payment"])
-            for t, m in enumerate(self.payments):
-                w.writerow([t, repr(float(m))])
 
 
 def subset_to_mask(bitmask, n_arms):
@@ -394,8 +407,9 @@ class SleepingEnv:
     @classmethod
     def generate(cls, horizon, n_arms, rng, availability=None, losses=None):
         gen = rng.gen
-        availability = availability or {"kind": "bernoulli", "probs": [0.5] * n_arms}
-        losses = losses or {"kind": "means_noise"}
+        availability = _spec(availability, "availability",
+                             {"kind": "bernoulli", "probs": [0.5] * n_arms})
+        losses = _spec(losses, "losses", {"kind": "means_noise"})
         akind = availability.get("kind", "bernoulli")
         if akind == "bernoulli":
             probs = np.asarray(availability["probs"], dtype=float)
@@ -464,10 +478,14 @@ class SleepingEnv:
             self._mask_cache[context] = m
         return m
 
+    @property
+    def active(self):
+        return self.active_mask
+
     def reveal(self, t, arm):
         if not self.active_mask(int(self.subsets[t]))[arm]:
             raise EnvError(f"arm {arm} is asleep in round {t}")
-        return ConstantLoss(self.losses[t, arm], validate=False)
+        return LinearLoss(ConstantAccumulator, self.losses[t, arm:arm + 1], validate=False)
 
     def loss_scalar(self, t, context, arm):
         return float(self.losses[t, arm])

@@ -167,20 +167,14 @@ def build_algo(name, env, horizon, seed, overrides):
     if name == "crosslearn":
         params = crosslearn_params(env.n_arms, horizon, overrides)
         acc = make_accumulator(env.acc_kind, env.n_arms, n_contexts)
-        active = env.active if env.kind == "tabular" else (
-            None if env.kind == "auction" else env.active_mask)
-        return CrossLearner(params, acc, rng, active=active,
+        return CrossLearner(params, acc, rng, active=env.active,
                             contexts_repeat=env.grouping != "round")
     if name == "known_nu":
         acc = make_accumulator(env.acc_kind, env.n_arms, n_contexts)
-        active = env.active if env.kind == "tabular" else (
-            None if env.kind == "auction" else env.active_mask)
         return KnownNuLearner(env.n_arms, acc, env.known_nu_oracle(),
-                              known_nu_rate(env.n_arms, horizon), rng, active=active)
+                              known_nu_rate(env.n_arms, horizon), rng, active=env.active)
     if name == "exp3_per_context":
-        active = env.active if env.kind == "tabular" else (
-            None if env.kind == "auction" else env.active_mask)
-        return PerContextExp3(env.n_arms, rng, active=active)
+        return PerContextExp3(env.n_arms, rng, active=env.active)
     raise ConfigError(f"unknown algorithm {name!r}")
 
 

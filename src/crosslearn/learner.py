@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .accumulator import snapshot
-from .simplex import BlockUniforms, ftrl_weights, sample_index
+from .simplex import BlockUniforms, ftrl_weights, mask_lookup, sample_index
 
 BERN_TOL = 1e-12
 _REL_TOL = 1e-9
@@ -275,7 +275,7 @@ class CrossLearner:
     by integer context ids, or a callable context -> mask/None.
     contexts_repeat: False when no context is expected twice (continuous
     auction values); snapshots then keep no per-context memo.
-    reveal passed to step: callable arm -> LossFunction for the played arm.
+    reveal passed to step: callable arm -> LinearLoss of the played arm.
     """
 
     def __init__(self, params, accumulator, rng, active=None,
@@ -287,9 +287,12 @@ class CrossLearner:
         self._gen = BlockUniforms(rng.gen)
         if accumulator.n_arms != params.n_arms:
             raise ParamError("accumulator and params disagree on the number of arms")
-        self._active = active
-        self._is_matrix = isinstance(active, np.ndarray)
-        self._n_contexts = getattr(accumulator, "n_contexts", None)
+        self._mask = mask_lookup(active)
+        self._table_masks = active if isinstance(active, np.ndarray) else None
+        # snapshot tables cover every context id of a tabular accumulator;
+        # a callable gives no masks up front, so its rows are served per context
+        self._n_contexts = (getattr(accumulator, "n_contexts", None)
+                            if active is None or self._table_masks is not None else None)
         self._contexts_repeat = contexts_repeat
         self.fallback_count = 0
         self.records = [] if record_rounds else None
@@ -308,19 +311,7 @@ class CrossLearner:
             observer.epoch_started(self, 1)
 
     def _view(self, handle):
-        masks = self._active if self._is_matrix else None
-        return _SnapView(handle, self._n_contexts, masks, self._contexts_repeat)
-
-    def _mask(self, context):
-        if self._active is None:
-            return None
-        if self._is_matrix:
-            m = self._active[context]
-        else:
-            m = self._active(context)
-        if m is not None and not m.any():
-            raise ValueError(f"context {context!r} has an empty active set")
-        return m
+        return _SnapView(handle, self._n_contexts, self._table_masks, self._contexts_repeat)
 
     @property
     def t(self):

@@ -12,7 +12,6 @@ from bisect import bisect_right
 
 import numpy as np
 
-SUM_TOL = 1e-12
 UNIFORM_BLOCK = 256
 
 
@@ -20,88 +19,19 @@ class SimplexError(ValueError):
     pass
 
 
-class ActiveSet:
-    """Nonempty subset of the K arms, stored as a boolean mask."""
-
-    __slots__ = ("n_arms", "mask")
-
-    def __init__(self, n_arms, members=None):
-        n_arms = int(n_arms)
-        if n_arms < 1:
-            raise SimplexError("need at least one arm")
-        self.n_arms = n_arms
-        if members is None:
-            mask = np.ones(n_arms, dtype=bool)
-        else:
-            mask = np.zeros(n_arms, dtype=bool)
-            for k in members:
-                k = int(k)
-                if not 0 <= k < n_arms:
-                    raise SimplexError(f"arm {k} outside [0, {n_arms})")
-                mask[k] = True
-        if not mask.any():
-            raise SimplexError("active set is empty")
-        self.mask = mask
-        self.mask.flags.writeable = False
-
-    @classmethod
-    def from_mask(cls, mask):
-        mask = np.asarray(mask, dtype=bool)
-        out = cls(mask.size, np.flatnonzero(mask))
-        return out
-
-    @property
-    def indices(self):
-        return np.flatnonzero(self.mask)
-
-    @property
-    def size(self):
-        return int(self.mask.sum())
-
-    def __contains__(self, arm):
-        return 0 <= int(arm) < self.n_arms and bool(self.mask[int(arm)])
-
-    def __eq__(self, other):
-        return isinstance(other, ActiveSet) and np.array_equal(self.mask, other.mask)
-
-    def __repr__(self):
-        return f"ActiveSet({self.n_arms}, {list(self.indices)})"
+def _every_arm(context):
+    return None
 
 
-class ProbVector:
-    """Distribution over arms: nonnegative, sums to 1 within SUM_TOL, and
-    exactly zero outside its active set."""
-
-    __slots__ = ("weights", "active")
-
-    def __init__(self, weights, active=None, validate=True):
-        weights = np.asarray(weights, dtype=float)
-        if active is None:
-            active = ActiveSet(weights.size)
-        elif not isinstance(active, ActiveSet):
-            active = ActiveSet.from_mask(active)
-        if validate:
-            if weights.shape != (active.n_arms,):
-                raise SimplexError("weight vector has wrong length")
-            if not np.isfinite(weights).all():
-                raise SimplexError("non-finite weights")
-            if (weights < 0).any():
-                raise SimplexError("negative weight")
-            if np.any(weights[~active.mask] != 0.0):
-                raise SimplexError("positive weight outside the active set")
-            if abs(float(weights.sum()) - 1.0) > SUM_TOL:
-                raise SimplexError(f"weights sum to {weights.sum()!r}, not 1")
-        self.weights = weights
-        self.active = active
-
-    def __getitem__(self, arm):
-        return float(self.weights[arm])
-
-    def __len__(self):
-        return self.weights.size
-
-    def __repr__(self):
-        return f"ProbVector({self.weights!r})"
+def mask_lookup(active):
+    """The function context -> active mask (None: every arm) of an active
+    set given as None (every arm always active), a (C, K) boolean matrix
+    indexed by integer context ids, or a callable context -> mask/None."""
+    if active is None:
+        return _every_arm
+    if isinstance(active, np.ndarray):
+        return active.__getitem__
+    return active
 
 
 class RngStream:
@@ -155,10 +85,9 @@ class BlockUniforms:
 def ftrl_weights(cum_loss, eta, mask=None):
     """Softmax of -eta * cum_loss restricted to `mask` (None means all arms).
 
-    Hot-path core without finiteness checks; `ftrl_distribution` is the
-    validating wrapper. Returns a fresh length-K array. The ufunc reductions
-    are called directly: they run the loops of .max() and .sum() without
-    those methods' Python wrappers.
+    Hot-path core without finiteness checks. Returns a fresh length-K
+    array. The ufunc reductions are called directly: they run the loops of
+    .max() and .sum() without those methods' Python wrappers.
     """
     z = np.multiply(cum_loss, -eta)
     if mask is None:
@@ -207,28 +136,6 @@ def _row_max(z):
     return np.maximum.reduce(np.ascontiguousarray(z.T), axis=0)[:, None]
 
 
-def ftrl_distribution(cum_loss, eta, active=None):
-    """Entropy-FTRL distribution for the given cumulative losses.
-
-    Errors on non-finite input, non-positive eta, or an empty active set.
-    """
-    cum_loss = np.asarray(cum_loss, dtype=float)
-    if cum_loss.ndim != 1:
-        raise SimplexError("cum_loss must be one-dimensional")
-    if not np.isfinite(cum_loss).all():
-        raise SimplexError("non-finite cumulative loss")
-    if not (eta > 0 and np.isfinite(eta)):
-        raise SimplexError(f"eta must be positive and finite, got {eta!r}")
-    if active is None:
-        active = ActiveSet(cum_loss.size)
-    elif not isinstance(active, ActiveSet):
-        active = ActiveSet.from_mask(active)
-    if active.n_arms != cum_loss.size:
-        raise SimplexError("active set size does not match cum_loss")
-    w = ftrl_weights(cum_loss, eta, None if active.size == active.n_arms else active.mask)
-    return ProbVector(w, active, validate=False)
-
-
 def sample_index(weights, gen):
     """Draw an arm index from a weight vector using one uniform variate.
 
@@ -244,7 +151,3 @@ def sample_index(weights, gen):
         k -= 1
     return k
 
-
-def sample(dist, rng):
-    """Sample an arm from a ProbVector via an RngStream."""
-    return sample_index(dist.weights, rng.gen)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulator import AFFINE, CONSTANT, TABULAR, make_accumulator
+from .accumulator import make_accumulator
 from .envs import TabularEnv
 from .harness import ENV_STREAM, ALGO_STREAMS
 from .learner import CrossLearner, LearnerObserver, tune_parameters
@@ -129,21 +129,16 @@ class EpochAudit:
 class _AuditObserver(LearnerObserver):
     """Closes an EpochAudit each time the learner advances an epoch."""
 
-    def __init__(self, env, params):
+    def __init__(self, env, params, acc):
         self.env = env
         self.params = params
         self.records = []
         self._open = None
-        if env.kind == "tabular":
-            self._probes = np.arange(env.n_contexts)
-            self._probe_weights = env.nu
-            self._masks = env.active
-        else:
-            oracle = env.known_nu_oracle()
-            self._probes = oracle.probes
-            self._probe_weights = oracle.weights
-            self._masks = oracle.masks
-        self._acc_kind = env.acc_kind
+        oracle = env.known_nu_oracle()
+        self._probes = oracle.probes
+        self._probe_weights = oracle.weights
+        self._masks = oracle.masks
+        self._acc = acc  # the learner's accumulator; its class is the loss phi
 
     def _freq_true(self, learner):
         table = learner.snapshot_current.weights_batch(self._probes, self._masks)
@@ -164,22 +159,9 @@ class _AuditObserver(LearnerObserver):
             "epoch": epoch, "freq_true": f, "freq_est": fhat, "beta": beta,
             "conc_ok": bool((dev <= bound).all()),
             "fallback_rounds": 0, "rounds": 0,
-            "proxy": self._fresh_proxy(),
+            # per arm, the sum of scaled loss rows
+            "proxy": np.zeros_like(self._acc.coef),
         }
-
-    def _fresh_proxy(self):
-        K = self.params.n_arms
-        if self._acc_kind == TABULAR:
-            return np.zeros((K, self.env.n_contexts))
-        if self._acc_kind == AFFINE:
-            return np.zeros((K, 2))  # intercept and slope sums per arm
-        return np.zeros(K)
-
-    def _proxy_max(self, proxy):
-        if self._acc_kind == AFFINE:
-            # affine in the context, so the max sits at an endpoint of [0, 1]
-            return float(np.maximum(proxy[:, 0], proxy[:, 0] + proxy[:, 1]).max())
-        return float(proxy.max())
 
     def _close(self, next_epoch):
         if self._open is None:
@@ -190,7 +172,7 @@ class _AuditObserver(LearnerObserver):
         self.records.append(EpochAudit(
             epoch=o["epoch"], freq_true=o["freq_true"], freq_est=o["freq_est"],
             beta=o["beta"], conc_ok=o["conc_ok"],
-            proxy_ok=self._proxy_max(o["proxy"]) <= limit,
+            proxy_ok=float(self._acc.upper(o["proxy"]).max()) <= limit,
             fallback_rounds=o["fallback_rounds"], rounds=o["rounds"]))
 
     def round_played(self, learner, t, epoch, fallback):
@@ -203,25 +185,16 @@ class _AuditObserver(LearnerObserver):
             return
         f_arm = self._open["freq_true"][arm]
         scale = 2.0 / (f_arm + self.params.gamma)
-        proxy = self._open["proxy"]
-        if self._acc_kind == TABULAR:
-            proxy[arm] += scale * loss_fn.values
-        elif self._acc_kind == AFFINE:
-            proxy[arm, 0] += scale * loss_fn.intercept
-            proxy[arm, 1] += scale * loss_fn.slope
-        else:
-            proxy[arm] += scale * loss_fn.value
+        self._open["proxy"][arm] += scale * loss_fn.coef
 
 
 def audit_run(env, params, seed):
     """Run the cross-learner on env under audit; returns per-epoch records."""
-    observer = _AuditObserver(env, params)
     acc = make_accumulator(env.acc_kind, env.n_arms,
                            getattr(env, "n_contexts", None))
-    active = env.active if env.kind == "tabular" else (
-        None if env.kind == "auction" else env.active_mask)
+    observer = _AuditObserver(env, params, acc)
     learner = CrossLearner(params, acc, RngStream(seed, ALGO_STREAMS["crosslearn"]),
-                           active=active, observer=observer)
+                           active=env.active, observer=observer)
     for t in range(env.horizon):
         context = env.context(t)
         learner.step(context, lambda a: env.reveal(t, a))

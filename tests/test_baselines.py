@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from crosslearn.accumulator import CONSTANT, TABULAR, ConstantLoss, TabularLoss, make_accumulator
+from crosslearn.accumulator import (
+    CONSTANT,
+    TABULAR,
+    ConstantAccumulator,
+    LinearLoss,
+    TabularAccumulator,
+    make_accumulator,
+)
 from crosslearn.baselines import (
     KnownNuLearner,
     KnownNuOracle,
@@ -16,8 +23,8 @@ def test_exp3_converges_per_context():
     # distribution concentrates on its own winner. The revealed object maps
     # contexts to losses for the played arm: arm 0 is good at context 0.
     algo = PerContextExp3(2, RngStream(0, 3))
-    arm_losses = {0: TabularLoss(np.array([0.1, 0.9])),
-                  1: TabularLoss(np.array([0.9, 0.1]))}
+    arm_losses = {0: LinearLoss(TabularAccumulator, np.array([0.1, 0.9])),
+                  1: LinearLoss(TabularAccumulator, np.array([0.9, 0.1]))}
     gen = np.random.default_rng(1)
     for t in range(10_000):
         c = int(gen.integers(2))
@@ -36,7 +43,7 @@ def test_exp3_state_isolation():
     algo = PerContextExp3(3, RngStream(5, 3))
     probe = algo.distribution(1).copy()
     for t in range(500):
-        algo.step(0, lambda arm: TabularLoss(np.array([1.0, 0.0, 0.0])))
+        algo.step(0, lambda arm: LinearLoss(TabularAccumulator, np.array([1.0, 0.0, 0.0])))
     assert np.array_equal(algo.distribution(1), probe)
     assert not np.allclose(algo.distribution(0), probe)
 
@@ -45,8 +52,9 @@ def test_exp3_respects_active_sets():
     active = {0: np.array([True, False, True])}
     algo = PerContextExp3(3, RngStream(2, 3), active=lambda c: active[c])
     plays = set()
+    fn = LinearLoss(TabularAccumulator, np.array([0.5, 0.5, 0.5]))
     for t in range(200):
-        plays.add(algo.step(0, lambda arm: TabularLoss(np.array([0.5, 0.5, 0.5]))))
+        plays.add(algo.step(0, lambda arm: fn))
     assert 1 not in plays and plays == {0, 2}
 
 
@@ -85,7 +93,7 @@ def test_known_nu_point_mass_matches_single_context():
     # nu concentrated on context 1 means the denominator equals p(1, arm)
     K = 3
     acc = make_accumulator(TABULAR, K, 2)
-    acc.add(0, 5.0, TabularLoss(np.array([0.0, 1.0])))
+    acc.add(0, 5.0, LinearLoss(TabularAccumulator, np.array([0.0, 1.0])))
     oracle = KnownNuOracle.finite(np.array([0.0, 1.0]))
     algo = KnownNuLearner(K, acc, oracle, eta=0.3, rng=RngStream(1, 2))
     table = algo.probe_table()
@@ -97,7 +105,7 @@ def test_known_nu_tiny_denominator_flagged():
     K = 2
     acc = make_accumulator(CONSTANT, K)
     # extreme tilt: arm 1's probability underflows to ~0 everywhere
-    acc.add(1, 1e9, ConstantLoss(1.0))
+    acc.add(1, 1e9, LinearLoss(ConstantAccumulator, [1.0]))
     oracle = KnownNuOracle.finite(np.array([1.0]))
     algo = KnownNuLearner(K, acc, oracle, eta=1.0, rng=RngStream(2, 2))
     before = algo.tiny_denominator_count
@@ -112,8 +120,8 @@ def test_known_nu_learns():
     oracle = KnownNuOracle.finite(np.array([0.5, 0.5]))
     algo = KnownNuLearner(2, acc, oracle, eta=known_nu_rate(2, 4000),
                           rng=RngStream(3, 2))
-    arm_losses = {0: TabularLoss(np.array([0.1, 0.1])),
-                  1: TabularLoss(np.array([0.9, 0.9]))}
+    arm_losses = {0: LinearLoss(TabularAccumulator, np.array([0.1, 0.1])),
+                  1: LinearLoss(TabularAccumulator, np.array([0.9, 0.9]))}
     gen = np.random.default_rng(7)
     counts = np.zeros(2)
     for t in range(4000):

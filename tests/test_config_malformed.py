@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from crosslearn import harness
+from crosslearn.envs import EnvError
 from crosslearn.harness import ENV_FIELDS, ConfigError, main, run_experiment
 
 NOT_A_LIST = st.one_of(st.none(), st.integers(), st.text(), st.floats(allow_nan=False),
@@ -133,6 +134,24 @@ def test_cli_reports_config_that_is_not_an_object(tmp_path, capsys, text):
 def test_missing_env_field_named(spec, missing):
     with pytest.raises(ConfigError, match=missing):
         run_experiment(config(env=spec))
+
+
+@pytest.mark.parametrize("env, field", [
+    ({"kind": "tabular_synthetic", "C": 4, "K": 3, "gap": "x"}, "gap"),
+    ({"kind": "auction", "values": 5}, "values"),
+    ({"kind": "auction", "values": {"kind": "beta"}}, "'a'"),
+], ids=["gap", "values", "beta_a"])
+def test_bad_value_inside_env_spec_named(tmp_path, capsys, env, field):
+    with pytest.raises((ConfigError, EnvError), match=re.escape(field)):
+        run_experiment(config(env=env))
+    out = tmp_path / "r.csv"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config(env=env, output=str(out))))
+    capsys.readouterr()
+    assert main(["run", str(path), "--workers", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("env", [

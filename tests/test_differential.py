@@ -1,8 +1,9 @@
 """Differential tests: the block-drawn and block-scored code paths, the
 softmax reductions, the once-per-round known-nu probe table, the unmasked
-s/2 fallback test and the lazily built tabular loss rows against reference
-copies kept here. Every comparison is exact (==): the new paths do the same
-float operations in the same order."""
+s/2 fallback test, the lazily built tabular loss rows, and the linear
+loss rows over a feature map (accumulators, snapshots, losses and the
+audit) against reference copies kept here. Every comparison is exact (==):
+the new paths do the same float operations in the same order."""
 
 import dataclasses
 import itertools
@@ -11,13 +12,16 @@ import numpy as np
 import pytest
 
 from crosslearn import learner as learner_module
+from crosslearn import verify as verify_module
 from crosslearn.accumulator import (
     AFFINE,
     CONSTANT,
     TABULAR,
-    AffineLoss,
-    ConstantLoss,
-    TabularLoss,
+    AccumulatorError,
+    AffineAccumulator,
+    ConstantAccumulator,
+    LinearLoss,
+    TabularAccumulator,
     make_accumulator,
     snapshot,
 )
@@ -309,12 +313,12 @@ def _random_accumulator(kind, gen, n_arms, n_contexts):
     for _ in range(300):
         arm, weight = int(gen.integers(n_arms)), float(gen.uniform(0, 40))
         if kind == TABULAR:
-            loss = TabularLoss(gen.random(n_contexts))
+            loss = LinearLoss(TabularAccumulator, gen.random(n_contexts))
         elif kind == AFFINE:
             a = float(gen.random())
-            loss = AffineLoss(a, float(gen.uniform(-a, 1 - a)))
+            loss = LinearLoss(AffineAccumulator, [a, float(gen.uniform(-a, 1 - a))])
         else:
-            loss = ConstantLoss(float(gen.random()))
+            loss = LinearLoss(ConstantAccumulator, [float(gen.random())])
         acc.add(arm, weight, loss)
     return acc
 
@@ -441,7 +445,7 @@ def test_known_nu_matches_reference_round_by_round(case):
         arms.add(arm)
         contexts.add(context)
     assert len(arms) == env.n_arms
-    assert np.array_equal(new.acc.frozen_state()[0], ref.acc.frozen_state()[0])
+    assert np.array_equal(new.acc.coef, ref.acc.coef)
     # which contexts were played from a probe-table row
     from_table = {c for c in contexts if c in new._rows}
     assert from_table == {"auction_continuous": set(),
@@ -507,7 +511,7 @@ def test_lazy_tabular_row_matches_eager_row():
         for arm in range(env.n_arms):
             fn = env.reveal(t, arm)
             eager = mu[arm] + amp * noise[t, arm]
-            assert np.array_equal(fn.values, eager) and fn.values is fn.values
+            assert np.array_equal(fn.coef, eager) and fn.coef is fn.coef
             for context in range(env.n_contexts):
                 value = fn.eval(context)
                 assert value == env.loss_scalar(t, context, arm) == float(eager[context])
@@ -516,5 +520,402 @@ def test_lazy_tabular_row_matches_eager_row():
     env = TabularEnv.from_tensor(tensor, np.ones(4) / 4, RngStream(1, 0))
     for t in range(50):
         fn = env.reveal(t, 2)
-        assert np.array_equal(fn.values, tensor[t, 2])
+        assert np.array_equal(fn.coef, tensor[t, 2])
         assert [fn.eval(c) for c in range(4)] == [env.loss_scalar(t, c, 2) for c in range(4)]
+
+
+# Reference copies of the three loss classes, the three accumulators, the
+# snapshot handle and the audit's proxy arithmetic as they were before a
+# loss became one coefficient row over a feature map.
+class _RefTabularLoss:
+    kind = TABULAR
+
+    def __init__(self, values, validate=True):
+        values = np.asarray(values, dtype=float)
+        if validate and (values.min() < -1e-9 or values.max() > 1 + 1e-9):
+            raise AccumulatorError("tabular loss outside [0, 1]")
+        self.values = values
+
+    def eval(self, context):
+        return float(self.values[context])
+
+
+class _RefAffineLoss:
+    kind = AFFINE
+
+    def __init__(self, intercept, slope, validate=True):
+        if validate:
+            lo = min(intercept, intercept + slope)
+            hi = max(intercept, intercept + slope)
+            if lo < -1e-9 or hi > 1 + 1e-9:
+                raise AccumulatorError("affine loss leaves [0, 1] on the unit interval")
+        self.intercept = float(intercept)
+        self.slope = float(slope)
+
+    def eval(self, context):
+        return self.intercept + self.slope * float(context)
+
+
+class _RefConstantLoss:
+    kind = CONSTANT
+
+    def __init__(self, value, validate=True):
+        if validate and not -1e-9 <= value <= 1 + 1e-9:
+            raise AccumulatorError("constant loss outside [0, 1]")
+        self.value = float(value)
+
+    def eval(self, context):
+        return self.value
+
+
+class _RefTabularAccumulator:
+    kind = TABULAR
+
+    def __init__(self, n_arms, n_contexts):
+        self.n_arms, self.n_contexts = n_arms, n_contexts
+        self.table = np.zeros((n_arms, n_contexts))
+        self._comp = np.zeros_like(self.table)
+        self.version = 0
+
+    def add(self, arm, weight, loss):
+        y = weight * loss.values - self._comp[arm]
+        t = self.table[arm] + y
+        self._comp[arm] = (t - self.table[arm]) - y
+        self.table[arm] = t
+        self.version += 1
+
+    def eval_column(self, context):
+        return self.table[:, context]
+
+    def eval_batch(self, contexts):
+        return self.table[:, contexts].T
+
+    def frozen_state(self):
+        return (self.table.copy(),)
+
+    def state(self):
+        return self.table, self._comp
+
+
+class _RefAffineAccumulator:
+    kind = AFFINE
+
+    def __init__(self, n_arms):
+        self.n_arms = n_arms
+        self.intercept, self.slope = np.zeros(n_arms), np.zeros(n_arms)
+        self._comp_a, self._comp_b = np.zeros(n_arms), np.zeros(n_arms)
+        self.version = 0
+
+    def add(self, arm, weight, loss):
+        for arr, comp, v in (
+            (self.intercept, self._comp_a, weight * loss.intercept),
+            (self.slope, self._comp_b, weight * loss.slope),
+        ):
+            y = v - comp[arm]
+            t = arr[arm] + y
+            comp[arm] = (t - arr[arm]) - y
+            arr[arm] = t
+        self.version += 1
+
+    def eval_column(self, context):
+        return self.intercept + self.slope * float(context)
+
+    def eval_batch(self, contexts):
+        vs = np.asarray(contexts, dtype=float)
+        return self.intercept[None, :] + vs[:, None] * self.slope[None, :]
+
+    def frozen_state(self):
+        return (self.intercept.copy(), self.slope.copy())
+
+    def state(self):
+        return (np.stack([self.intercept, self.slope], axis=1),
+                np.stack([self._comp_a, self._comp_b], axis=1))
+
+
+class _RefConstantAccumulator:
+    kind = CONSTANT
+
+    def __init__(self, n_arms):
+        self.n_arms = n_arms
+        self.totals, self._comp = np.zeros(n_arms), np.zeros(n_arms)
+        self.version = 0
+
+    def add(self, arm, weight, loss):
+        y = weight * loss.value - self._comp[arm]
+        t = self.totals[arm] + y
+        self._comp[arm] = (t - self.totals[arm]) - y
+        self.totals[arm] = t
+        self.version += 1
+
+    def eval_column(self, context):
+        return self.totals
+
+    def eval_batch(self, contexts):
+        return np.broadcast_to(self.totals, (len(contexts), self.n_arms)).copy()
+
+    def frozen_state(self):
+        return (self.totals.copy(),)
+
+    def state(self):
+        return self.totals[:, None], self._comp[:, None]
+
+
+class _RefSnapshotHandle:
+    def __init__(self, kind, state, eta, n_arms, version):
+        self.kind, self.eta, self.n_arms, self.version = kind, float(eta), n_arms, version
+        self._state = tuple(a.copy() for a in state)
+
+    def eval_column(self, context):
+        if self.kind == TABULAR:
+            return self._state[0][:, context]
+        if self.kind == AFFINE:
+            return self._state[0] + self._state[1] * float(context)
+        return self._state[0]
+
+    def eval_batch(self, contexts):
+        if self.kind == TABULAR:
+            return self._state[0][:, contexts].T
+        if self.kind == AFFINE:
+            vs = np.asarray(contexts, dtype=float)
+            return self._state[0][None, :] + vs[:, None] * self._state[1][None, :]
+        return np.broadcast_to(self._state[0], (len(contexts), self.n_arms)).copy()
+
+    def weights(self, context, mask=None):
+        return ftrl_weights(self.eval_column(context), self.eta, mask)
+
+    def weights_batch(self, contexts, masks=None):
+        return ftrl_weights_batch(self.eval_batch(contexts), self.eta, masks)
+
+
+def _ref_snapshot(acc, eta):
+    return _RefSnapshotHandle(acc.kind, acc.frozen_state(), eta, acc.n_arms, acc.version)
+
+
+def _ref_accumulator(kind, n_arms, n_contexts):
+    if kind == TABULAR:
+        return _RefTabularAccumulator(n_arms, n_contexts)
+    return {AFFINE: _RefAffineAccumulator, CONSTANT: _RefConstantAccumulator}[kind](n_arms)
+
+
+PHI = {TABULAR: TabularAccumulator, AFFINE: AffineAccumulator, CONSTANT: ConstantAccumulator}
+
+
+def _ref_loss(kind, numbers, validate=True):
+    if kind == TABULAR:
+        return _RefTabularLoss(numbers, validate)
+    cls = _RefAffineLoss if kind == AFFINE else _RefConstantLoss
+    return cls(*numbers, validate=validate)
+
+
+def _random_numbers(kind, gen, n_contexts):
+    if kind == TABULAR:
+        return gen.random(n_contexts)
+    if kind == AFFINE:
+        a = float(gen.random())
+        return [a, float(gen.uniform(-a, 1 - a))]
+    return [float(gen.random())]
+
+
+def _probe_contexts(kind, gen, n_contexts):
+    if kind == TABULAR:
+        return np.arange(n_contexts)
+    return np.concatenate([[0.0, 1.0], gen.random(n_contexts)])
+
+
+@pytest.mark.parametrize("kind", [TABULAR, AFFINE, CONSTANT])
+def test_linear_losses_and_accumulators_match_reference(kind):
+    gen = np.random.default_rng(["tabular", "affine", "constant"].index(kind) + 10)
+    for trial in range(12):
+        n_arms, n_contexts = int(gen.integers(2, 10)), int(gen.integers(1, 20))
+        acc = make_accumulator(kind, n_arms, n_contexts)
+        ref = _ref_accumulator(kind, n_arms, n_contexts)
+        contexts = _probe_contexts(kind, gen, n_contexts)
+        for step in range(400):
+            arm = int(gen.integers(n_arms))
+            # tiny and huge weights, so the compensation terms matter
+            weight = 0.0 if step % 97 == 0 else float(10.0 ** gen.uniform(-12, 12))
+            numbers = _random_numbers(kind, gen, n_contexts)
+            loss = LinearLoss(PHI[kind], numbers, validate=False)
+            ref_loss = _ref_loss(kind, numbers, validate=False)
+            acc.add(arm, weight, loss)
+            ref.add(arm, weight, ref_loss)
+            assert [loss.eval(c) for c in contexts.tolist()] == \
+                [ref_loss.eval(c) for c in contexts.tolist()]
+            if step % 50 == 49:
+                coef, comp = ref.state()
+                assert np.array_equal(acc.coef, coef) and np.array_equal(acc._comp, comp)
+                assert acc.version == ref.version
+                for c in contexts.tolist():
+                    assert np.array_equal(acc.eval_column(c), ref.eval_column(c))
+                assert np.array_equal(acc.eval_batch(contexts), ref.eval_batch(contexts))
+                eta = float(10.0 ** gen.uniform(-14, -10))
+                snap, ref_snap = snapshot(acc, eta), _ref_snapshot(ref, eta)
+                assert snap.version == ref_snap.version
+                masks = _random_masks(gen, (contexts.size, n_arms))
+                for i, c in enumerate(contexts.tolist()):
+                    assert np.array_equal(snap.eval_column(c), ref_snap.eval_column(c))
+                    for mask in (None, masks[i]):
+                        assert np.array_equal(snap.weights(c, mask), ref_snap.weights(c, mask))
+                assert np.array_equal(snap.eval_batch(contexts), ref_snap.eval_batch(contexts))
+                for m in (None, masks[0], masks):
+                    assert np.array_equal(snap.weights_batch(contexts, m),
+                                          ref_snap.weights_batch(contexts, m))
+
+
+@pytest.mark.parametrize("kind", [TABULAR, AFFINE, CONSTANT])
+def test_loss_range_check_matches_reference(kind):
+    gen = np.random.default_rng(["tabular", "affine", "constant"].index(kind) + 20)
+    size = {TABULAR: 5, AFFINE: 2, CONSTANT: 1}[kind]
+    refused = 0
+    for _ in range(3000):
+        # around the edges of [0, 1], within and beyond the tolerance
+        numbers = gen.choice([-1e-8, -1e-10, 0.0, 0.5, 1.0, 1 + 1e-10, 1 + 1e-8,
+                              float(gen.uniform(-1.5, 1.5))], size=size).tolist()
+        try:
+            _ref_loss(kind, numbers)
+        except AccumulatorError:
+            refused += 1
+            with pytest.raises(AccumulatorError):
+                LinearLoss(PHI[kind], numbers)
+        else:
+            LinearLoss(PHI[kind], numbers)
+    assert 0 < refused < 3000
+
+
+class _RefAuditObserver(verify_module.LearnerObserver):
+    """The audit observer with its kind switches and per-kind proxy sums;
+    it also keeps the proxy maximum of every closed epoch."""
+
+    def __init__(self, env, params):
+        self.env, self.params = env, params
+        self.records, self.proxy_maxima = [], []
+        self._open = None
+        if env.kind == "tabular":
+            self._probes = np.arange(env.n_contexts)
+            self._probe_weights = env.nu
+            self._masks = env.active
+        else:
+            oracle = env.known_nu_oracle()
+            self._probes = oracle.probes
+            self._probe_weights = oracle.weights
+            self._masks = oracle.masks
+        self._acc_kind = env.acc_kind
+
+    def epoch_started(self, learner, epoch):
+        self._close(epoch)
+        if epoch < 2:
+            return
+        params = self.params
+        table = learner.snapshot_current.weights_batch(self._probes, self._masks)
+        f = 0.5 * (self._probe_weights @ table)
+        fhat = learner.freq_estimate
+        beta = (f + params.gamma) / (fhat + 1.5 * params.gamma)
+        dev = np.abs(fhat - f)
+        bound = 2.0 * np.maximum(np.sqrt(f * params.conf / params.epoch_len),
+                                 params.conf / params.epoch_len)
+        K = params.n_arms
+        if self._acc_kind == TABULAR:
+            proxy = np.zeros((K, self.env.n_contexts))
+        elif self._acc_kind == AFFINE:
+            proxy = np.zeros((K, 2))
+        else:
+            proxy = np.zeros(K)
+        self._open = {
+            "epoch": epoch, "freq_true": f, "freq_est": fhat, "beta": beta,
+            "conc_ok": bool((dev <= bound).all()),
+            "fallback_rounds": 0, "rounds": 0, "proxy": proxy,
+        }
+
+    def _proxy_max(self, proxy):
+        if self._acc_kind == AFFINE:
+            return float(np.maximum(proxy[:, 0], proxy[:, 0] + proxy[:, 1]).max())
+        return float(proxy.max())
+
+    def _close(self, next_epoch):
+        if self._open is None:
+            return
+        o = self._open
+        self._open = None
+        limit = self.params.epoch_len + self.params.conf / self.params.gamma
+        self.proxy_maxima.append(self._proxy_max(o["proxy"]))
+        self.records.append(verify_module.EpochAudit(
+            epoch=o["epoch"], freq_true=o["freq_true"], freq_est=o["freq_est"],
+            beta=o["beta"], conc_ok=o["conc_ok"],
+            proxy_ok=self._proxy_max(o["proxy"]) <= limit,
+            fallback_rounds=o["fallback_rounds"], rounds=o["rounds"]))
+
+    def round_played(self, learner, t, epoch, fallback):
+        if self._open is not None and epoch == self._open["epoch"]:
+            self._open["rounds"] += 1
+            self._open["fallback_rounds"] += bool(fallback)
+
+    def estimate_recorded(self, learner, t, arm, weight, loss_fn):
+        if self._open is None:
+            return
+        scale = 2.0 / (self._open["freq_true"][arm] + self.params.gamma)
+        proxy = self._open["proxy"]
+        if self._acc_kind == TABULAR:
+            proxy[arm] += scale * loss_fn.values
+        elif self._acc_kind == AFFINE:
+            proxy[arm, 0] += scale * loss_fn.intercept
+            proxy[arm, 1] += scale * loss_fn.slope
+        else:
+            proxy[arm] += scale * loss_fn.value
+
+
+def _ref_reveal(env, t, arm):
+    """What reveal returned before the coefficient rows."""
+    if env.kind == "tabular":
+        return _RefTabularLoss(env._mu[arm] + env._amp * env._noise[t, arm], validate=False)
+    if env.kind == "auction":
+        b = env.bids[arm]
+        if b >= env.payments[t]:
+            return _RefAffineLoss((1.0 + b) / 2.0, -0.5, validate=False)
+        return _RefAffineLoss(0.5, 0.0, validate=False)
+    return _RefConstantLoss(env.losses[t, arm], validate=False)
+
+
+AUDIT_CASES = {name: KNOWN_NU_CASES[name][:2] for name in (
+    "tabular", "tabular_active", "sleeping_bernoulli", "auction_atoms")}
+
+
+@pytest.mark.parametrize("case", sorted(AUDIT_CASES))
+def test_audit_records_match_reference(case, monkeypatch):
+    kind, fields = AUDIT_CASES[case]
+    horizon = 3000
+    env = build_env(dict(fields, kind=kind), horizon, RngStream(12, ENV_STREAM))
+    base = calibrated_params(env.n_arms, horizon)
+    params = dataclasses.replace(base, eta=4 * base.eta)
+    seed = 5
+    maxima = []
+    close = verify_module._AuditObserver._close
+
+    def traced_close(self, next_epoch):
+        if self._open is not None:
+            maxima.append(float(self._acc.upper(self._open["proxy"]).max()))
+        close(self, next_epoch)
+
+    monkeypatch.setattr(verify_module._AuditObserver, "_close", traced_close)
+    got = verify_module.audit_run(env, params, seed)
+
+    monkeypatch.setattr(learner_module, "snapshot", _ref_snapshot)
+    observer = _RefAuditObserver(env, params)
+    active = env.active if env.kind == "tabular" else (
+        None if env.kind == "auction" else env.active_mask)
+    ref_acc = _ref_accumulator(env.acc_kind, env.n_arms, getattr(env, "n_contexts", None))
+    ref = CrossLearner(params, ref_acc, RngStream(seed, ALGO_STREAMS["crosslearn"]),
+                       active=active, observer=observer)
+    for t in range(horizon):
+        context = env.context(t)
+        ref.step(context, lambda a: _ref_reveal(env, t, a))
+    observer._close(None)
+
+    want = observer.records
+    assert len(got) == len(want) > 5
+    assert maxima == observer.proxy_maxima
+    assert len(set(maxima)) > 1  # the proxies moved
+    for g, w in zip(got, want):
+        for field in ("epoch", "conc_ok", "proxy_ok", "fallback_rounds", "rounds"):
+            assert getattr(g, field) == getattr(w, field)
+        for field in ("freq_true", "freq_est", "beta"):
+            assert np.array_equal(getattr(g, field), getattr(w, field))

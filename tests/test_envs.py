@@ -68,7 +68,7 @@ def test_auction_feedback_carries_win_bit_only():
             if wins_a != wins_b:
                 continue
             fa, fb = env_a.reveal(t, arm), env_b.reveal(t, arm)
-            assert fa.intercept == fb.intercept and fa.slope == fb.slope
+            assert np.array_equal(fa.coef, fb.coef)
 
 
 def test_auction_default_grid_size():

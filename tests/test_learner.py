@@ -8,8 +8,9 @@ import pytest
 from crosslearn.accumulator import (
     CONSTANT,
     TABULAR,
-    ConstantLoss,
-    TabularLoss,
+    ConstantAccumulator,
+    LinearLoss,
+    TabularAccumulator,
     make_accumulator,
     snapshot,
 )
@@ -34,7 +35,7 @@ def _small_params(n_arms=3, horizon=400, L=20, eta=0.01, gamma=0.05):
 
 
 def _const_env_step(values):
-    fn = TabularLoss(np.asarray(values, dtype=float))
+    fn = LinearLoss(TabularAccumulator, np.asarray(values, dtype=float))
     return lambda arm: fn
 
 
@@ -130,6 +131,33 @@ def test_out_of_order_and_horizon_exhaustion():
         learner.step(0, reveal)
 
 
+def test_empty_active_set_rejected():
+    # a callable's empty set fails when its context is first played; an
+    # empty row of an active matrix fails when the learner is built
+    params = _small_params()
+    reveal = _const_env_step([0.5, 0.5])
+    full, empty = np.ones(3, dtype=bool), np.zeros(3, dtype=bool)
+    learner = CrossLearner(params, make_accumulator(TABULAR, 3, 2), RngStream(0, 1),
+                           active=lambda c: full if c == 0 else empty)
+    learner.step(0, reveal)
+    with pytest.raises(ValueError, match="empty"):
+        learner.step(1, reveal)
+    with pytest.raises(ValueError, match="empty"):
+        CrossLearner(params, make_accumulator(TABULAR, 3, 2), RngStream(0, 1),
+                     active=np.array([full, empty]))
+
+
+def test_callable_active_set_respected_with_tabular_accumulator():
+    # a callable gives no masks for a snapshot table, so no round may play
+    # an inactive arm, warm-up included
+    mask = np.array([True, False, True])
+    learner = CrossLearner(_small_params(), make_accumulator(TABULAR, 3, 2), RngStream(0, 1),
+                           active=lambda c: mask)
+    reveal = _const_env_step([0.5, 0.5])
+    arms = [learner.step(t % 2, reveal) for t in range(400)]
+    assert 1 not in arms and {0, 2} <= set(arms)
+
+
 def test_runs_are_bit_identical():
     params = _small_params(horizon=300, L=30)
 
@@ -140,8 +168,8 @@ def test_runs_are_bit_identical():
         for t in range(300):
             c = int(gen.integers(4))
             vals = gen.random(4)
-            learner.step(c, lambda arm: TabularLoss(vals))
-        return learner.records, acc.table.copy(), learner.fallback_count
+            learner.step(c, lambda arm: LinearLoss(TabularAccumulator, vals))
+        return learner.records, acc.coef.copy(), learner.fallback_count
 
     rec1, tab1, fb1 = run()
     rec2, tab2, fb2 = run()
@@ -169,7 +197,7 @@ def test_forced_fallback_counted():
     params = _small_params(n_arms=2, horizon=400, L=20, eta=2.0, gamma=0.05)
     acc = make_accumulator(TABULAR, 2, 1)
     learner = CrossLearner(params, acc, RngStream(4, 1), record_rounds=True)
-    hi = TabularLoss(np.array([1.0]))
+    hi = LinearLoss(TabularAccumulator, np.array([1.0]))
     for t in range(1, 41):
         # epoch 1 is warm-up; feed loss only to arm 0 afterwards
         learner.step(0, lambda arm: hi)
@@ -295,10 +323,10 @@ def test_calibrated_run_learns_best_arm():
     acc = make_accumulator(TABULAR, 3, 1)
     learner = CrossLearner(params, acc, RngStream(11, 1))
     vals = {0: 0.1, 1: 0.9, 2: 0.9}
-    fn = TabularLoss(np.array([0.0]))
+    fn = LinearLoss(TabularAccumulator, np.array([0.0]))
     counts = np.zeros(3)
     for t in range(4000):
-        arm = learner.step(0, lambda a: TabularLoss(np.array([vals[a]])))
+        arm = learner.step(0, lambda a: LinearLoss(TabularAccumulator, np.array([vals[a]])))
         if t >= 3000:
             counts[arm] += 1
     assert counts[0] / counts.sum() > 0.9
@@ -306,7 +334,7 @@ def test_calibrated_run_learns_best_arm():
 
 def test_snapshot_view_without_table_memoises_read_only_rows():
     acc = make_accumulator(CONSTANT, 3)
-    acc.add(1, 2.0, ConstantLoss(0.5))
+    acc.add(1, 2.0, LinearLoss(ConstantAccumulator, [0.5]))
     handle = snapshot(acc, 0.7)
     view = _SnapView(handle)
     mask = np.array([True, False, True])
@@ -318,7 +346,7 @@ def test_snapshot_view_without_table_memoises_read_only_rows():
 
 def test_snapshot_view_without_memo_serves_fresh_rows():
     acc = make_accumulator(CONSTANT, 3)
-    acc.add(1, 2.0, ConstantLoss(0.5))
+    acc.add(1, 2.0, LinearLoss(ConstantAccumulator, [0.5]))
     handle = snapshot(acc, 0.7)
     view = _SnapView(handle, memo=False)
     first = view.weights(5)

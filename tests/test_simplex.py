@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from crosslearn.simplex import (
-    ActiveSet,
-    ProbVector,
     RngStream,
     SimplexError,
-    ftrl_distribution,
     ftrl_weights,
     ftrl_weights_batch,
     sample_index,
@@ -72,31 +69,6 @@ def test_ftrl_batch_matches_single():
     out = ftrl_weights_batch(z, 0.21, masks)
     for i in range(40):
         assert np.allclose(out[i], ftrl_weights(z[i], 0.21, masks[i]), atol=1e-14)
-
-
-def test_ftrl_distribution_validates():
-    with pytest.raises(SimplexError):
-        ftrl_distribution(np.array([np.nan, 0.0]), 0.1)
-    with pytest.raises(SimplexError):
-        ftrl_distribution(np.zeros(3), -0.1)
-    d = ftrl_distribution(np.zeros(3), 0.1)
-    assert isinstance(d, ProbVector)
-
-
-def test_prob_vector_rejects_bad_sum():
-    with pytest.raises(SimplexError):
-        ProbVector(np.array([0.5, 0.6]))
-    with pytest.raises(SimplexError):
-        ProbVector(np.array([-0.1, 1.1]))
-
-
-def test_prob_vector_off_support_zeros():
-    active = ActiveSet.from_mask(np.array([True, False, True]))
-    with pytest.raises(SimplexError):
-        ProbVector(np.array([0.5, 0.2, 0.3]), active)
-    p = ProbVector(np.array([0.5, 0.0, 0.5]), active)
-    assert 1 not in active
-    assert p.weights[1] == 0.0 and p[1] == 0.0
 
 
 def test_sample_index_frequencies():
