@@ -61,11 +61,11 @@ class PerContextExp3:
 class KnownNuOracle:
     """Exact expectation E_{c~nu}[p(c, k)] over a fixed probe set.
 
-    Finite context spaces use the context ids with their exact nu weights;
-    scalar value distributions use a fixed quadrature grid whose cell
-    weights are CDF differences (exact per cell). probes/weights/masks are
-    aligned arrays; masks is None when every arm is always active, else
-    row i is the active set at probe i.
+    Finite context spaces use their contexts (an env's `context_space`)
+    with their exact nu weights; scalar value distributions use a fixed
+    quadrature grid whose cell weights are CDF differences (exact per
+    cell). probes/weights/masks are aligned arrays; masks is None when
+    every arm is always active, else row i is the active set at probe i.
     """
 
     def __init__(self, probes, weights, masks=None):
@@ -74,11 +74,6 @@ class KnownNuOracle:
         if self.weights.min() < 0 or abs(self.weights.sum() - 1.0) > 1e-9:
             raise ValueError("probe weights must form a distribution")
         self.masks = masks
-
-    @classmethod
-    def finite(cls, nu, masks=None):
-        nu = np.asarray(nu, dtype=float)
-        return cls(np.arange(nu.size), nu, masks)
 
     @classmethod
     def quadrature(cls, cdf, n_nodes=512):

@@ -9,6 +9,8 @@ run is reproducible from (spec, seed) alone. The learner-facing surface is:
     active_mask(context)  None (all arms) or a boolean (K,) mask
     active                the active sets in the form learners take: None,
                           a (C, K) matrix, or the callable active_mask
+    context_space         the finite ContextSpace of the contexts the env
+                          can draw, with their active sets, or None
     reveal(t, arm)        LinearLoss of the played arm, full context map
     loss_scalar(t, c, k)  realized loss value
     loss_column(t, c)     losses of all arms at context c
@@ -28,6 +30,7 @@ import numpy as np
 from .accumulator import (AFFINE, CONSTANT, TABULAR, AffineAccumulator, ConstantAccumulator,
                           LinearLoss, TabularAccumulator)
 from .baselines import KnownNuOracle
+from .simplex import ContextSpace
 
 
 # rows of Bernoulli availability drawn at once by SleepingEnv.generate
@@ -53,6 +56,36 @@ def _number(value, name):
         return float(value)
     except (TypeError, ValueError):
         raise EnvError(f"{name} must be a number, got {value!r}") from None
+
+
+def _field(spec, key, name):
+    """spec[key]; EnvError naming the field if the spec lacks it."""
+    if key not in spec:
+        raise EnvError(f"{name} field {key!r} is missing")
+    return spec[key]
+
+
+def _numbers(values, name):
+    """values as a 1-D float array; EnvError naming the field if it is not
+    a nonempty list of numbers."""
+    try:
+        out = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or out.ndim != 1 or out.size == 0:
+        raise EnvError(f"{name} must be a nonempty list of numbers, got {values!r}")
+    return out
+
+
+def _weights(values, n, name):
+    """values as n finite nonnegative floats with a positive sum, not
+    normalised; EnvError naming the field otherwise."""
+    w = _numbers(values, name)
+    if w.size != n:
+        raise EnvError(f"{name} must have {n} entries, got {w.size}")
+    if not (np.isfinite(w).all() and (w >= 0).all() and w.sum() > 0):
+        raise EnvError(f"{name} must be nonnegative with a positive sum, got {values!r}")
+    return w
 
 
 def _spec(spec, name, default):
@@ -131,6 +164,7 @@ class TabularEnv:
         if (tensor is None) == (mu is None):
             raise EnvError("provide exactly one of tensor or mu")
         self.active = _active_matrix(active, self.n_contexts, self.n_arms)
+        self.context_space = ContextSpace(np.arange(self.n_contexts), self.active)
         for arr in (self._tensor, self._mu, self._noise, self.contexts):
             if arr is not None:
                 arr.flags.writeable = False
@@ -150,7 +184,7 @@ class TabularEnv:
         if isinstance(nu, str) and nu == "uniform":
             nu = np.full(n_contexts, 1.0 / n_contexts)
         else:
-            nu = np.asarray(nu, dtype=float)
+            nu = _weights(nu, n_contexts, "nu")
             nu = nu / nu.sum()
         gen = rng.gen
         mu = np.full((n_arms, n_contexts), hi)
@@ -168,11 +202,10 @@ class TabularEnv:
         if tensor.min() < 0 or tensor.max() > 1:
             raise EnvError("losses must lie in [0, 1]")
         horizon, n_arms, n_contexts = tensor.shape
-        nu = np.asarray(nu, dtype=float)
-        if nu.size != n_contexts:
-            raise EnvError("nu length does not match the tensor")
+        nu = _weights(nu, n_contexts, "nu")
+        # contexts are drawn from nu as given, the env keeps it normalised
         contexts = _categorical(nu, horizon, rng.gen)
-        return cls(nu, contexts, n_arms, tensor=tensor, active=active)
+        return cls(nu / nu.sum(), contexts, n_arms, tensor=tensor, active=active)
 
     @classmethod
     def from_csv(cls, path, nu, rng, active=None):
@@ -230,7 +263,8 @@ class TabularEnv:
         return self._mu[:, contexts].T + self._amp * self._noise[ts]
 
     def known_nu_oracle(self):
-        return KnownNuOracle.finite(self.nu, self.active)
+        space = self.context_space
+        return KnownNuOracle(space.contexts, self.nu, space.masks)
 
 
 class _StructuredLoss(LinearLoss):
@@ -270,8 +304,10 @@ def _value_sampler(spec, n, gen):
 
         return gen.beta(a, b, n), (lambda x: beta_dist.cdf(x, a, b)), None
     if kind == "discrete":
-        atoms = np.asarray(spec["atoms"], dtype=float)
-        probs = np.asarray(spec["probs"], dtype=float)
+        atoms = _numbers(_field(spec, "atoms", "values"), "values field 'atoms'")
+        if not ((atoms >= 0) & (atoms <= 1)).all():
+            raise EnvError(f"values field 'atoms' must lie in [0, 1], got {spec['atoms']!r}")
+        probs = _weights(_field(spec, "probs", "values"), atoms.size, "values field 'probs'")
         probs = probs / probs.sum()
         idx = _categorical(probs, n, gen)
         return atoms[idx], None, (atoms, probs)
@@ -287,12 +323,12 @@ def _payment_sequence(spec, n, gen):
         return gen.beta(_number(spec.get("a"), "payments field 'a'"),
                         _number(spec.get("b"), "payments field 'b'"), n)
     if kind == "iid_discrete":
-        atoms = np.asarray(spec["atoms"], dtype=float)
-        probs = np.asarray(spec["probs"], dtype=float)
+        atoms = _numbers(_field(spec, "atoms", "payments"), "payments field 'atoms'")
+        probs = _weights(_field(spec, "probs", "payments"), atoms.size, "payments field 'probs'")
         probs = probs / probs.sum()
         return atoms[_categorical(probs, n, gen)]
     if kind == "periodic":
-        pattern = np.asarray(spec["pattern"], dtype=float)
+        pattern = _numbers(_field(spec, "pattern", "payments"), "payments field 'pattern'")
         return np.tile(pattern, n // pattern.size + 1)[:n]
     if kind == "drift":
         base = float(spec.get("base", 0.5))
@@ -329,7 +365,8 @@ class AuctionEnv:
         self.n_arms = int(n_arms)
         self.bids = np.arange(self.n_arms) / self.n_arms
         self._value_cdf = value_cdf
-        self._atoms = atoms
+        self._atom_probs = None if atoms is None else atoms[1]
+        self.context_space = None if atoms is None else ContextSpace(atoms[0])
         self.grouping = "value" if atoms is not None else "round"
         # the revealed losses: (1 - (v - b)) / 2 on a win at bid b, 1/2 on a loss
         wins = np.stack([(1.0 + self.bids) / 2.0, np.full(self.n_arms, -0.5)], axis=1)
@@ -375,9 +412,8 @@ class AuctionEnv:
         return 0.5 * (1.0 - (values - self.bids) * win)
 
     def known_nu_oracle(self, n_nodes=512):
-        if self._atoms is not None:
-            atoms, probs = self._atoms
-            return KnownNuOracle(atoms, probs)
+        if self.context_space is not None:
+            return KnownNuOracle(self.context_space.contexts, self._atom_probs)
         return KnownNuOracle.quadrature(self._value_cdf, n_nodes)
 
 
@@ -396,10 +432,22 @@ class SleepingEnv:
     grouping = "context"
 
     def __init__(self, losses, subsets, subset_probs=None):
+        """subset_probs: (subsets, probabilities) of the subsets the env can
+        draw, or None when they are not enumerated."""
         self.losses = np.asarray(losses, dtype=float)
         self.subsets = np.asarray(subsets, dtype=np.int64)
         self.horizon, self.n_arms = self.losses.shape
-        self._subset_probs = subset_probs
+        self.context_space = self._subset_weights = None
+        if subset_probs is not None:
+            drawable, self._subset_weights = subset_probs
+            n_arms = self.n_arms
+
+            def masks():  # up to 65 535 rows, built only when read; holds no env
+                out = subset_to_mask(drawable[:, None], n_arms)
+                out.flags.writeable = False
+                return out
+
+            self.context_space = ContextSpace(drawable, masks)
         self._mask_cache = {}
         for arr in (self.losses, self.subsets):
             arr.flags.writeable = False
@@ -412,7 +460,8 @@ class SleepingEnv:
         losses = _spec(losses, "losses", {"kind": "means_noise"})
         akind = availability.get("kind", "bernoulli")
         if akind == "bernoulli":
-            probs = np.asarray(availability["probs"], dtype=float)
+            probs = _numbers(_field(availability, "probs", "availability"),
+                             "availability field 'probs'")
             if probs.size != n_arms:
                 raise EnvError("availability probs must have length K")
             if not (probs > 0).any():
@@ -434,10 +483,12 @@ class SleepingEnv:
             if n_arms <= 16:
                 subset_probs = cls._bernoulli_subset_probs(probs)
         elif akind == "categorical":
-            masks = [int(sum(1 << k for k in subset)) for subset in availability["subsets"]]
+            masks = [int(sum(1 << k for k in subset))
+                     for subset in _field(availability, "subsets", "availability")]
             if any(m == 0 for m in masks):
                 raise EnvError("empty availability subset")
-            probs = np.asarray(availability["probs"], dtype=float)
+            probs = _weights(_field(availability, "probs", "availability"), len(masks),
+                             "availability field 'probs'")
             idx = _categorical(probs, horizon, gen)
             subsets = np.asarray(masks, dtype=np.int64)[idx]
             subset_probs = (np.asarray(masks, dtype=np.int64), probs / probs.sum())
@@ -498,11 +549,10 @@ class SleepingEnv:
         return self.losses[ts]
 
     def known_nu_oracle(self):
-        if self._subset_probs is None:
+        space = self.context_space
+        if space is None:
             raise EnvError("exact subset distribution unavailable (K too large)")
-        masks, probs = self._subset_probs
-        mask_matrix = np.stack([subset_to_mask(int(m), self.n_arms) for m in masks])
-        return KnownNuOracle(masks, probs, mask_matrix)
+        return KnownNuOracle(space.contexts, self._subset_weights, space.masks)
 
 
 class RegretTracker:

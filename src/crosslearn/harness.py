@@ -167,8 +167,7 @@ def build_algo(name, env, horizon, seed, overrides):
     if name == "crosslearn":
         params = crosslearn_params(env.n_arms, horizon, overrides)
         acc = make_accumulator(env.acc_kind, env.n_arms, n_contexts)
-        return CrossLearner(params, acc, rng, active=env.active,
-                            contexts_repeat=env.grouping != "round")
+        return CrossLearner(params, acc, rng, active=env.active, space=env.context_space)
     if name == "known_nu":
         acc = make_accumulator(env.acc_kind, env.n_arms, n_contexts)
         return KnownNuLearner(env.n_arms, acc, env.known_nu_oracle(),

@@ -46,6 +46,19 @@ FREQ_ROUND = "F"
 LOSS_ROUND = "L"
 LEFTOVER = "leftover"
 
+# Largest snapshot table over a space other than context ids, in contexts
+# per round of the epoch; context ids (tabular envs) always get a table.
+# Without a table every snapshot lookup is a one-row softmax; a table costs
+# one batch row per context. Measured per simulated round of the
+# paired-epoch learner (numpy 2.4.6, Python 3.11, 2-vCPU x86_64), a table
+# breaks even at 20 to 38 contexts per round (sleeping K=6 and K=10, 63 and
+# 1 023 subsets; auction K=13 on 64 atoms) and at 4 it cuts the cost of a
+# round by 29% to 34%. The value is not that break-even: it is bound by
+# perfbench/tests/test_perfbench.py, whose shrunken reductions_grid plan
+# (epochs of 6 to 8 rounds over 63 to 64 contexts) must make no batched
+# softmax call. Raise it towards the break-even when that test changes.
+TABLE_ROWS_PER_ROUND = 4
+
 
 class ParamError(ValueError):
     pass
@@ -238,34 +251,42 @@ class LearnerObserver:
         pass
 
 
+def _check_space_masks(space, mask, n_arms):
+    """ParamError unless the space's masks are the active sets that `mask`
+    gives at its contexts, None standing for every arm on either side."""
+    every = np.ones(n_arms, dtype=bool)
+    got = np.array([every if m is None else m for m in map(mask, space.contexts.tolist())])
+    want = np.broadcast_to(every, got.shape) if space.masks is None else space.masks
+    if not np.array_equal(got, want):
+        raise ParamError("the context space's masks differ from the active sets")
+
+
 class _SnapView:
-    """Snapshot plus a precomputed distribution table (finite context
-    spaces) or, without one, an optional per-context memo of the
-    distributions served so far, so per-round lookups stay O(K). A frozen
-    snapshot's distribution at a context never changes, and the mask is a
-    function of the context."""
+    """Snapshot plus, over a finite context space, the table of its
+    distributions at every context of the space, computed in one batch, so
+    a lookup reads a row. Without a space, or at a context outside it, the
+    row is computed per lookup."""
 
-    __slots__ = ("handle", "table", "_memo")
+    __slots__ = ("handle", "table", "_rows")
 
-    def __init__(self, handle, n_contexts=None, masks=None, memo=True):
+    def __init__(self, handle, space=None):
         self.handle = handle
-        self._memo = {} if memo else None
-        if n_contexts is None:
-            self.table = None
+        if space is None:
+            self.table = self._rows = None
         else:
-            self.table = handle.weights_batch(np.arange(n_contexts), masks)
+            self.table = handle.weights_batch(space.contexts, space.masks)
+            self.table.flags.writeable = False
+            self._rows = space.rows
 
     def weights(self, context, mask=None):
-        if self.table is not None:
-            return self.table[context]
-        if self._memo is None:
+        table = self.table
+        if table is None:
             return self.handle.weights(context, mask)
-        w = self._memo.get(context)
-        if w is None:
-            w = self.handle.weights(context, mask)
-            w.flags.writeable = False
-            self._memo[context] = w
-        return w
+        rows = self._rows
+        if rows is None:
+            return table[context]  # the contexts are the row numbers
+        row = rows.get(context)
+        return self.handle.weights(context, mask) if row is None else table[row]
 
 
 class CrossLearner:
@@ -273,13 +294,15 @@ class CrossLearner:
 
     active: None (every arm always active), a (C, K) boolean matrix indexed
     by integer context ids, or a callable context -> mask/None.
-    contexts_repeat: False when no context is expected twice (continuous
-    auction values); snapshots then keep no per-context memo.
+    space: the env's finite ContextSpace, or None. Its masks must be the
+    active sets at its contexts (ParamError otherwise). Each snapshot
+    tabulates it when its contexts are ids or number at most
+    TABLE_ROWS_PER_ROUND * epoch_len.
     reveal passed to step: callable arm -> LinearLoss of the played arm.
     """
 
     def __init__(self, params, accumulator, rng, active=None,
-                 record_rounds=False, observer=None, contexts_repeat=True):
+                 record_rounds=False, observer=None, space=None):
         params.validate_structure()
         self.params = params
         self.acc = accumulator
@@ -288,12 +311,12 @@ class CrossLearner:
         if accumulator.n_arms != params.n_arms:
             raise ParamError("accumulator and params disagree on the number of arms")
         self._mask = mask_lookup(active)
-        self._table_masks = active if isinstance(active, np.ndarray) else None
-        # snapshot tables cover every context id of a tabular accumulator;
-        # a callable gives no masks up front, so its rows are served per context
-        self._n_contexts = (getattr(accumulator, "n_contexts", None)
-                            if active is None or self._table_masks is not None else None)
-        self._contexts_repeat = contexts_repeat
+        if space is not None and not space.ids \
+                and len(space) > TABLE_ROWS_PER_ROUND * params.epoch_len:
+            space = None
+        if space is not None:
+            _check_space_masks(space, self._mask, params.n_arms)
+        self._space = space
         self.fallback_count = 0
         self.records = [] if record_rounds else None
         self.observer = observer
@@ -311,7 +334,7 @@ class CrossLearner:
             observer.epoch_started(self, 1)
 
     def _view(self, handle):
-        return _SnapView(handle, self._n_contexts, self._table_masks, self._contexts_repeat)
+        return _SnapView(handle, self._space)
 
     @property
     def t(self):

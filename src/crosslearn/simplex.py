@@ -30,8 +30,50 @@ def mask_lookup(active):
     if active is None:
         return _every_arm
     if isinstance(active, np.ndarray):
+        empty = np.flatnonzero(~active.any(axis=1))
+        if empty.size:
+            raise SimplexError(f"active set is empty at context {int(empty[0])}")
         return active.__getitem__
     return active
+
+
+class ContextSpace:
+    """A finite context space: the 1-D array `contexts` and `masks`, None
+    (every arm active at every context) or an (n, K) boolean matrix whose
+    row i is the active set at contexts[i]. `masks` may be given as a
+    function returning that matrix, called when it is first read. `ids` is
+    True when the contexts are the ids 0..n-1, their own row numbers;
+    otherwise `rows` maps a context to its row (its first, if it repeats),
+    built when first read."""
+
+    __slots__ = ("contexts", "ids", "_masks", "_rows")
+
+    def __init__(self, contexts, masks=None):
+        self.contexts = np.asarray(contexts)
+        n = self.contexts.size
+        self.ids = bool(self.contexts.dtype.kind in "iu"
+                        and np.array_equal(self.contexts, np.arange(n)))
+        self._masks = masks
+        self._rows = None
+
+    @property
+    def masks(self):
+        if callable(self._masks):
+            self._masks = self._masks()
+        return self._masks
+
+    @property
+    def rows(self):
+        """context -> row map; None for an id space."""
+        if self._rows is None and not self.ids:
+            rows = {}
+            for i, c in enumerate(self.contexts.tolist()):
+                rows.setdefault(c, i)
+            self._rows = rows
+        return self._rows
+
+    def __len__(self):
+        return self.contexts.size
 
 
 class RngStream:

@@ -194,7 +194,8 @@ def audit_run(env, params, seed):
                            getattr(env, "n_contexts", None))
     observer = _AuditObserver(env, params, acc)
     learner = CrossLearner(params, acc, RngStream(seed, ALGO_STREAMS["crosslearn"]),
-                           active=env.active, observer=observer)
+                           active=env.active, observer=observer,
+                           space=env.context_space)
     for t in range(env.horizon):
         context = env.context(t)
         learner.step(context, lambda a: env.reveal(t, a))

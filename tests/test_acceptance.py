@@ -90,7 +90,7 @@ def test_criterion_02_loss_estimator_unbiased():
         nu = gen.dirichlet(np.ones(n_contexts))
         play = gen.dirichlet(np.ones(n_arms), size=n_contexts)
         losses = gen.random((n_arms, n_contexts))
-        oracle = KnownNuOracle.finite(nu)
+        oracle = KnownNuOracle(np.arange(nu.size), nu)
         denom = oracle.expectation(play)
         probe = int(gen.integers(n_contexts))
         counts = gen.multinomial(n_trials, nu)
@@ -142,6 +142,7 @@ def final_means(results, algo, horizon):
     return float(np.mean(vals)), len(vals)
 
 
+@pytest.mark.slow
 def test_criterion_05_synthetic_scaling(synthetic_suite):
     from crosslearn.harness import fit_scaling
 
@@ -153,6 +154,7 @@ def test_criterion_05_synthetic_scaling(synthetic_suite):
            f"slope {fit.slope:.4f} +- {fit.stderr:.4f} over T={fit.horizons}")
 
 
+@pytest.mark.slow
 def test_criterion_06_beats_per_context_exp3(synthetic_suite):
     cross, base = synthetic_suite
     T = SYNTH_GRID[-1]
@@ -163,6 +165,7 @@ def test_criterion_06_beats_per_context_exp3(synthetic_suite):
            ours < 0.5 * exp3, f"{ours:.1f} vs 0.5 x {exp3:.1f} = {0.5 * exp3:.1f}")
 
 
+@pytest.mark.slow
 def test_criterion_07_known_nu_parity(synthetic_suite):
     cross, base = synthetic_suite
     T = SYNTH_GRID[-1]
@@ -184,6 +187,7 @@ def _auction_point(task):
     return horizon, res.checkpoints[-1][1]
 
 
+@pytest.mark.slow
 def test_criterion_08_auction_scaling():
     from crosslearn.harness import fit_scaling
 
@@ -196,6 +200,7 @@ def test_criterion_08_auction_scaling():
            f"slope {fit.slope:.4f} +- {fit.stderr:.4f} over T={fit.horizons}")
 
 
+@pytest.mark.slow
 def test_criterion_09_fallback_rarity_and_beta():
     summary = tuned_synthetic_audit(n_seeds=100)
     ok = (summary["fallback_fraction"] <= 1e-3

@@ -59,7 +59,7 @@ def test_exp3_respects_active_sets():
 
 
 def test_known_nu_oracle_finite():
-    oracle = KnownNuOracle.finite(np.array([0.25, 0.75]))
+    oracle = KnownNuOracle(np.arange(2), np.array([0.25, 0.75]))
     table = np.array([[0.5, 0.5], [0.1, 0.9]])
     want = 0.25 * table[0] + 0.75 * table[1]
     assert np.allclose(oracle.expectation(table), want, atol=1e-15)
@@ -83,7 +83,7 @@ def test_known_nu_denominator_uniform_state():
     # context, so the importance denominator is exactly 1/K
     K = 4
     acc = make_accumulator(TABULAR, K, 3)
-    oracle = KnownNuOracle.finite(np.array([0.2, 0.3, 0.5]))
+    oracle = KnownNuOracle(np.arange(3), np.array([0.2, 0.3, 0.5]))
     algo = KnownNuLearner(K, acc, oracle, eta=0.01, rng=RngStream(0, 2))
     denoms = algo.expected_play_probs()
     assert np.allclose(denoms, 0.25, atol=1e-12)
@@ -94,7 +94,7 @@ def test_known_nu_point_mass_matches_single_context():
     K = 3
     acc = make_accumulator(TABULAR, K, 2)
     acc.add(0, 5.0, LinearLoss(TabularAccumulator, np.array([0.0, 1.0])))
-    oracle = KnownNuOracle.finite(np.array([0.0, 1.0]))
+    oracle = KnownNuOracle(np.arange(2), np.array([0.0, 1.0]))
     algo = KnownNuLearner(K, acc, oracle, eta=0.3, rng=RngStream(1, 2))
     table = algo.probe_table()
     denoms = algo.expected_play_probs()
@@ -106,7 +106,7 @@ def test_known_nu_tiny_denominator_flagged():
     acc = make_accumulator(CONSTANT, K)
     # extreme tilt: arm 1's probability underflows to ~0 everywhere
     acc.add(1, 1e9, LinearLoss(ConstantAccumulator, [1.0]))
-    oracle = KnownNuOracle.finite(np.array([1.0]))
+    oracle = KnownNuOracle(np.arange(1), np.array([1.0]))
     algo = KnownNuLearner(K, acc, oracle, eta=1.0, rng=RngStream(2, 2))
     before = algo.tiny_denominator_count
     assert algo._denominator(1) == 1e-9
@@ -117,7 +117,7 @@ def test_known_nu_tiny_denominator_flagged():
 
 def test_known_nu_learns():
     acc = make_accumulator(TABULAR, 2, 2)
-    oracle = KnownNuOracle.finite(np.array([0.5, 0.5]))
+    oracle = KnownNuOracle(np.arange(2), np.array([0.5, 0.5]))
     algo = KnownNuLearner(2, acc, oracle, eta=known_nu_rate(2, 4000),
                           rng=RngStream(3, 2))
     arm_losses = {0: LinearLoss(TabularAccumulator, np.array([0.1, 0.1])),

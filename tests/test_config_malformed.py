@@ -136,11 +136,38 @@ def test_missing_env_field_named(spec, missing):
         run_experiment(config(env=spec))
 
 
+TABULAR = {"kind": "tabular_synthetic", "C": 4, "K": 3}
+
+
+def _auction(values=None, payments=None):
+    spec = {"kind": "auction"}
+    spec.update({k: v for k, v in (("values", values), ("payments", payments)) if v})
+    return spec
+
+
+def _sleeping(availability):
+    return {"kind": "sleeping", "K": 3, "availability": availability}
+
+
 @pytest.mark.parametrize("env, field", [
-    ({"kind": "tabular_synthetic", "C": 4, "K": 3, "gap": "x"}, "gap"),
-    ({"kind": "auction", "values": 5}, "values"),
-    ({"kind": "auction", "values": {"kind": "beta"}}, "'a'"),
-], ids=["gap", "values", "beta_a"])
+    (dict(TABULAR, gap="x"), "gap"),
+    (_auction(values=5), "values"),
+    (_auction(values={"kind": "beta"}), "'a'"),
+    (dict(TABULAR, nu=[1, 2]), "nu"),
+    (dict(TABULAR, C=2, nu=[1, -0.5]), "nu"),
+    (dict(TABULAR, nu=[0, 0, 0, 0]), "nu"),
+    (dict(TABULAR, nu="foo"), "nu"),
+    (_auction(values={"kind": "discrete"}), "'atoms'"),
+    (_auction(values={"kind": "discrete", "atoms": [0.5]}), "'probs'"),
+    (_auction(payments={"kind": "iid_discrete", "probs": [1]}), "'atoms'"),
+    (_auction(payments={"kind": "iid_discrete", "atoms": [0.5]}), "'probs'"),
+    (_auction(payments={"kind": "periodic"}), "'pattern'"),
+    (_sleeping({"kind": "bernoulli"}), "'probs'"),
+    (_sleeping({"kind": "categorical", "probs": [1]}), "'subsets'"),
+    (_sleeping({"kind": "categorical", "subsets": [[0]]}), "'probs'"),
+], ids=["gap", "values", "beta_a", "nu_length", "nu_negative", "nu_zero", "nu_text",
+        "discrete_atoms", "discrete_probs", "iid_discrete_atoms", "iid_discrete_probs",
+        "periodic_pattern", "bernoulli_probs", "categorical_subsets", "categorical_probs"])
 def test_bad_value_inside_env_spec_named(tmp_path, capsys, env, field):
     with pytest.raises((ConfigError, EnvError), match=re.escape(field)):
         run_experiment(config(env=env))

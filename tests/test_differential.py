@@ -1,9 +1,10 @@
 """Differential tests: the block-drawn and block-scored code paths, the
 softmax reductions, the once-per-round known-nu probe table, the unmasked
-s/2 fallback test, the lazily built tabular loss rows, and the linear
-loss rows over a feature map (accumulators, snapshots, losses and the
-audit) against reference copies kept here. Every comparison is exact (==):
-the new paths do the same float operations in the same order."""
+s/2 fallback test, the lazily built tabular loss rows, the linear loss
+rows over a feature map (accumulators, snapshots, losses and the audit)
+against reference copies kept here, and the snapshot tables over finite
+context spaces against rows computed per lookup. Every comparison is exact
+(==): the new paths do the same float operations in the same order."""
 
 import dataclasses
 import itertools
@@ -43,10 +44,12 @@ from crosslearn.harness import (
     checkpoint_schedule,
     run_single,
 )
-from crosslearn.learner import CrossLearner, calibrated_params
+from crosslearn.learner import (TABLE_ROWS_PER_ROUND, CrossLearner, LearnerObserver,
+                                ParamError, calibrated_params, with_overrides)
 from crosslearn.simplex import (
     UNIFORM_BLOCK,
     BlockUniforms,
+    ContextSpace,
     RngStream,
     SimplexError,
     ftrl_weights,
@@ -397,7 +400,7 @@ KNOWN_NU_HORIZON = 1500
 def _unmasked_oracle(env):
     """The env's finite oracle without its masks: only a context whose
     active set is every arm may be played from the probe table."""
-    return KnownNuOracle.finite(env.nu)
+    return KnownNuOracle(np.arange(env.nu.size), env.nu)
 
 
 KNOWN_NU_CASES = {
@@ -919,3 +922,161 @@ def test_audit_records_match_reference(case, monkeypatch):
             assert getattr(g, field) == getattr(w, field)
         for field in ("freq_true", "freq_est", "beta"):
             assert np.array_equal(getattr(g, field), getattr(w, field))
+
+
+# Snapshot tables over the finite context space of an env, against rows
+# computed per lookup by the snapshot handle.
+TABLE_ENVS = ("tabular", "tabular_active", "auction_atoms", "sleeping_bernoulli",
+              "sleeping_categorical")
+
+
+class _EpochLog(LearnerObserver):
+    """Runs `check(learner)` and keeps a copy of the frequency estimate at
+    the start of every epoch."""
+
+    def __init__(self, check=None):
+        self.check = check
+        self.freq = []
+
+    def epoch_started(self, learner, epoch):
+        self.freq.append(learner.freq_estimate)
+        if self.check is not None:
+            self.check(learner)
+
+
+def _cross_learner(env, params, space, observer=None):
+    acc = make_accumulator(env.acc_kind, env.n_arms, getattr(env, "n_contexts", None))
+    return CrossLearner(params, acc, RngStream(3, ALGO_STREAMS["crosslearn"]),
+                        active=env.active, observer=observer, space=space)
+
+
+def _play(env, learner):
+    arms = []
+    for t in range(env.horizon):
+        context = env.context(t)
+        arms.append(learner.step(context, lambda a: env.reveal(t, a)))
+    return arms
+
+
+@pytest.mark.parametrize("name", TABLE_ENVS)
+def test_snapshot_table_rows_match_per_lookup_rows(name):
+    env = ENVS[name]()
+    space = env.context_space
+    oracle = env.known_nu_oracle()
+    assert oracle.probes is space.contexts and oracle.masks is space.masks
+    versions = []
+
+    def check(learner):
+        for view in (learner._snap_cur, learner._snap_next):
+            assert view.table.shape == (len(space), env.n_arms)
+            for row, context in enumerate(space.contexts.tolist()):
+                mask = env.active_mask(context)
+                want = view.handle.weights(context, mask).tobytes()
+                assert view.table[row].tobytes() == want, (row, context)
+                assert view.weights(context, mask).tobytes() == want
+        versions.append(learner._snap_cur.handle.version)
+
+    params = dataclasses.replace(calibrated_params(env.n_arms, env.horizon), eta=0.5)
+    _play(env, _cross_learner(env, params, space, _EpochLog(check)))
+    # the warm-up snapshot, then snapshots of several accumulator states
+    assert versions[0] == 0 and len(set(versions)) > 5
+
+
+@pytest.mark.parametrize("name", TABLE_ENVS)
+def test_run_from_tables_matches_run_on_per_lookup_rows(name):
+    env = ENVS[name]()
+    built = build_algo("crosslearn", env, env.horizon, 3, "calibrated")
+    assert built._space is env.context_space
+    tabled = _cross_learner(env, built.params, env.context_space, _EpochLog())
+    per_lookup = _cross_learner(env, built.params, None, _EpochLog())
+    assert tabled._snap_cur.table is not None and per_lookup._snap_cur.table is None
+    arms = _play(env, tabled)
+    assert arms == _play(env, per_lookup)
+    assert len(set(arms)) == env.n_arms
+    assert tabled.fallback_count == per_lookup.fallback_count > 0
+    assert len(tabled.observer.freq) == len(per_lookup.observer.freq) > 5
+    for got, want in zip(tabled.observer.freq, per_lookup.observer.freq):
+        assert got.tobytes() == want.tobytes()
+    assert tabled.freq_estimate.tobytes() == per_lookup.freq_estimate.tobytes()
+    assert tabled.acc.coef.tobytes() == per_lookup.acc.coef.tobytes()
+
+
+def test_space_larger_than_the_epoch_allows_serves_per_lookup_rows():
+    # exactly TABLE_ROWS_PER_ROUND value atoms per round of the epoch still get a table
+    L = 10
+    n = TABLE_ROWS_PER_ROUND * L
+    env = AuctionEnv.generate(400, RngStream(4, 0), values={
+        "kind": "discrete", "atoms": (np.arange(n) / n).tolist(), "probs": [1] * n})
+    base = calibrated_params(env.n_arms, env.horizon)
+    for epoch_len, tabled in ((L, True), (L - 2, False)):
+        learner = _cross_learner(env, with_overrides(base, L=epoch_len, unsafe=True),
+                                 env.context_space)
+        assert (learner._snap_cur.table is not None) is tabled, epoch_len
+    # context ids get a table however many there are
+    env = TabularEnv.synthetic(3 * n, 3, 400, RngStream(4, 0))
+    params = with_overrides(calibrated_params(3, env.horizon), L=L - 2, unsafe=True)
+    learner = _cross_learner(env, params, env.context_space)
+    assert learner._snap_cur.table.shape == (3 * n, 3)
+    # 1 023 availability subsets at a short epoch
+    env = SleepingEnv.generate(600, 10, RngStream(4, 0))
+    assert len(env.context_space) == 1023 > TABLE_ROWS_PER_ROUND * 20
+    params = with_overrides(calibrated_params(env.n_arms, env.horizon), L=20, unsafe=True)
+    learner = _cross_learner(env, params, env.context_space)
+    assert learner._space is None
+    for t in range(200):
+        context = env.context(t)
+        view = learner._snap_cur
+        mask = env.active_mask(context)
+        assert view.table is None
+        assert view.weights(context, mask).tobytes() == \
+            view.handle.weights(context, mask).tobytes()
+        learner.step(context, lambda a: env.reveal(t, a))
+
+
+def test_continuous_values_serve_per_lookup_rows():
+    env = ENVS["auction_continuous"]()
+    assert env.context_space is None
+    learner = build_algo("crosslearn", env, env.horizon, 3, "calibrated")
+    views = []
+    learner.observer = _EpochLog(lambda lrn: views.extend((lrn._snap_cur, lrn._snap_next)))
+    _play(env, learner)
+    assert len(views) > 10 and all(view.table is None for view in views)
+
+
+
+def test_space_masks_must_match_the_active_sets():
+    params = calibrated_params(4, HORIZON)
+    env = ENVS["tabular_active"]()
+    no_masks = ContextSpace(np.arange(env.n_contexts))
+    for active, space in ((env.active, no_masks), (None, env.context_space)):
+        with pytest.raises(ParamError, match="masks"):
+            CrossLearner(params, make_accumulator(env.acc_kind, 4, env.n_contexts),
+                         RngStream(3, 0), active=active, space=space)
+    env = ENVS["sleeping_categorical"]()
+    space = env.context_space
+    with pytest.raises(ParamError, match="masks"):
+        _cross_learner(env, params, ContextSpace(space.contexts, ~space.masks))
+    # masks left out stand for every arm, as an active set of None does
+    env = ENVS["tabular"]()
+    assert env.active is None
+    learner = _cross_learner(env, params, no_masks)
+    assert learner._snap_cur.table.shape == (env.n_contexts, 4)
+
+
+def test_context_space_builds_masks_and_rows_when_first_read():
+    built = []
+
+    def masks():
+        built.append(1)
+        return np.ones((3, 2), dtype=bool)
+
+    space = ContextSpace(np.array([4, 9, 4]), masks)
+    assert not space.ids and built == []
+    assert space.rows == {4: 0, 9: 1} and space.rows is space.rows
+    assert space.masks is space.masks and built == [1]
+    ids = ContextSpace(np.arange(3))
+    assert ids.ids and ids.rows is None and ids.masks is None
+    assert not ContextSpace(np.arange(3) + 0.0).ids
+    env = SleepingEnv.generate(50, 16, RngStream(4, 0))
+    assert len(env.context_space) == 65535 and callable(env.context_space._masks)
+    assert env.known_nu_oracle().masks.shape == (65535, 16)

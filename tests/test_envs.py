@@ -1,5 +1,7 @@
 import csv
+import gc
 import math
+import weakref
 from itertools import product
 
 import numpy as np
@@ -15,7 +17,11 @@ from crosslearn.envs import (
     hindsight_regret,
     subset_to_mask,
 )
+from crosslearn.accumulator import make_accumulator
+from crosslearn.baselines import KnownNuLearner, known_nu_rate
+from crosslearn.learner import tune_parameters, with_overrides
 from crosslearn.simplex import RngStream
+from crosslearn.verify import audit_run
 
 
 def test_auction_loss_examples():
@@ -187,6 +193,30 @@ def test_from_tensor_validation():
         TabularEnv.from_tensor(np.zeros((3, 2, 2)), np.ones(3) / 3, RngStream(0, 0))
 
 
+def test_from_tensor_normalises_nu_for_known_nu_and_audit():
+    tensor = np.random.default_rng(4).random((200, 3, 4))
+    env = TabularEnv.from_tensor(tensor, [1, 1, 1, 1], RngStream(0, 0))
+    assert env.nu.tolist() == [0.25] * 4
+    oracle = env.known_nu_oracle()
+    assert oracle.weights.tolist() == [0.25] * 4
+    acc = make_accumulator(env.acc_kind, env.n_arms, env.n_contexts)
+    learner = KnownNuLearner(env.n_arms, acc, oracle, known_nu_rate(env.n_arms, env.horizon),
+                             RngStream(0, 2), active=env.active)
+    for t in range(env.horizon):
+        learner.step(env.context(t), lambda a: env.reveal(t, a))
+    assert acc.version == env.horizon
+    params = with_overrides(tune_parameters(env.n_arms, env.horizon), L=20, unsafe=True)
+    records = audit_run(env, params, 0)
+    # epochs 2 to 10, and epoch 11, opened as the horizon ends
+    assert [rec.epoch for rec in records] == list(range(2, 12))
+    for rec in records:
+        # exact observation frequencies: half of a distribution averaged over nu
+        assert abs(rec.freq_true.sum() - 0.5) < 1e-12
+    for nu in ([1, 1, 1], [1, -1, 1, 1], [0, 0, 0, 0], "foo"):
+        with pytest.raises(EnvError, match="nu"):
+            TabularEnv.from_tensor(tensor, nu, RngStream(0, 0))
+
+
 def test_from_csv_roundtrip(tmp_path):
     gen = np.random.default_rng(8)
     tensor = gen.random((5, 2, 3))
@@ -236,6 +266,24 @@ def test_sleeping_env_basics():
         if asleep.size:
             with pytest.raises(EnvError):
                 env.reveal(t, int(asleep[0]))
+
+
+def test_envs_are_freed_without_the_cycle_collector():
+    # a reference cycle would keep an env's loss arrays alive until the
+    # cycle collector runs, raising the peak memory of a grid of runs
+    envs = [SleepingEnv.generate(50, 6, RngStream(0, 0)),
+            SleepingEnv.generate(50, 3, RngStream(0, 0), availability={
+                "kind": "categorical", "subsets": [[0], [1, 2]], "probs": [1, 1]}),
+            TabularEnv.synthetic(4, 3, 50, RngStream(0, 0)),
+            AuctionEnv.generate(50, RngStream(0, 0), values={
+                "kind": "discrete", "atoms": [0.2, 0.7], "probs": [1, 1]})]
+    refs = [weakref.ref(env) for env in envs]
+    gc.disable()
+    try:
+        del envs
+        assert [ref() for ref in refs] == [None] * 4
+    finally:
+        gc.enable()
 
 
 def test_sleeping_subset_distribution_exact():

@@ -6,13 +6,10 @@ import numpy as np
 import pytest
 
 from crosslearn.accumulator import (
-    CONSTANT,
     TABULAR,
-    ConstantAccumulator,
     LinearLoss,
     TabularAccumulator,
     make_accumulator,
-    snapshot,
 )
 from crosslearn.learner import (
     CrossLearner,
@@ -24,7 +21,6 @@ from crosslearn.learner import (
     select_sampling_distribution,
     tune_parameters,
     with_overrides,
-    _SnapView,
 )
 from crosslearn.simplex import RngStream
 
@@ -330,25 +326,3 @@ def test_calibrated_run_learns_best_arm():
         if t >= 3000:
             counts[arm] += 1
     assert counts[0] / counts.sum() > 0.9
-
-
-def test_snapshot_view_without_table_memoises_read_only_rows():
-    acc = make_accumulator(CONSTANT, 3)
-    acc.add(1, 2.0, LinearLoss(ConstantAccumulator, [0.5]))
-    handle = snapshot(acc, 0.7)
-    view = _SnapView(handle)
-    mask = np.array([True, False, True])
-    first = view.weights(5, mask)
-    assert np.array_equal(first, handle.weights(5, mask))
-    assert view.weights(5, mask) is first and not first.flags.writeable
-    assert np.array_equal(view.weights(7), handle.weights(7))
-
-
-def test_snapshot_view_without_memo_serves_fresh_rows():
-    acc = make_accumulator(CONSTANT, 3)
-    acc.add(1, 2.0, LinearLoss(ConstantAccumulator, [0.5]))
-    handle = snapshot(acc, 0.7)
-    view = _SnapView(handle, memo=False)
-    first = view.weights(5)
-    assert np.array_equal(first, handle.weights(5))
-    assert view.weights(5) is not first and view._memo is None
