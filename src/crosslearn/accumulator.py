@@ -4,7 +4,9 @@ Every loss here is a length-d row `coef`, worth coef . phi(c) at context c.
 The accumulator classes are the feature maps phi: one-hot over C context ids
 (tabular), (1, v) for a value v in [0, 1] (affine) and (1) (constant). Each
 evaluates phi for a row or a (K, d) matrix: `column` at a context, `batch`
-over many, and `upper`, the bound over the whole context space.
+over many, and `upper`, the bound over the whole context space. `batch`
+takes an array of contexts or the simplex.batch_index slice 0:n of the ids
+0..n-1, which the tabular map reads as a view of the matrix.
 """
 
 from __future__ import annotations
@@ -61,11 +63,14 @@ class _Linear:
             raise AccumulatorError(f"arm {arm} outside [0, {self.n_arms})")
         if not (math.isfinite(weight) and weight >= 0):
             raise AccumulatorError(f"weight must be finite and nonnegative, got {weight!r}")
-        coef, comp = self.coef, self._comp
-        y = weight * loss.coef - comp[arm]
-        t = coef[arm] + y
-        comp[arm] = (t - coef[arm]) - y
-        coef[arm] = t
+        # the Kahan step t = row + y, err = (t - row) - y, row = t, in place
+        row, err = self.coef[arm], self._comp[arm]
+        y = np.multiply(loss.coef, weight)
+        y -= err
+        err[...] = row
+        row += y
+        np.subtract(row, err, out=err)
+        err -= y
         self.version += 1
 
     def eval_column(self, context):
@@ -73,6 +78,11 @@ class _Linear:
 
     def eval_batch(self, contexts):
         return self.batch(self.coef, contexts)
+
+
+def _points(contexts):
+    """The contexts of a batch as an array: a slice 0:n stands for 0..n-1."""
+    return np.arange(contexts.stop) if isinstance(contexts, slice) else contexts
 
 
 class TabularAccumulator(_Linear):
@@ -89,8 +99,10 @@ class AffineAccumulator(_Linear):
     add, eval_column = _Linear.add, _Linear.eval_column
     dim = 2
     column = staticmethod(lambda coef, v: coef[..., 0] + coef[..., 1] * float(v))
-    batch = staticmethod(lambda coef, vs: coef[..., 0] + np.multiply.outer(
-        np.asarray(vs, dtype=float), coef[..., 1]))
+    # built in the matrix's (K, n) layout and returned transposed, the
+    # layout that the unmasked batch softmax reads contiguously
+    batch = staticmethod(lambda coef, vs: (
+        coef[..., :1] + coef[..., 1:] * np.asarray(_points(vs), dtype=float)).T)
     # a line peaks at an endpoint of [0, 1]
     upper = staticmethod(lambda coef: np.maximum(coef[..., 0], coef[..., 0] + coef[..., 1]))
 
@@ -101,7 +113,7 @@ class ConstantAccumulator(_Linear):
     dim = 1
     column = staticmethod(lambda coef, context: coef[..., 0])
     batch = staticmethod(lambda coef, contexts: np.broadcast_to(
-        coef[..., 0], (len(contexts),) + coef.shape[:-1]).copy())
+        coef[..., 0], (len(_points(contexts)),) + coef.shape[:-1]).copy())
     upper = staticmethod(lambda coef: coef[..., 0])
 
 

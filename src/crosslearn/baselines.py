@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from .simplex import BlockUniforms, ftrl_weights, ftrl_weights_batch, mask_lookup, sample_index
+from .simplex import (BlockUniforms, batch_index, ftrl_weights, ftrl_weights_batch, mask_lookup,
+                      sample_index)
 
 TINY_DENOM = 1e-9
 
@@ -66,10 +67,14 @@ class KnownNuOracle:
     quadrature grid whose cell weights are CDF differences (exact per
     cell). probes/weights/masks are aligned arrays; masks is None when
     every arm is always active, else row i is the active set at probe i.
+    `index` is the batch_index of the probes: the slice 0:n when they are
+    the context ids 0..n-1, so a tabular probe table reads the accumulator
+    through a view.
     """
 
     def __init__(self, probes, weights, masks=None):
         self.probes = np.asarray(probes)
+        self.index = batch_index(self.probes)
         self.weights = np.asarray(weights, dtype=float)
         if self.weights.min() < 0 or abs(self.weights.sum() - 1.0) > 1e-9:
             raise ValueError("probe weights must form a distribution")
@@ -133,7 +138,7 @@ class KnownNuLearner:
 
     def probe_table(self):
         """Current play distributions at every oracle probe context."""
-        cum = self.acc.eval_batch(self.oracle.probes)
+        cum = self.acc.eval_batch(self.oracle.index)
         return ftrl_weights_batch(cum, self.eta, self.oracle.masks)
 
     def distribution(self, context):

@@ -317,7 +317,11 @@ def _value_sampler(spec, n, gen):
 def _payment_sequence(spec, n, gen):
     kind = spec.get("kind", "iid_uniform")
     if kind == "iid_uniform":
-        lo, hi = float(spec.get("lo", 0.0)), float(spec.get("hi", 1.0))
+        lo = _number(spec.get("lo", 0.0), "payments field 'lo'")
+        hi = _number(spec.get("hi", 1.0), "payments field 'hi'")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise EnvError(f"payments fields 'lo' and 'hi' must be finite with lo <= hi, "
+                           f"got lo={lo!r}, hi={hi!r}")
         return lo + (hi - lo) * gen.random(n)
     if kind == "iid_beta":
         return gen.beta(_number(spec.get("a"), "payments field 'a'"),
@@ -331,10 +335,10 @@ def _payment_sequence(spec, n, gen):
         pattern = _numbers(_field(spec, "pattern", "payments"), "payments field 'pattern'")
         return np.tile(pattern, n // pattern.size + 1)[:n]
     if kind == "drift":
-        base = float(spec.get("base", 0.5))
-        amplitude = float(spec.get("amplitude", 0.3))
-        period = float(spec.get("period", max(n // 4, 1)))
-        noise = float(spec.get("noise", 0.02))
+        base = _number(spec.get("base", 0.5), "payments field 'base'")
+        amplitude = _number(spec.get("amplitude", 0.3), "payments field 'amplitude'")
+        period = _number(spec.get("period", max(n // 4, 1)), "payments field 'period'")
+        noise = _number(spec.get("noise", 0.02), "payments field 'noise'")
         t = np.arange(n)
         m = base + amplitude * np.sin(2.0 * math.pi * t / period)
         m = m + noise * gen.standard_normal(n)
@@ -417,6 +421,17 @@ class AuctionEnv:
         return KnownNuOracle.quadrature(self._value_cdf, n_nodes)
 
 
+def _subset_bits(subset, n_arms):
+    """The bitmask of a nonempty list of arms in 0..n_arms-1; EnvError
+    naming the availability field 'subsets' otherwise."""
+    arms = subset if isinstance(subset, (list, tuple)) else None
+    if not arms or not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+                           and 0 <= k < n_arms for k in arms):
+        raise EnvError(f"availability field 'subsets' must hold nonempty lists of "
+                       f"arms in 0..{n_arms - 1}, got {subset!r}")
+    return sum(1 << int(k) for k in set(arms))
+
+
 def subset_to_mask(bitmask, n_arms):
     return (bitmask >> np.arange(n_arms)) & 1 == 1
 
@@ -483,10 +498,11 @@ class SleepingEnv:
             if n_arms <= 16:
                 subset_probs = cls._bernoulli_subset_probs(probs)
         elif akind == "categorical":
-            masks = [int(sum(1 << k for k in subset))
-                     for subset in _field(availability, "subsets", "availability")]
-            if any(m == 0 for m in masks):
-                raise EnvError("empty availability subset")
+            subsets = _field(availability, "subsets", "availability")
+            if not (isinstance(subsets, (list, tuple)) and subsets):
+                raise EnvError(f"availability field 'subsets' must be a nonempty list, "
+                               f"got {subsets!r}")
+            masks = [_subset_bits(subset, n_arms) for subset in subsets]
             probs = _weights(_field(availability, "probs", "availability"), len(masks),
                              "availability field 'probs'")
             idx = _categorical(probs, horizon, gen)
@@ -500,8 +516,11 @@ class SleepingEnv:
         elif lkind == "means_noise":
             means = losses.get("means")
             means = (np.linspace(0.15, 0.85, n_arms) if means is None
-                     else np.asarray(means, dtype=float))
-            amp = float(losses.get("amp", 0.1))
+                     else _numbers(means, "losses field 'means'"))
+            if means.size != n_arms:
+                raise EnvError(f"losses field 'means' must have {n_arms} entries, "
+                               f"got {means.size}")
+            amp = _number(losses.get("amp", 0.1), "losses field 'amp'")
             table = np.clip(means[None, :] + amp * gen.uniform(-1, 1, (horizon, n_arms)),
                             0.0, 1.0)
         else:

@@ -274,7 +274,7 @@ class _SnapView:
         if space is None:
             self.table = self._rows = None
         else:
-            self.table = handle.weights_batch(space.contexts, space.masks)
+            self.table = handle.weights_batch(space.index, space.masks)
             self.table.flags.writeable = False
             self._rows = space.rows
 
@@ -322,7 +322,7 @@ class CrossLearner:
         self.observer = observer
         self._t = 0
         self._epoch = 1
-        self._full_epochs = params.horizon // params.epoch_len
+        self._paired_end = params.horizon - params.horizon % params.epoch_len
         K = params.n_arms
         self._freq = np.zeros(K)
         self._freq_next = np.zeros(K)
@@ -356,11 +356,20 @@ class CrossLearner:
     def snapshot_next(self):
         return self._snap_next.handle
 
-    def _record(self, t, context, arm, fallback, bern, role, loss_value):
-        rec = None
-        if self.records is not None:
-            rec = RoundRecord(t, context, arm, fallback, bern, role, loss_value)
-            self.records.append(rec)
+    @property
+    def context_space(self):
+        """The ContextSpace that every snapshot tabulates, or None."""
+        return self._space
+
+    @property
+    def snapshot_table(self):
+        """The current snapshot's distributions at every context of
+        context_space (read-only), or None without a space."""
+        return self._snap_cur.table
+
+    def _record(self, context, arm, fallback, role, fn):
+        rec = RoundRecord(self._t, context, arm, fallback, False, role, fn.eval(context))
+        self.records.append(rec)
         return rec
 
     def _end_epoch(self):
@@ -398,65 +407,57 @@ class CrossLearner:
             arm = sample_index(w, gen)
             fn = reveal(arm)
             self._freq_next += self._snap_next.weights(context, mask) / (2.0 * L)
-            self._record(t_next, context, arm, False, False, WARMUP,
-                         fn.eval(context) if self.records is not None else 0.0)
+            if self.records is not None:
+                self._record(context, arm, False, WARMUP, fn)
             if self.observer is not None:
                 self.observer.round_played(self, t_next, self._epoch, False)
             if t_next == L:
                 self._end_epoch()
-        elif t_next > self._full_epochs * L:
-            # horizon not divisible by the epoch length: play on without
-            # producing estimates, from the state frozen at the last boundary
-            s = self._snap_cur.weights(context, mask)
-            p = ftrl_weights(self.acc.eval_column(context), self.params.eta, mask)
-            q, fb = select_sampling_distribution(p, s)
-            arm = sample_index(q, gen)
-            fn = reveal(arm)
-            self.fallback_count += fb
-            self._record(t_next, context, arm, fb, False, LEFTOVER,
-                         fn.eval(context) if self.records is not None else 0.0)
-            if self.observer is not None:
-                self.observer.round_played(self, t_next, self._epoch, fb)
+            return arm
+
+        s = self._snap_cur.weights(context, mask)
+        p = ftrl_weights(self.acc.eval_column(context), self.params.eta, mask)
+        q, fb = select_sampling_distribution(p, s)
+        arm = sample_index(q, gen)
+        fn = reveal(arm)
+        self.fallback_count += fb
+        if self.observer is not None:
+            self.observer.round_played(self, t_next, self._epoch, fb)
+        # past the last full epoch (a horizon that L does not divide) play
+        # on without estimates, from the state frozen at the last boundary
+        leftover = t_next > self._paired_end
+        rec = None
+        if self.records is not None:
+            # a pair's loss round is relabelled when the pair ends
+            rec = self._record(context, arm, fb, LEFTOVER if leftover else FREQ_ROUND, fn)
+        if leftover:
+            return arm
+        pos = (t_next - 1) % L
+        if pos % 2 == 0:
+            if pos == L - 2:
+                # the pair playing this state is the epoch's last: its
+                # distribution becomes the snapshot two epochs ahead
+                self._snap_pending = self._view(snapshot(self.acc, self.params.eta))
+            self._pending = (context, mask, arm, float(q[arm]), float(s[arm]), fn, rec)
+            return arm
+        c1, m1, a1, q1, s1, fn1, rec1 = self._pending
+        self._pending = None
+        if gen.random() < 0.5:  # the first round takes the frequency sample
+            cf, mf = c1, m1
+            al, ql, sl, fnl, recl = arm, float(q[arm]), float(s[arm]), fn, rec
         else:
-            pos = (t_next - 1) % L
-            s = self._snap_cur.weights(context, mask)
-            p = ftrl_weights(self.acc.eval_column(context), self.params.eta, mask)
-            q, fb = select_sampling_distribution(p, s)
-            arm = sample_index(q, gen)
-            fn = reveal(arm)
-            self.fallback_count += fb
+            cf, mf = context, mask
+            al, ql, sl, fnl, recl = a1, q1, s1, fn1, rec1
+        self._freq_next += self._snap_next.weights(cf, mf) / float(L)
+        keep = gen.random() < bernoulli_param(sl, ql)
+        if keep:
+            w = estimate_weight(self._freq[al], self.params.gamma)
+            self.acc.add(al, w, fnl)
             if self.observer is not None:
-                self.observer.round_played(self, t_next, self._epoch, fb)
-            if pos % 2 == 0:
-                if pos == L - 2:
-                    # the pair playing this state is the epoch's last: its
-                    # distribution becomes the snapshot two epochs ahead
-                    self._snap_pending = self._view(snapshot(self.acc, self.params.eta))
-                rec = self._record(t_next, context, arm, fb, False, FREQ_ROUND,
-                                   fn.eval(context) if self.records is not None else 0.0)
-                self._pending = (context, mask, arm, float(q[arm]), float(s[arm]), fn, rec)
-            else:
-                c1, m1, a1, q1, s1, fn1, rec1 = self._pending
-                self._pending = None
-                rec2 = self._record(t_next, context, arm, fb, False, FREQ_ROUND,
-                                    fn.eval(context) if self.records is not None else 0.0)
-                first_takes_freq = gen.random() < 0.5
-                if first_takes_freq:
-                    cf, mf = c1, m1
-                    cl, al, ql, sl, fnl, recl = context, arm, float(q[arm]), float(s[arm]), fn, rec2
-                else:
-                    cf, mf = context, mask
-                    cl, al, ql, sl, fnl, recl = c1, a1, q1, s1, fn1, rec1
-                self._freq_next += self._snap_next.weights(cf, mf) / float(L)
-                keep = gen.random() < bernoulli_param(sl, ql)
-                if keep:
-                    w = estimate_weight(self._freq[al], self.params.gamma)
-                    self.acc.add(al, w, fnl)
-                    if self.observer is not None:
-                        self.observer.estimate_recorded(self, t_next, al, w, fnl)
-                if recl is not None:
-                    recl.role = LOSS_ROUND
-                    recl.bern = keep
-                if pos == L - 1:
-                    self._end_epoch()
+                self.observer.estimate_recorded(self, t_next, al, w, fnl)
+        if recl is not None:
+            recl.role = LOSS_ROUND
+            recl.bern = keep
+        if pos == L - 1:
+            self._end_epoch()
         return arm

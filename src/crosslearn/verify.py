@@ -135,13 +135,17 @@ class _AuditObserver(LearnerObserver):
         self.records = []
         self._open = None
         oracle = env.known_nu_oracle()
-        self._probes = oracle.probes
+        self._probes, self._index = oracle.probes, oracle.index
         self._probe_weights = oracle.weights
         self._masks = oracle.masks
         self._acc = acc  # the learner's accumulator; its class is the loss phi
 
     def _freq_true(self, learner):
-        table = learner.snapshot_current.weights_batch(self._probes, self._masks)
+        space = learner.context_space
+        if space is not None and space.contexts is self._probes and space.masks is self._masks:
+            table = learner.snapshot_table  # the learner tabulated these probes
+        else:
+            table = learner.snapshot_current.weights_batch(self._index, self._masks)
         return 0.5 * (self._probe_weights @ table)
 
     def epoch_started(self, learner, epoch):

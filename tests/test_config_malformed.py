@@ -165,9 +165,17 @@ def _sleeping(availability):
     (_sleeping({"kind": "bernoulli"}), "'probs'"),
     (_sleeping({"kind": "categorical", "probs": [1]}), "'subsets'"),
     (_sleeping({"kind": "categorical", "subsets": [[0]]}), "'probs'"),
+    (_sleeping({"kind": "categorical", "subsets": [[0], [5]], "probs": [1, 1]}), "'subsets'"),
+    (dict(_sleeping({}), losses={"means": [0.2, 0.8]}), "'means'"),
+    (dict(_sleeping({}), losses={"amp": "x"}), "'amp'"),
+    (_auction(payments={"kind": "iid_uniform", "lo": "a"}), "'lo'"),
+    (_auction(payments={"kind": "iid_uniform", "lo": 2, "hi": 1}), "'lo'"),
+    (_auction(payments={"kind": "drift", "period": "weekly"}), "'period'"),
 ], ids=["gap", "values", "beta_a", "nu_length", "nu_negative", "nu_zero", "nu_text",
         "discrete_atoms", "discrete_probs", "iid_discrete_atoms", "iid_discrete_probs",
-        "periodic_pattern", "bernoulli_probs", "categorical_subsets", "categorical_probs"])
+        "periodic_pattern", "bernoulli_probs", "categorical_subsets", "categorical_probs",
+        "subset_arm_range", "means_length", "amp_text", "uniform_lo_text",
+        "uniform_lo_above_hi", "drift_period_text"])
 def test_bad_value_inside_env_spec_named(tmp_path, capsys, env, field):
     with pytest.raises((ConfigError, EnvError), match=re.escape(field)):
         run_experiment(config(env=env))

@@ -52,6 +52,7 @@ from crosslearn.simplex import (
     ContextSpace,
     RngStream,
     SimplexError,
+    batch_index,
     ftrl_weights,
     ftrl_weights_batch,
     sample_index,
@@ -333,28 +334,50 @@ def _random_masks(gen, shape):
     return masks
 
 
+def _batch_layouts(source, contexts):
+    """The (n, K) inputs a batch over `contexts` can take: the eval_batch
+    result as given and as a C- and an F-ordered copy, plus, for context
+    ids, the view read through their batch_index."""
+    cum = source.eval_batch(contexts)
+    out = [cum, np.ascontiguousarray(cum), np.asfortranarray(cum)]
+    index = batch_index(contexts)
+    if isinstance(index, slice):
+        view = source.eval_batch(index)
+        assert np.shares_memory(view, source.coef) and view.flags.f_contiguous
+        assert np.array_equal(view, cum)
+        out.append(view)
+    return out
+
+
 @pytest.mark.parametrize("kind", [TABULAR, AFFINE, CONSTANT])
 def test_softmaxes_match_reference_on_every_eval_batch_layout(kind):
     gen = np.random.default_rng(["tabular", "affine", "constant"].index(kind))
+    wide = 0
     for trial in range(60):
         n_arms, n_contexts = int(gen.integers(2, 24)), int(gen.integers(1, 70))
+        # from 8 arms up a column-wise sum adds in another order than the row sum
+        wide += n_arms >= 8
         acc = _random_accumulator(kind, gen, n_arms, n_contexts)
         contexts = (np.arange(n_contexts) if kind == TABULAR
                     else gen.random(n_contexts))
         eta = float(gen.uniform(1e-3, 1.5))
         for source in (acc, snapshot(acc, eta)):
-            cum = source.eval_batch(contexts)
             for masks in (None, _random_masks(gen, (n_arms,)),
                           _random_masks(gen, (n_contexts, n_arms))):
-                got = ftrl_weights_batch(cum, eta, masks)
-                assert np.array_equal(got, _ref_ftrl_weights_batch(cum, eta, masks))
-                for i, context in enumerate(contexts.tolist()):
-                    col = source.eval_column(context)
-                    mask = masks if masks is None or masks.ndim == 1 else masks[i]
-                    row = ftrl_weights(col, eta, mask)
-                    assert np.array_equal(row, _ref_ftrl_weights(col, eta, mask))
-                    # what the known-nu probe table relies on
-                    assert np.array_equal(row, got[i])
+                cols = [source.eval_column(c) for c in contexts.tolist()]
+                rows = [masks if masks is None or masks.ndim == 1 else masks[i]
+                        for i in range(n_contexts)]
+                for cum in _batch_layouts(source, contexts):
+                    got = ftrl_weights_batch(cum, eta, masks)
+                    assert got.flags.c_contiguous
+                    assert np.array_equal(got, _ref_ftrl_weights_batch(
+                        np.ascontiguousarray(cum), eta, masks))
+                    for i, (col, mask) in enumerate(zip(cols, rows)):
+                        row = ftrl_weights(col, eta, mask)
+                        assert np.array_equal(row, _ref_ftrl_weights(col, eta, mask))
+                        # what the known-nu probe table relies on
+                        assert np.array_equal(row, got[i])
+    assert wide >= 10
 
 
 def test_batch_rows_match_one_row_softmax_on_a_transposed_input():
@@ -386,7 +409,8 @@ class _RefKnownNuLearner:
         w = _ref_ftrl_weights(self.acc.eval_column(context), self.eta, self._mask(context))
         arm = sample_index(w, self._gen)
         fn = reveal(arm)
-        cum = self.acc.eval_batch(self.oracle.probes)
+        # the C-ordered (n, K) layout the reference sums its rows in
+        cum = np.ascontiguousarray(self.acc.eval_batch(self.oracle.probes))
         table = _ref_ftrl_weights_batch(cum, self.eta, self.oracle.masks)
         denom = max(float(self.oracle.expectation(table)[arm]), 1e-9)
         self.denominators.append(denom)
@@ -763,6 +787,34 @@ def test_linear_losses_and_accumulators_match_reference(kind):
                 for m in (None, masks[0], masks):
                     assert np.array_equal(snap.weights_batch(contexts, m),
                                           ref_snap.weights_batch(contexts, m))
+
+
+def _expression_add(coef, comp, arm, weight, loss):
+    """The Kahan add as an expression on fresh arrays, as it was before
+    the add ran in place."""
+    y = weight * loss.coef - comp[arm]
+    t = coef[arm] + y
+    comp[arm] = (t - coef[arm]) - y
+    coef[arm] = t
+
+
+@pytest.mark.parametrize("kind", [TABULAR, AFFINE, CONSTANT])
+def test_in_place_kahan_add_matches_expression(kind):
+    gen = np.random.default_rng(["tabular", "affine", "constant"].index(kind) + 30)
+    for trial in range(10):
+        n_arms, n_contexts = int(gen.integers(2, 12)), int(gen.integers(1, 80))
+        acc = make_accumulator(kind, n_arms, n_contexts)
+        coef, comp = np.zeros_like(acc.coef), np.zeros_like(acc.coef)
+        for step in range(300):
+            arm = int(gen.integers(n_arms))
+            # tiny and huge weights, so the compensation rows move
+            weight = 0.0 if step % 89 == 0 else float(10.0 ** gen.uniform(-12, 12))
+            loss = LinearLoss(PHI[kind], _random_numbers(kind, gen, n_contexts),
+                              validate=False)
+            acc.add(arm, weight, loss)
+            _expression_add(coef, comp, arm, weight, loss)
+            assert np.array_equal(acc.coef, coef) and np.array_equal(acc._comp, comp)
+        assert comp.any()
 
 
 @pytest.mark.parametrize("kind", [TABULAR, AFFINE, CONSTANT])

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from crosslearn import accumulator as accumulator_module
+from crosslearn import learner as learner_module
 from crosslearn.envs import AuctionEnv, SleepingEnv, TabularEnv
 from crosslearn.learner import tune_parameters
 from crosslearn.simplex import RngStream
@@ -102,6 +104,27 @@ def test_audit_affine_and_constant_paths():
     env = SleepingEnv.generate(512, 3, RngStream(0, 0))
     records = audit_run(env, tune_parameters(3, 512), seed=0)
     assert records and all(r.beta.shape == (3,) for r in records)
+
+
+@pytest.mark.parametrize("make_env, tables", [
+    (lambda: TabularEnv.synthetic(8, 4, 4096, RngStream(2, 0)), True),
+    (lambda: SleepingEnv.generate(4096, 3, RngStream(2, 0)), True),
+    (lambda: AuctionEnv.generate(4096, RngStream(2, 0)), False),
+], ids=["tabular", "sleeping", "continuous_auction"])
+def test_audit_reads_the_snapshot_table_the_learner_holds(monkeypatch, make_env, tables):
+    # over a finite space the true frequencies come from each snapshot's
+    # table, so every batched softmax is a snapshot rebuild; without a
+    # space the audit tabulates its probes once per audited epoch
+    env = make_env()
+    batches, views = [], []
+    batch, view = accumulator_module.ftrl_weights_batch, learner_module._SnapView.__init__
+    monkeypatch.setattr(accumulator_module, "ftrl_weights_batch",
+                        lambda *a: batches.append(1) or batch(*a))
+    monkeypatch.setattr(learner_module._SnapView, "__init__",
+                        lambda self, *a: views.append(1) or view(self, *a))
+    records = audit_run(env, tune_parameters(env.n_arms, 4096), seed=2)
+    assert len(records) >= 2
+    assert len(batches) == (len(views) if tables else len(records))
 
 
 def test_audit_summary_arithmetic():
