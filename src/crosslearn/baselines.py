@@ -52,7 +52,7 @@ class PerContextExp3:
         cum, visits = st
         eta = math.sqrt(self._log_k / ((visits + 1) * self.n_arms))
         w = ftrl_weights(cum, eta, self._mask(context))
-        arm = sample_index(w, self._gen)
+        arm = sample_index(w.tolist(), self._gen)
         fn = reveal(arm)
         cum[arm] += fn.eval(context) / w[arm]
         st[1] = visits + 1
@@ -167,7 +167,7 @@ class KnownNuLearner:
         else:
             table = self.probe_table()
             w, expected = table[row], self.oracle.expectation(table)
-        arm = sample_index(w, self._gen)
+        arm = sample_index(w.tolist(), self._gen)
         fn = reveal(arm)
         self.acc.add(arm, 1.0 / self._denominator(arm, expected), fn)
         return arm

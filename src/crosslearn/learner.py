@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
+from operator import ge, mul
 
 import numpy as np
 
@@ -48,15 +50,17 @@ LEFTOVER = "leftover"
 
 # Largest snapshot table over a space other than context ids, in contexts
 # per round of the epoch; context ids (tabular envs) always get a table.
-# Without a table every snapshot lookup is a one-row softmax; a table costs
-# one batch row per context. Measured per simulated round of the
-# paired-epoch learner (numpy 2.4.6, Python 3.11, 2-vCPU x86_64), a table
-# breaks even at 20 to 38 contexts per round (sleeping K=6 and K=10, 63 and
-# 1 023 subsets; auction K=13 on 64 atoms) and at 4 it cuts the cost of a
-# round by 29% to 34%. The value is not that break-even: it is bound by
-# perfbench/tests/test_perfbench.py, whose shrunken reductions_grid plan
-# (epochs of 6 to 8 rounds over 63 to 64 contexts) must make no batched
-# softmax call. Raise it towards the break-even when that test changes.
+# Without a table a snapshot lookup is a one-row softmax, memoised per
+# context over a finite space; a table costs one batch row per context.
+# Measured per simulated round of the paired-epoch learner against rows
+# computed per lookup, without the memo (numpy 2.4.6, Python 3.11, 2-vCPU
+# x86_64), a table breaks even at 20 to 38 contexts per round (sleeping K=6
+# and K=10, 63 and 1 023 subsets; auction K=13 on 64 atoms) and at 4 it
+# cuts the cost of a round by 29% to 34%. The value is not that break-even:
+# it is bound by perfbench/tests/test_perfbench.py, whose shrunken
+# reductions_grid plan (epochs of 6 to 8 rounds over 63 to 64 contexts) must
+# make no batched softmax call. Raise it towards the break-even when that
+# test changes.
 TABLE_ROWS_PER_ROUND = 4
 
 
@@ -200,9 +204,13 @@ def select_sampling_distribution(p, s, mask=None):
     """Rejection fallback: returns (q, fallback) with q = p when p >= s/2
     on every active arm (ties count as no fallback), else q = s. FTRL
     distributions are exactly zero off their active set, so for them the
-    test without a mask decides the same as the masked one."""
+    test without a mask decides the same as the masked one.
+
+    Without a mask p and s may be any sequences of floats; on lists the
+    test runs on Python floats, the same multiply and compare as numpy's.
+    A mask needs arrays."""
     if mask is None:
-        ok = np.logical_and.reduce(p >= 0.5 * s)
+        ok = all(map(ge, p, map(mul, repeat(0.5), s)))
     else:
         ok = bool((p[mask] >= 0.5 * s[mask]).all())
     return (p, False) if ok else (s, True)
@@ -261,32 +269,66 @@ def _check_space_masks(space, mask, n_arms):
         raise ParamError("the context space's masks differ from the active sets")
 
 
+def _sum_rows(total, table, rows, div):
+    """total + table[rows[0]]/div + table[rows[1]]/div + ... as one reduction
+    over axis 0 with `total` as its first row. It adds the rows one at a
+    time, in order, as a `+=` per row would, so the sum has the same bits."""
+    return np.add.reduce(np.vstack((total, table[rows] / div)), axis=0)
+
+
 class _SnapView:
     """Snapshot plus, over a finite context space, the table of its
     distributions at every context of the space, computed in one batch, so
     a lookup reads a row. Without a space, or at a context outside it, the
-    row is computed per lookup."""
+    row is computed per lookup; with `memo` (a finite space too large for a
+    table) it is computed once per context. `weights` serves a row as an
+    array, `row` as a list of floats (a table row is converted when first
+    read), and `index` gives a context's table row number."""
 
-    __slots__ = ("handle", "table", "_rows")
+    __slots__ = ("handle", "table", "_rows", "_lists", "_memo")
 
-    def __init__(self, handle, space=None):
+    def __init__(self, handle, space=None, memo=False):
         self.handle = handle
+        self._memo = {} if memo else None
         if space is None:
-            self.table = self._rows = None
+            self.table = self._lists = None
+            self._rows = {}  # no context has a table row
         else:
             self.table = handle.weights_batch(space.index, space.masks)
             self.table.flags.writeable = False
-            self._rows = space.rows
+            self._rows = space.rows  # None: the contexts are the row numbers
+            self._lists = [None] * len(space)
+
+    def index(self, context):
+        """The table row of `context`, or None when the table lacks it."""
+        rows = self._rows
+        return context if rows is None else rows.get(context)
+
+    def _untabled(self, context, mask):
+        """(array, list) of the row at a context outside the table."""
+        memo = self._memo
+        entry = None if memo is None else memo.get(context)
+        if entry is None:
+            w = self.handle.weights(context, mask)
+            entry = (w, w.tolist())
+            if memo is not None:
+                memo[context] = entry
+        return entry
 
     def weights(self, context, mask=None):
-        table = self.table
-        if table is None:
-            return self.handle.weights(context, mask)
+        i = self.index(context)
+        return self._untabled(context, mask)[0] if i is None else self.table[i]
+
+    def row(self, context, mask=None):
         rows = self._rows
-        if rows is None:
-            return table[context]  # the contexts are the row numbers
-        row = rows.get(context)
-        return self.handle.weights(context, mask) if row is None else table[row]
+        i = context if rows is None else rows.get(context)
+        if i is None:
+            return self._untabled(context, mask)[1]
+        lists = self._lists
+        row = lists[i]
+        if row is None:
+            row = lists[i] = self.table[i].tolist()
+        return row
 
 
 class CrossLearner:
@@ -297,8 +339,14 @@ class CrossLearner:
     space: the env's finite ContextSpace, or None. Its masks must be the
     active sets at its contexts (ParamError otherwise). Each snapshot
     tabulates it when its contexts are ids or number at most
-    TABLE_ROWS_PER_ROUND * epoch_len.
+    TABLE_ROWS_PER_ROUND * epoch_len, and memoises its rows per context
+    otherwise.
     reveal passed to step: callable arm -> LinearLoss of the played arm.
+
+    After the FTRL softmax a round works on Python floats: the play and
+    snapshot distributions are lists. A frequency sample read from the
+    next snapshot's table is recorded by row number and summed when the
+    epoch ends (_flush_freq).
     """
 
     def __init__(self, params, accumulator, rng, active=None,
@@ -311,8 +359,9 @@ class CrossLearner:
         if accumulator.n_arms != params.n_arms:
             raise ParamError("accumulator and params disagree on the number of arms")
         self._mask = mask_lookup(active)
-        if space is not None and not space.ids \
-                and len(space) > TABLE_ROWS_PER_ROUND * params.epoch_len:
+        self._memoise = space is not None and not space.ids \
+            and len(space) > TABLE_ROWS_PER_ROUND * params.epoch_len
+        if self._memoise:
             space = None
         if space is not None:
             _check_space_masks(space, self._mask, params.n_arms)
@@ -324,8 +373,9 @@ class CrossLearner:
         self._epoch = 1
         self._paired_end = params.horizon - params.horizon % params.epoch_len
         K = params.n_arms
-        self._freq = np.zeros(K)
+        self._freq = [0.0] * K
         self._freq_next = np.zeros(K)
+        self._freq_rows = []  # next-snapshot table rows not yet in _freq_next
         self._snap_cur = self._view(snapshot(accumulator, params.eta))
         self._snap_next = self._view(snapshot(accumulator, params.eta))
         self._snap_pending = None
@@ -334,7 +384,7 @@ class CrossLearner:
             observer.epoch_started(self, 1)
 
     def _view(self, handle):
-        return _SnapView(handle, self._space)
+        return _SnapView(handle, self._space, self._memoise)
 
     @property
     def t(self):
@@ -346,7 +396,7 @@ class CrossLearner:
 
     @property
     def freq_estimate(self):
-        return self._freq.copy()
+        return np.array(self._freq)
 
     @property
     def snapshot_current(self):
@@ -372,14 +422,38 @@ class CrossLearner:
         self.records.append(rec)
         return rec
 
+    def _freq_div(self):
+        L = self.params.epoch_len
+        return 2.0 * L if self._epoch == 1 else float(L)
+
+    def _add_freq(self, context, mask):
+        """Add the next snapshot's row at context, over _freq_div, to the
+        next epoch's frequency estimate; a table row is only recorded."""
+        view = self._snap_next
+        i = view.index(context)
+        if i is None:
+            self._flush_freq()
+            self._freq_next += view.weights(context, mask) / self._freq_div()
+        else:
+            self._freq_rows.append(i)
+
+    def _flush_freq(self):
+        """Add the recorded table rows to the next epoch's estimate."""
+        rows = self._freq_rows
+        if rows:
+            self._freq_next = _sum_rows(self._freq_next, self._snap_next.table, rows,
+                                       self._freq_div())
+            rows.clear()
+
     def _end_epoch(self):
+        self._flush_freq()
         if self._snap_pending is None:
             # warm-up boundary: the FTRL state is still the initial one
             self._snap_pending = self._view(snapshot(self.acc, self.params.eta))
         self._snap_cur = self._snap_next
         self._snap_next = self._snap_pending
         self._snap_pending = None
-        self._freq = self._freq_next
+        self._freq = self._freq_next.tolist()
         self._freq_next = np.zeros(self.params.n_arms)
         self._epoch += 1
         if self.observer is not None:
@@ -403,10 +477,9 @@ class CrossLearner:
 
         if t_next <= L:
             # warm-up epoch: uniform play, frequency accumulation for epoch 2
-            w = self._snap_cur.weights(context, mask)
-            arm = sample_index(w, gen)
+            arm = sample_index(self._snap_cur.row(context, mask), gen)
             fn = reveal(arm)
-            self._freq_next += self._snap_next.weights(context, mask) / (2.0 * L)
+            self._add_freq(context, mask)
             if self.records is not None:
                 self._record(context, arm, False, WARMUP, fn)
             if self.observer is not None:
@@ -415,8 +488,8 @@ class CrossLearner:
                 self._end_epoch()
             return arm
 
-        s = self._snap_cur.weights(context, mask)
-        p = ftrl_weights(self.acc.eval_column(context), self.params.eta, mask)
+        s = self._snap_cur.row(context, mask)
+        p = ftrl_weights(self.acc.eval_column(context), self.params.eta, mask).tolist()
         q, fb = select_sampling_distribution(p, s)
         arm = sample_index(q, gen)
         fn = reveal(arm)
@@ -438,17 +511,17 @@ class CrossLearner:
                 # the pair playing this state is the epoch's last: its
                 # distribution becomes the snapshot two epochs ahead
                 self._snap_pending = self._view(snapshot(self.acc, self.params.eta))
-            self._pending = (context, mask, arm, float(q[arm]), float(s[arm]), fn, rec)
+            self._pending = (context, mask, arm, q[arm], s[arm], fn, rec)
             return arm
         c1, m1, a1, q1, s1, fn1, rec1 = self._pending
         self._pending = None
         if gen.random() < 0.5:  # the first round takes the frequency sample
             cf, mf = c1, m1
-            al, ql, sl, fnl, recl = arm, float(q[arm]), float(s[arm]), fn, rec
+            al, ql, sl, fnl, recl = arm, q[arm], s[arm], fn, rec
         else:
             cf, mf = context, mask
             al, ql, sl, fnl, recl = a1, q1, s1, fn1, rec1
-        self._freq_next += self._snap_next.weights(cf, mf) / float(L)
+        self._add_freq(cf, mf)
         keep = gen.random() < bernoulli_param(sl, ql)
         if keep:
             w = estimate_weight(self._freq[al], self.params.gamma)

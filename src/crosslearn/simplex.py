@@ -9,6 +9,7 @@ active arms; it is computed with a max shift so any finite input is safe.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 
@@ -195,10 +196,13 @@ def ftrl_weights_batch(cum_loss, eta, masks=None):
 def sample_index(weights, gen):
     """Draw an arm index from a weight vector using one uniform variate.
 
-    Never returns an index with zero weight (roundoff at the top edge walks
-    back to the last positive entry).
+    `weights` may be any sequence of floats; a list is fastest, since the
+    prefix sums and the search then run on Python floats. They add in
+    order, as np.cumsum does, so a list and an array of the same floats
+    give the same index. Never returns an index with zero weight (roundoff
+    at the top edge walks back to the last positive entry).
     """
-    cs = weights.cumsum().tolist()
+    cs = list(accumulate(weights))
     u = gen.random() * cs[-1]
     k = bisect_right(cs, u)
     if k >= len(cs):
@@ -206,4 +210,3 @@ def sample_index(weights, gen):
     while weights[k] == 0.0:
         k -= 1
     return k
-
