@@ -321,7 +321,7 @@ class _SnapView:
 
     def row(self, context, mask=None):
         rows = self._rows
-        i = context if rows is None else rows.get(context)
+        i = context if rows is None else rows.get(context)  # index(), inlined
         if i is None:
             return self._untabled(context, mask)[1]
         lists = self._lists

@@ -12,6 +12,7 @@
 
 import copy
 import dataclasses
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -32,9 +33,12 @@ def _ref_select(p, s):
 
 
 def _ref_sample_index(weights, gen):
+    """sample_index on an array, as it was."""
     cs = weights.cumsum().tolist()
     u = gen.random() * cs[-1]
-    k = min(int(np.searchsorted(cs, u, side="right")), len(cs) - 1)
+    k = bisect_right(cs, u)
+    if k >= len(cs):
+        k = len(cs) - 1
     while weights[k] == 0.0:
         k -= 1
     return k
@@ -229,10 +233,10 @@ def test_sample_index_same_on_list_and_array():
     rows[rows < 0.3] = 0.0
     rows[:, 7] += 1e-3
     rows /= rows.sum(axis=1, keepdims=True)
-    gen_a, gen_b = np.random.default_rng(6), np.random.default_rng(6)
+    gens = [np.random.default_rng(6) for _ in range(3)]
     for w in rows:
-        k = _ref_sample_index(w, gen_a)
-        assert sample_index(w.tolist(), gen_b) == k
+        k = _ref_sample_index(w, gens[0])
+        assert sample_index(w.tolist(), gens[1]) == sample_index(w, gens[2]) == k
         assert w[k] > 0
 
 
