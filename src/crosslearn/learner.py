@@ -50,17 +50,15 @@ LEFTOVER = "leftover"
 
 # Largest snapshot table over a space other than context ids, in contexts
 # per round of the epoch; context ids (tabular envs) always get a table.
-# Without a table a snapshot lookup is a one-row softmax, memoised per
-# context over a finite space; a table costs one batch row per context.
-# Measured per simulated round of the paired-epoch learner against rows
-# computed per lookup, without the memo (numpy 2.4.6, Python 3.11, 2-vCPU
-# x86_64), a table breaks even at 20 to 38 contexts per round (sleeping K=6
-# and K=10, 63 and 1 023 subsets; auction K=13 on 64 atoms) and at 4 it
-# cuts the cost of a round by 29% to 34%. The value is not that break-even:
-# it is bound by perfbench/tests/test_perfbench.py, whose shrunken
-# reductions_grid plan (epochs of 6 to 8 rounds over 63 to 64 contexts) must
-# make no batched softmax call. Raise it towards the break-even when that
-# test changes.
+# Without a table every snapshot lookup is a one-row softmax; a table costs
+# one batch row per context. Measured per simulated round of the
+# paired-epoch learner (numpy 2.4.6, Python 3.11, 2-vCPU x86_64), a table
+# breaks even at 20 to 38 contexts per round (sleeping K=6 and K=10, 63 and
+# 1 023 subsets; auction K=13 on 64 atoms) and at 4 it cuts the cost of a
+# round by 29% to 34%. The value is not that break-even: it is bound by
+# perfbench/tests/test_perfbench.py, whose shrunken reductions_grid plan
+# (epochs of 6 to 8 rounds over 63 to 64 contexts) must make no batched
+# softmax call. Raise it towards the break-even when that test changes.
 TABLE_ROWS_PER_ROUND = 4
 
 
@@ -280,16 +278,14 @@ class _SnapView:
     """Snapshot plus, over a finite context space, the table of its
     distributions at every context of the space, computed in one batch, so
     a lookup reads a row. Without a space, or at a context outside it, the
-    row is computed per lookup; with `memo` (a finite space too large for a
-    table) it is computed once per context. `weights` serves a row as an
-    array, `row` as a list of floats (a table row is converted when first
-    read), and `index` gives a context's table row number."""
+    row is computed per lookup. `weights` serves a row as an array, `row` as
+    a list of floats (a table row is converted when first read), and
+    `index` gives a context's table row number."""
 
-    __slots__ = ("handle", "table", "_rows", "_lists", "_memo")
+    __slots__ = ("handle", "table", "_rows", "_lists")
 
-    def __init__(self, handle, space=None, memo=False):
+    def __init__(self, handle, space=None):
         self.handle = handle
-        self._memo = {} if memo else None
         if space is None:
             self.table = self._lists = None
             self._rows = {}  # no context has a table row
@@ -304,26 +300,14 @@ class _SnapView:
         rows = self._rows
         return context if rows is None else rows.get(context)
 
-    def _untabled(self, context, mask):
-        """(array, list) of the row at a context outside the table."""
-        memo = self._memo
-        entry = None if memo is None else memo.get(context)
-        if entry is None:
-            w = self.handle.weights(context, mask)
-            entry = (w, w.tolist())
-            if memo is not None:
-                memo[context] = entry
-        return entry
-
     def weights(self, context, mask=None):
         i = self.index(context)
-        return self._untabled(context, mask)[0] if i is None else self.table[i]
+        return self.handle.weights(context, mask) if i is None else self.table[i]
 
     def row(self, context, mask=None):
-        rows = self._rows
-        i = context if rows is None else rows.get(context)  # index(), inlined
+        i = self.index(context)
         if i is None:
-            return self._untabled(context, mask)[1]
+            return self.handle.weights(context, mask).tolist()
         lists = self._lists
         row = lists[i]
         if row is None:
@@ -339,8 +323,7 @@ class CrossLearner:
     space: the env's finite ContextSpace, or None. Its masks must be the
     active sets at its contexts (ParamError otherwise). Each snapshot
     tabulates it when its contexts are ids or number at most
-    TABLE_ROWS_PER_ROUND * epoch_len, and memoises its rows per context
-    otherwise.
+    TABLE_ROWS_PER_ROUND * epoch_len.
     reveal passed to step: callable arm -> LinearLoss of the played arm.
 
     After the FTRL softmax a round works on Python floats: the play and
@@ -359,9 +342,8 @@ class CrossLearner:
         if accumulator.n_arms != params.n_arms:
             raise ParamError("accumulator and params disagree on the number of arms")
         self._mask = mask_lookup(active)
-        self._memoise = space is not None and not space.ids \
-            and len(space) > TABLE_ROWS_PER_ROUND * params.epoch_len
-        if self._memoise:
+        if space is not None and not space.ids \
+                and len(space) > TABLE_ROWS_PER_ROUND * params.epoch_len:
             space = None
         if space is not None:
             _check_space_masks(space, self._mask, params.n_arms)
@@ -384,7 +366,7 @@ class CrossLearner:
             observer.epoch_started(self, 1)
 
     def _view(self, handle):
-        return _SnapView(handle, self._space, self._memoise)
+        return _SnapView(handle, self._space)
 
     @property
     def t(self):
@@ -433,7 +415,7 @@ class CrossLearner:
         i = view.index(context)
         if i is None:
             self._flush_freq()
-            self._freq_next += view.weights(context, mask) / self._freq_div()
+            self._freq_next += view.handle.weights(context, mask) / self._freq_div()
         else:
             self._freq_rows.append(i)
 

@@ -46,7 +46,7 @@ def _ref_sample_index(weights, gen):
 
 class _RefSnapView:
     """The snapshot view as it was: array rows read from the table, or one
-    softmax per lookup (no memo)."""
+    softmax per lookup."""
 
     def __init__(self, handle, space=None):
         self.handle = handle
@@ -171,8 +171,9 @@ ROUND_SPECS = {
         "kind": "discrete", "atoms": [0.1, 0.35, 0.6, 0.9], "probs": [1, 2, 3, 4]}}, 2501),
     "auction_continuous": ({"kind": "auction"}, 2501),
 }
-# how each spec's snapshots serve their rows
-SERVED_BY = {"sleeping_skewed": "memo", "auction_continuous": "lookup"}
+# specs whose snapshots compute their rows per lookup: no space, or a
+# space too large for a table (1 023 subsets)
+PER_LOOKUP = {"sleeping_skewed", "auction_continuous"}
 
 
 @pytest.mark.parametrize("name", sorted(ROUND_SPECS))
@@ -190,9 +191,7 @@ def test_round_on_floats_matches_round_on_arrays(name):
                    record_rounds=True, observer=_EpochLog(), space=env.context_space)
 
     new, ref = learner(CrossLearner), learner(_RefCrossLearner)
-    served = "table" if new._snap_cur.table is not None else (
-        "memo" if new._snap_cur._memo is not None else "lookup")
-    assert served == SERVED_BY.get(name, "table")
+    assert (new._snap_cur.table is None) == (name in PER_LOOKUP)
     arms = []
     for t in range(horizon):
         context = env.context(t)
@@ -208,8 +207,6 @@ def test_round_on_floats_matches_round_on_arrays(name):
     assert new.acc._comp.tobytes() == ref.acc._comp.tobytes()
     assert new.records == ref.records
     assert {rec.role for rec in new.records} == {WARMUP, FREQ_ROUND, LOSS_ROUND, LEFTOVER}
-    if served == "memo":
-        assert 0 < len(new._snap_cur._memo) < len(env.context_space)
 
 
 def test_deferred_frequency_sum_matches_per_row_adds():
