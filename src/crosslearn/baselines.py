@@ -15,6 +15,7 @@ from .simplex import (BlockUniforms, batch_index, ftrl_weights, ftrl_weights_bat
                       sample_index)
 
 TINY_DENOM = 1e-9
+QUADRATURE_NODES = 512
 
 
 class PerContextExp3:
@@ -28,7 +29,6 @@ class PerContextExp3:
 
     def __init__(self, n_arms, rng, active=None):
         self.n_arms = int(n_arms)
-        self.rng = rng
         self._gen = BlockUniforms(rng.gen)
         self._mask = mask_lookup(active)
         self._states = {}
@@ -81,11 +81,10 @@ class KnownNuOracle:
         self.masks = masks
 
     @classmethod
-    def quadrature(cls, cdf, n_nodes=512):
-        """Grid oracle for a scalar context on [0, 1] with the given CDF."""
-        if n_nodes < 512:
-            raise ValueError("use at least 512 quadrature nodes")
-        edges = np.linspace(0.0, 1.0, n_nodes + 1)
+    def quadrature(cls, cdf):
+        """Grid oracle for a scalar context on [0, 1] with the given CDF,
+        over QUADRATURE_NODES equal cells."""
+        edges = np.linspace(0.0, 1.0, QUADRATURE_NODES + 1)
         nodes = 0.5 * (edges[:-1] + edges[1:])
         cw = np.diff(cdf(edges))
         total = cw.sum()
@@ -120,7 +119,6 @@ class KnownNuLearner:
         self.acc = accumulator
         self.oracle = oracle
         self.eta = float(eta)
-        self.rng = rng
         self._gen = BlockUniforms(rng.gen)
         self._mask = mask_lookup(active)
         # probe -> its first probe-table row computed with the learner's

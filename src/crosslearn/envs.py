@@ -415,10 +415,10 @@ class AuctionEnv:
         win = self.bids >= self.payments[ts][:, None]
         return 0.5 * (1.0 - (values - self.bids) * win)
 
-    def known_nu_oracle(self, n_nodes=512):
+    def known_nu_oracle(self):
         if self.context_space is not None:
             return KnownNuOracle(self.context_space.contexts, self._atom_probs)
-        return KnownNuOracle.quadrature(self._value_cdf, n_nodes)
+        return KnownNuOracle.quadrature(self._value_cdf)
 
 
 def _subset_bits(subset, n_arms):

@@ -43,11 +43,6 @@ from .simplex import BlockUniforms, ftrl_weights, mask_lookup, sample_index
 BERN_TOL = 1e-12
 _REL_TOL = 1e-9
 
-WARMUP = "warmup"
-FREQ_ROUND = "F"
-LOSS_ROUND = "L"
-LEFTOVER = "leftover"
-
 # Largest snapshot table over a space other than context ids, in contexts
 # per round of the epoch; context ids (tabular envs) always get a table.
 # Without a table every snapshot lookup is a one-row softmax; a table costs
@@ -233,27 +228,25 @@ def estimate_weight(freq_k, gamma):
     return 2.0 / (freq_k + 1.5 * gamma)
 
 
-@dataclass
-class RoundRecord:
-    t: int
-    context: object
-    arm: int
-    fallback: bool
-    bern: bool
-    role: str
-    loss_value: float
-
-
 class LearnerObserver:
-    """No-op hooks for auditing; see crosslearn.verify."""
+    """No-op hooks that watch a CrossLearner run; subclass and override.
+
+    epoch_started(learner, epoch) fires at construction (epoch 1) and after
+    each epoch advance; round_played(learner, fallback) after every round's
+    draw, fallback True when the round played the snapshot; and
+    estimate_recorded(learner, arm, loss_fn) for each kept loss sample,
+    after loss_fn (arm's revealed loss) was added to the accumulator.
+    In the last two, learner.t and learner.epoch are the firing round's.
+    crosslearn.verify builds its per-epoch audit on these hooks.
+    """
 
     def epoch_started(self, learner, epoch):
         pass
 
-    def round_played(self, learner, t, epoch, fallback):
+    def round_played(self, learner, fallback):
         pass
 
-    def estimate_recorded(self, learner, t, arm, weight, loss_fn):
+    def estimate_recorded(self, learner, arm, loss_fn):
         pass
 
 
@@ -278,9 +271,9 @@ class _SnapView:
     """Snapshot plus, over a finite context space, the table of its
     distributions at every context of the space, computed in one batch, so
     a lookup reads a row. Without a space, or at a context outside it, the
-    row is computed per lookup. `weights` serves a row as an array, `row` as
-    a list of floats (a table row is converted when first read), and
-    `index` gives a context's table row number."""
+    row is computed per lookup. `row` serves a row as a list of floats (a
+    table row is converted when first read) and `index` gives a context's
+    table row number."""
 
     __slots__ = ("handle", "table", "_rows", "_lists")
 
@@ -299,10 +292,6 @@ class _SnapView:
         """The table row of `context`, or None when the table lacks it."""
         rows = self._rows
         return context if rows is None else rows.get(context)
-
-    def weights(self, context, mask=None):
-        i = self.index(context)
-        return self.handle.weights(context, mask) if i is None else self.table[i]
 
     def row(self, context, mask=None):
         i = self.index(context)
@@ -324,6 +313,7 @@ class CrossLearner:
     active sets at its contexts (ParamError otherwise). Each snapshot
     tabulates it when its contexts are ids or number at most
     TABLE_ROWS_PER_ROUND * epoch_len.
+    observer: a LearnerObserver whose hooks watch the run, or None.
     reveal passed to step: callable arm -> LinearLoss of the played arm.
 
     After the FTRL softmax a round works on Python floats: the play and
@@ -332,12 +322,10 @@ class CrossLearner:
     epoch ends (_flush_freq).
     """
 
-    def __init__(self, params, accumulator, rng, active=None,
-                 record_rounds=False, observer=None, space=None):
+    def __init__(self, params, accumulator, rng, active=None, observer=None, space=None):
         params.validate_structure()
         self.params = params
         self.acc = accumulator
-        self.rng = rng
         self._gen = BlockUniforms(rng.gen)
         if accumulator.n_arms != params.n_arms:
             raise ParamError("accumulator and params disagree on the number of arms")
@@ -349,7 +337,6 @@ class CrossLearner:
             _check_space_masks(space, self._mask, params.n_arms)
         self._space = space
         self.fallback_count = 0
-        self.records = [] if record_rounds else None
         self.observer = observer
         self._t = 0
         self._epoch = 1
@@ -398,11 +385,6 @@ class CrossLearner:
         """The current snapshot's distributions at every context of
         context_space (read-only), or None without a space."""
         return self._snap_cur.table
-
-    def _record(self, context, arm, fallback, role, fn):
-        rec = RoundRecord(self._t, context, arm, fallback, False, role, fn.eval(context))
-        self.records.append(rec)
-        return rec
 
     def _freq_div(self):
         L = self.params.epoch_len
@@ -460,12 +442,10 @@ class CrossLearner:
         if t_next <= L:
             # warm-up epoch: uniform play, frequency accumulation for epoch 2
             arm = sample_index(self._snap_cur.row(context, mask), gen)
-            fn = reveal(arm)
+            reveal(arm)
             self._add_freq(context, mask)
-            if self.records is not None:
-                self._record(context, arm, False, WARMUP, fn)
             if self.observer is not None:
-                self.observer.round_played(self, t_next, self._epoch, False)
+                self.observer.round_played(self, False)
             if t_next == L:
                 self._end_epoch()
             return arm
@@ -477,15 +457,10 @@ class CrossLearner:
         fn = reveal(arm)
         self.fallback_count += fb
         if self.observer is not None:
-            self.observer.round_played(self, t_next, self._epoch, fb)
+            self.observer.round_played(self, fb)
         # past the last full epoch (a horizon that L does not divide) play
         # on without estimates, from the state frozen at the last boundary
-        leftover = t_next > self._paired_end
-        rec = None
-        if self.records is not None:
-            # a pair's loss round is relabelled when the pair ends
-            rec = self._record(context, arm, fb, LEFTOVER if leftover else FREQ_ROUND, fn)
-        if leftover:
+        if t_next > self._paired_end:
             return arm
         pos = (t_next - 1) % L
         if pos % 2 == 0:
@@ -493,26 +468,21 @@ class CrossLearner:
                 # the pair playing this state is the epoch's last: its
                 # distribution becomes the snapshot two epochs ahead
                 self._snap_pending = self._view(snapshot(self.acc, self.params.eta))
-            self._pending = (context, mask, arm, q[arm], s[arm], fn, rec)
+            self._pending = (context, mask, arm, q[arm], s[arm], fn)
             return arm
-        c1, m1, a1, q1, s1, fn1, rec1 = self._pending
+        c1, m1, a1, q1, s1, fn1 = self._pending
         self._pending = None
         if gen.random() < 0.5:  # the first round takes the frequency sample
             cf, mf = c1, m1
-            al, ql, sl, fnl, recl = arm, q[arm], s[arm], fn, rec
+            al, ql, sl, fnl = arm, q[arm], s[arm], fn
         else:
             cf, mf = context, mask
-            al, ql, sl, fnl, recl = a1, q1, s1, fn1, rec1
+            al, ql, sl, fnl = a1, q1, s1, fn1
         self._add_freq(cf, mf)
-        keep = gen.random() < bernoulli_param(sl, ql)
-        if keep:
-            w = estimate_weight(self._freq[al], self.params.gamma)
-            self.acc.add(al, w, fnl)
+        if gen.random() < bernoulli_param(sl, ql):
+            self.acc.add(al, estimate_weight(self._freq[al], self.params.gamma), fnl)
             if self.observer is not None:
-                self.observer.estimate_recorded(self, t_next, al, w, fnl)
-        if recl is not None:
-            recl.role = LOSS_ROUND
-            recl.bern = keep
+                self.observer.estimate_recorded(self, al, fnl)
         if pos == L - 1:
             self._end_epoch()
         return arm

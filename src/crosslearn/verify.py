@@ -179,12 +179,12 @@ class _AuditObserver(LearnerObserver):
             proxy_ok=float(self._acc.upper(o["proxy"]).max()) <= limit,
             fallback_rounds=o["fallback_rounds"], rounds=o["rounds"]))
 
-    def round_played(self, learner, t, epoch, fallback):
-        if self._open is not None and epoch == self._open["epoch"]:
+    def round_played(self, learner, fallback):
+        if self._open is not None:
             self._open["rounds"] += 1
             self._open["fallback_rounds"] += bool(fallback)
 
-    def estimate_recorded(self, learner, t, arm, weight, loss_fn):
+    def estimate_recorded(self, learner, arm, loss_fn):
         if self._open is None:
             return
         f_arm = self._open["freq_true"][arm]

@@ -69,13 +69,11 @@ def test_known_nu_oracle_finite():
 
 def test_known_nu_oracle_quadrature_uniform():
     # E[v] over U[0,1] via the CDF-cell rule, exact to quadrature resolution
-    oracle = KnownNuOracle.quadrature(lambda x: np.clip(x, 0, 1), n_nodes=512)
+    oracle = KnownNuOracle.quadrature(lambda x: np.clip(x, 0, 1))
     assert oracle.probes.size >= 512
     got = float(oracle.weights @ oracle.probes)
     assert got == pytest.approx(0.5, abs=2e-3)
     assert oracle.weights.sum() == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        KnownNuOracle.quadrature(lambda x: x, n_nodes=100)
 
 
 def test_known_nu_denominator_uniform_state():

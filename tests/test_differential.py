@@ -901,12 +901,12 @@ class _RefAuditObserver(verify_module.LearnerObserver):
             proxy_ok=self._proxy_max(o["proxy"]) <= limit,
             fallback_rounds=o["fallback_rounds"], rounds=o["rounds"]))
 
-    def round_played(self, learner, t, epoch, fallback):
-        if self._open is not None and epoch == self._open["epoch"]:
+    def round_played(self, learner, fallback):
+        if self._open is not None and learner.epoch == self._open["epoch"]:
             self._open["rounds"] += 1
             self._open["fallback_rounds"] += bool(fallback)
 
-    def estimate_recorded(self, learner, t, arm, weight, loss_fn):
+    def estimate_recorded(self, learner, arm, loss_fn):
         if self._open is None:
             return
         scale = 2.0 / (self._open["freq_true"][arm] + self.params.gamma)
@@ -1027,7 +1027,7 @@ def test_snapshot_table_rows_match_per_lookup_rows(name):
                 mask = env.active_mask(context)
                 want = view.handle.weights(context, mask).tobytes()
                 assert view.table[row].tobytes() == want, (row, context)
-                assert view.weights(context, mask).tobytes() == want
+                assert view.row(context, mask) == view.handle.weights(context, mask).tolist()
         versions.append(learner._snap_cur.handle.version)
 
     params = dataclasses.replace(calibrated_params(env.n_arms, env.horizon), eta=0.5)
@@ -1082,8 +1082,7 @@ def test_space_larger_than_the_epoch_allows_serves_per_lookup_rows():
         view = learner._snap_cur
         mask = env.active_mask(context)
         assert view.table is None
-        assert view.weights(context, mask).tobytes() == \
-            view.handle.weights(context, mask).tobytes()
+        assert view.row(context, mask) == view.handle.weights(context, mask).tolist()
         learner.step(context, lambda a: env.reveal(t, a))
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import crosslearn
 from crosslearn.envs import EnvError, TabularEnv
 from crosslearn.harness import (
     ALGO_STREAMS,
@@ -264,3 +265,11 @@ def test_env_spec_active_rows_from_json():
 def test_malformed_active_sets_name_the_context(active, match):
     with pytest.raises(EnvError, match=match):
         TabularEnv.synthetic(2, 3, 16, RngStream(0, 0), active=active)
+
+
+def test_package_exports_resolve_once():
+    # a class deleted from a module must not stay named in __all__
+    names = crosslearn.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(crosslearn, name), name

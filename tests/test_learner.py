@@ -5,6 +5,7 @@ reproducibility."""
 import numpy as np
 import pytest
 
+from crosslearn import learner as learner_module
 from crosslearn.accumulator import (
     TABULAR,
     LinearLoss,
@@ -78,37 +79,49 @@ def test_warmup_plays_uniform():
     # during epoch 1 every arm is equally likely regardless of losses
     params = _small_params(n_arms=4, horizon=400, L=200)
     acc = make_accumulator(TABULAR, 4, 2)
-    learner = CrossLearner(params, acc, RngStream(0, 1), record_rounds=True)
+    learner = CrossLearner(params, acc, RngStream(0, 1))
     reveal = _const_env_step([0.9, 0.9])
     counts = np.zeros(4)
     for t in range(200):
         arm = learner.step(0, reveal)
         counts[arm] += 1
     assert learner.epoch == 2
-    assert all(r.role == "warmup" for r in learner.records)
     sd = np.sqrt(200 * 0.25 * 0.75)
     assert np.all(np.abs(counts - 50) <= 4 * sd)
     # warm-up never writes to the accumulator
     assert acc.version == 0
 
 
-def test_roles_partition_rounds():
+def test_roles_partition_rounds(monkeypatch):
+    # each pair makes one keep test (its loss round), at the pair's second
+    # round, and one frequency sample; warm-up and leftover rounds make none
     params = _small_params(horizon=107, L=20)
     acc = make_accumulator(TABULAR, 3, 2)
-    learner = CrossLearner(params, acc, RngStream(3, 1), record_rounds=True)
+    tested = []
+
+    def logged(s_val, q_val):
+        tested.append(learner.t)
+        return bernoulli_param(s_val, q_val)
+
+    class FreqSums(LearnerObserver):
+        def __init__(self):
+            self.sums = []
+
+        def epoch_started(self, learner, epoch):
+            if epoch > 1:
+                self.sums.append(learner.freq_estimate.sum())
+
+    monkeypatch.setattr(learner_module, "bernoulli_param", logged)
+    sums = FreqSums()
+    learner = CrossLearner(params, acc, RngStream(3, 1), observer=sums)
     reveal = _const_env_step([0.4, 0.6])
     for t in range(107):
         learner.step(t % 2, reveal)
-    roles = [r.role for r in learner.records]
-    assert roles[:20] == ["warmup"] * 20
     # five full epochs cover rounds 1..100; the leftover 7 rounds follow
-    assert roles[100:] == ["leftover"] * 7
-    paired = roles[20:100]
-    assert sum(r == "F" for r in paired) == 40
-    assert sum(r == "L" for r in paired) == 40
-    # each consecutive pair carries exactly one F and one L
-    for i in range(0, 80, 2):
-        assert sorted(paired[i:i + 2]) == ["F", "L"]
+    assert tested == list(range(22, 101, 2))
+    # the warm-up adds L rows over 2L, a paired epoch L/2 rows over L
+    assert len(sums.sums) == 5
+    assert np.allclose(sums.sums, 0.5, rtol=0, atol=1e-12)
 
 
 def test_out_of_order_and_horizon_exhaustion():
@@ -159,21 +172,20 @@ def test_runs_are_bit_identical():
 
     def run():
         acc = make_accumulator(TABULAR, 3, 4)
-        learner = CrossLearner(params, acc, RngStream(17, 1), record_rounds=True)
+        learner = CrossLearner(params, acc, RngStream(17, 1))
         gen = np.random.default_rng(5)
+        arms = []
         for t in range(300):
             c = int(gen.integers(4))
             vals = gen.random(4)
-            learner.step(c, lambda arm: LinearLoss(TabularAccumulator, vals))
-        return learner.records, acc.coef.copy(), learner.fallback_count
+            arms.append(learner.step(c, lambda arm: LinearLoss(TabularAccumulator, vals)))
+        return arms, acc.coef.copy(), learner.fallback_count
 
-    rec1, tab1, fb1 = run()
-    rec2, tab2, fb2 = run()
+    arms1, tab1, fb1 = run()
+    arms2, tab2, fb2 = run()
     assert fb1 == fb2
     assert np.array_equal(tab1, tab2)
-    assert len(rec1) == len(rec2)
-    for a, b in zip(rec1, rec2):
-        assert a == b
+    assert arms1 == arms2
 
 
 def test_empty_accumulator_plays_snapshot_exactly():
@@ -192,7 +204,7 @@ def test_forced_fallback_counted():
     # the snapshot is still uniform, forcing q = s
     params = _small_params(n_arms=2, horizon=400, L=20, eta=2.0, gamma=0.05)
     acc = make_accumulator(TABULAR, 2, 1)
-    learner = CrossLearner(params, acc, RngStream(4, 1), record_rounds=True)
+    learner = CrossLearner(params, acc, RngStream(4, 1))
     hi = LinearLoss(TabularAccumulator, np.array([1.0]))
     for t in range(1, 41):
         # epoch 1 is warm-up; feed loss only to arm 0 afterwards
@@ -202,7 +214,6 @@ def test_forced_fallback_counted():
     for t in range(41, 200):
         learner.step(0, lambda arm: hi)
     assert learner.fallback_count > fb_before
-    assert any(r.fallback for r in learner.records)
 
 
 def test_observation_probability_matches_half_snapshot():
@@ -250,17 +261,31 @@ def test_frequency_estimate_unbiased_after_warmup():
     assert np.all(np.abs(mean - want) <= 4 * sd + 1e-12)
 
 
-def test_loss_round_subsampling_feeds_accumulator():
+def test_loss_round_subsampling_feeds_accumulator(monkeypatch):
     params = _small_params(horizon=400, L=20)
     acc = make_accumulator(TABULAR, 3, 2)
-    learner = CrossLearner(params, acc, RngStream(6, 1), record_rounds=True)
+    offered = []
+
+    def logged(s_val, q_val):
+        offered.append(learner.t)
+        return bernoulli_param(s_val, q_val)
+
+    class CountKept(LearnerObserver):
+        kept = 0
+
+        def estimate_recorded(self, learner, arm, loss_fn):
+            self.kept += 1
+
+    monkeypatch.setattr(learner_module, "bernoulli_param", logged)
+    counter = CountKept()
+    learner = CrossLearner(params, acc, RngStream(6, 1), observer=counter)
     reveal = _const_env_step([0.5, 0.5])
     for t in range(400):
         learner.step(t % 2, reveal)
-    kept = [r for r in learner.records if r.role == "L" and r.bern]
-    assert acc.version == len(kept) > 0
-    dropped = [r for r in learner.records if r.role == "L" and not r.bern]
-    assert dropped, "subsampling never dropped a round (expected about half)"
+    # one keep test per pair of epochs 2..20
+    assert len(offered) == 190
+    assert 0 < acc.version < len(offered), "subsampling never dropped a round (expected about half)"
+    assert counter.kept == acc.version
 
 
 def test_observer_sees_epochs_and_estimates():
@@ -273,10 +298,10 @@ def test_observer_sees_epochs_and_estimates():
         def epoch_started(self, learner, epoch):
             self.epochs.append((epoch, learner.t))
 
-        def round_played(self, learner, t, epoch, fallback):
+        def round_played(self, learner, fallback):
             self.rounds += 1
 
-        def estimate_recorded(self, learner, t, arm, weight, loss_fn):
+        def estimate_recorded(self, learner, arm, loss_fn):
             self.estimates += 1
 
     params = _small_params(horizon=100, L=20)

@@ -19,9 +19,8 @@ import pytest
 
 from crosslearn.accumulator import LinearLoss, TabularAccumulator, make_accumulator, snapshot
 from crosslearn.harness import ALGO_STREAMS, ENV_STREAM, build_env
-from crosslearn.learner import (FREQ_ROUND, LEFTOVER, LOSS_ROUND, WARMUP, CrossLearner,
-                                LearnerObserver, Params, _sum_rows, bernoulli_param,
-                                calibrated_params, estimate_weight)
+from crosslearn.learner import (CrossLearner, LearnerObserver, Params, _sum_rows,
+                                bernoulli_param, calibrated_params, estimate_weight)
 from crosslearn.simplex import (BlockUniforms, ContextSpace, RngStream, ftrl_weights,
                                 sample_index)
 
@@ -92,12 +91,10 @@ class _RefCrossLearner(CrossLearner):
         gen = self._gen
         if t_next <= L:
             arm = _ref_sample_index(self._snap_cur.weights(context, mask), gen)
-            fn = reveal(arm)
+            reveal(arm)
             self._freq_next += self._snap_next.weights(context, mask) / (2.0 * L)
-            if self.records is not None:
-                self._record(context, arm, False, WARMUP, fn)
             if self.observer is not None:
-                self.observer.round_played(self, t_next, self._epoch, False)
+                self.observer.round_played(self, False)
             if t_next == L:
                 self._end_epoch()
             return arm
@@ -108,37 +105,29 @@ class _RefCrossLearner(CrossLearner):
         fn = reveal(arm)
         self.fallback_count += fb
         if self.observer is not None:
-            self.observer.round_played(self, t_next, self._epoch, fb)
-        leftover = t_next > self._paired_end
-        rec = None
-        if self.records is not None:
-            rec = self._record(context, arm, fb, LEFTOVER if leftover else FREQ_ROUND, fn)
-        if leftover:
+            self.observer.round_played(self, fb)
+        if t_next > self._paired_end:
             return arm
         pos = (t_next - 1) % L
         if pos % 2 == 0:
             if pos == L - 2:
                 self._snap_pending = self._view(snapshot(self.acc, self.params.eta))
-            self._pending = (context, mask, arm, float(q[arm]), float(s[arm]), fn, rec)
+            self._pending = (context, mask, arm, float(q[arm]), float(s[arm]), fn)
             return arm
-        c1, m1, a1, q1, s1, fn1, rec1 = self._pending
+        c1, m1, a1, q1, s1, fn1 = self._pending
         self._pending = None
         if gen.random() < 0.5:
             cf, mf = c1, m1
-            al, ql, sl, fnl, recl = arm, float(q[arm]), float(s[arm]), fn, rec
+            al, ql, sl, fnl = arm, float(q[arm]), float(s[arm]), fn
         else:
             cf, mf = context, mask
-            al, ql, sl, fnl, recl = a1, q1, s1, fn1, rec1
+            al, ql, sl, fnl = a1, q1, s1, fn1
         self._freq_next += self._snap_next.weights(cf, mf) / float(L)
-        keep = gen.random() < bernoulli_param(sl, ql)
-        if keep:
+        if gen.random() < bernoulli_param(sl, ql):
             w = estimate_weight(self._freq[al], self.params.gamma)
             self.acc.add(al, w, fnl)
             if self.observer is not None:
-                self.observer.estimate_recorded(self, t_next, al, w, fnl)
-        if recl is not None:
-            recl.role = LOSS_ROUND
-            recl.bern = keep
+                self.observer.estimate_recorded(self, al, fnl)
         if pos == L - 1:
             self._end_epoch()
         return arm
@@ -152,7 +141,7 @@ class _EpochLog(LearnerObserver):
     def epoch_started(self, learner, epoch):
         self.freq.append(learner.freq_estimate.tobytes())
 
-    def round_played(self, learner, t, epoch, fallback):
+    def round_played(self, learner, fallback):
         self.fallbacks += fallback
 
 
@@ -188,7 +177,7 @@ def test_round_on_floats_matches_round_on_arrays(name):
     def learner(cls):
         acc = make_accumulator(env.acc_kind, env.n_arms, getattr(env, "n_contexts", None))
         return cls(params, acc, RngStream(4, ALGO_STREAMS["crosslearn"]), active=env.active,
-                   record_rounds=True, observer=_EpochLog(), space=env.context_space)
+                   observer=_EpochLog(), space=env.context_space)
 
     new, ref = learner(CrossLearner), learner(_RefCrossLearner)
     assert (new._snap_cur.table is None) == (name in PER_LOOKUP)
@@ -205,8 +194,7 @@ def test_round_on_floats_matches_round_on_arrays(name):
     assert new.freq_estimate.tobytes() == ref.freq_estimate.tobytes()
     assert new.acc.coef.tobytes() == ref.acc.coef.tobytes()
     assert new.acc._comp.tobytes() == ref.acc._comp.tobytes()
-    assert new.records == ref.records
-    assert {rec.role for rec in new.records} == {WARMUP, FREQ_ROUND, LOSS_ROUND, LEFTOVER}
+    assert new.acc.version == ref.acc.version
 
 
 def test_deferred_frequency_sum_matches_per_row_adds():
@@ -362,7 +350,7 @@ def test_one_pair_matches_the_estimator_laws_exactly(case):
     outcomes, s, fallback = _pair_outcomes(learner, nu, losses)
     assert fallback == want_fallback
     s = np.array(s)
-    s_next = np.array([learner._snap_next.weights(c, learner._mask(c))
+    s_next = np.array([learner._snap_next.handle.weights(c, learner._mask(c))
                        for c in range(n_contexts)])
     assert np.abs(s_next - s).max() > 1e-3  # the two snapshots differ
     L, gamma = learner.params.epoch_len, learner.params.gamma
