@@ -10,7 +10,11 @@ run is reproducible from (spec, seed) alone. The learner-facing surface is:
     active                the active sets in the form learners take: None,
                           a (C, K) matrix, or the callable active_mask
     context_space         the finite ContextSpace of the contexts the env
-                          can draw, with their active sets, or None
+                          can draw, with their active sets and their
+                          probabilities nu, or None
+    known_nu_oracle()     the ContextSpace a known-nu learner averages
+                          over: context_space, or for continuous auction
+                          values a QUADRATURE_NODES-cell quadrature of nu
     reveal(t, arm)        LinearLoss of the played arm, full context map
     loss_scalar(t, c, k)  realized loss value
     loss_column(t, c)     losses of all arms at context c
@@ -29,7 +33,6 @@ import numpy as np
 
 from .accumulator import (AFFINE, CONSTANT, TABULAR, AffineAccumulator, ConstantAccumulator,
                           LinearLoss, TabularAccumulator)
-from .baselines import KnownNuOracle
 from .simplex import ContextSpace
 
 
@@ -37,6 +40,8 @@ from .simplex import ContextSpace
 AVAILABILITY_BLOCK = 1 << 14
 # rounds scored at once by RegretTracker
 SCORE_BLOCK = 256
+# equal cells of the quadrature space of continuous auction values
+QUADRATURE_NODES = 512
 
 
 class EnvError(ValueError):
@@ -142,7 +147,8 @@ class TabularEnv:
 
     Two storage modes: an explicit (T, K, C) tensor, or the structured form
     mu[k, c] + amp * u[t, k] with pre-drawn noise u in [-1, 1], which keeps
-    memory at O(T*K) for long synthetic runs. Contexts are drawn iid from nu.
+    memory at O(T*K) for long synthetic runs. Contexts are drawn iid from nu,
+    which context_space carries as its weights.
     """
 
     kind = "tabular"
@@ -152,8 +158,7 @@ class TabularEnv:
 
     def __init__(self, nu, contexts, n_arms, tensor=None, mu=None, amp=0.0,
                  noise=None, active=None):
-        self.nu = np.asarray(nu, dtype=float)
-        self.n_contexts = self.nu.size
+        self.n_contexts = len(nu)
         self.contexts = np.asarray(contexts, dtype=np.int64)
         self.horizon = self.contexts.size
         self.n_arms = int(n_arms)
@@ -164,7 +169,7 @@ class TabularEnv:
         if (tensor is None) == (mu is None):
             raise EnvError("provide exactly one of tensor or mu")
         self.active = _active_matrix(active, self.n_contexts, self.n_arms)
-        self.context_space = ContextSpace(np.arange(self.n_contexts), self.active)
+        self.context_space = ContextSpace(np.arange(self.n_contexts), self.active, nu)
         for arr in (self._tensor, self._mu, self._noise, self.contexts):
             if arr is not None:
                 arr.flags.writeable = False
@@ -263,8 +268,7 @@ class TabularEnv:
         return self._mu[:, contexts].T + self._amp * self._noise[ts]
 
     def known_nu_oracle(self):
-        space = self.context_space
-        return KnownNuOracle(space.contexts, self.nu, space.masks)
+        return self.context_space
 
 
 class _StructuredLoss(LinearLoss):
@@ -369,8 +373,7 @@ class AuctionEnv:
         self.n_arms = int(n_arms)
         self.bids = np.arange(self.n_arms) / self.n_arms
         self._value_cdf = value_cdf
-        self._atom_probs = None if atoms is None else atoms[1]
-        self.context_space = None if atoms is None else ContextSpace(atoms[0])
+        self.context_space = None if atoms is None else ContextSpace(atoms[0], weights=atoms[1])
         self.grouping = "value" if atoms is not None else "round"
         # the revealed losses: (1 - (v - b)) / 2 on a win at bid b, 1/2 on a loss
         wins = np.stack([(1.0 + self.bids) / 2.0, np.full(self.n_arms, -0.5)], axis=1)
@@ -416,9 +419,13 @@ class AuctionEnv:
         return 0.5 * (1.0 - (values - self.bids) * win)
 
     def known_nu_oracle(self):
+        """The value atoms, or QUADRATURE_NODES equal cells of [0, 1] at
+        their midpoints, each weighted by its CDF difference."""
         if self.context_space is not None:
-            return KnownNuOracle(self.context_space.contexts, self._atom_probs)
-        return KnownNuOracle.quadrature(self._value_cdf)
+            return self.context_space
+        edges = np.linspace(0.0, 1.0, QUADRATURE_NODES + 1)
+        cw = np.diff(self._value_cdf(edges))
+        return ContextSpace(0.5 * (edges[:-1] + edges[1:]), weights=cw / cw.sum())
 
 
 def _subset_bits(subset, n_arms):
@@ -452,9 +459,9 @@ class SleepingEnv:
         self.losses = np.asarray(losses, dtype=float)
         self.subsets = np.asarray(subsets, dtype=np.int64)
         self.horizon, self.n_arms = self.losses.shape
-        self.context_space = self._subset_weights = None
+        self.context_space = None
         if subset_probs is not None:
-            drawable, self._subset_weights = subset_probs
+            drawable, weights = subset_probs
             n_arms = self.n_arms
 
             def masks():  # up to 65 535 rows, built only when read; holds no env
@@ -462,7 +469,7 @@ class SleepingEnv:
                 out.flags.writeable = False
                 return out
 
-            self.context_space = ContextSpace(drawable, masks)
+            self.context_space = ContextSpace(drawable, masks, weights)
         self._mask_cache = {}
         for arr in (self.losses, self.subsets):
             arr.flags.writeable = False
@@ -568,10 +575,9 @@ class SleepingEnv:
         return self.losses[ts]
 
     def known_nu_oracle(self):
-        space = self.context_space
-        if space is None:
+        if self.context_space is None:
             raise EnvError("exact subset distribution unavailable (K too large)")
-        return KnownNuOracle(space.contexts, self._subset_weights, space.masks)
+        return self.context_space
 
 
 class RegretTracker:
@@ -592,10 +598,7 @@ class RegretTracker:
         self.env = env
         self.played = 0.0
         self._mode = env.grouping
-        if self._mode == "context" and env.kind == "tabular":
-            self._table = np.zeros((env.n_contexts, env.n_arms))
-            self._visited = np.zeros(env.n_contexts, dtype=bool)
-        elif self._mode == "round":
+        if self._mode == "round":
             self._best = 0.0
         else:
             self._groups = {}  # context -> row of _rows, in first-appearance order
@@ -617,28 +620,22 @@ class RegretTracker:
         self.played = _running_sum(self.played, cols[np.arange(ts.size), arms])
         if self._mode == "round":
             self._best = _running_sum(self._best, cols.min(axis=1))
-        elif self._mode == "context" and env.kind == "tabular":
-            ids = np.asarray(contexts, dtype=np.int64)
-            np.add.at(self._table, ids, cols)  # unbuffered, in round order
-            self._visited[ids] = True
         else:
             groups = self._groups
             ids = [groups.setdefault(c, len(groups)) for c in contexts]
             new = len(groups) - len(self._rows)
             if new:
                 self._rows = np.concatenate([self._rows, np.zeros((new, env.n_arms))])
-            np.add.at(self._rows, ids, cols)
+            np.add.at(self._rows, ids, cols)  # unbuffered, in round order
 
     def comparator(self):
         env = self.env
         if self._mode == "round":
             return self._best
-        if self._mode == "context" and env.kind == "tabular":
-            groups = [(c, self._table[c]) for c in np.flatnonzero(self._visited)]
-        else:
-            groups = [(c, self._rows[i]) for c, i in self._groups.items()]
+        groups = self._groups
         total = 0.0
-        for context, row in groups:
+        for context in sorted(groups) if env.kind == "tabular" else groups:
+            row = self._rows[groups[context]]
             mask = env.active_mask(context)
             total += float(row.min() if mask is None else row[mask].min())
         return total

@@ -44,6 +44,9 @@ ALGO_STREAMS = {"crosslearn": 1, "known_nu": 2, "exp3_per_context": 3}
 
 THREADS_VAR = "CROSSLEARN_THREADS"
 
+BOOTSTRAP_RESAMPLES = 10000
+BOOTSTRAP_LEVEL = 0.95
+
 # env kind -> (required fields, optional fields) of its spec, besides "kind"
 ENV_FIELDS = {
     "tabular_synthetic": (("C", "K"), ("gap", "noise", "nu", "active")),
@@ -348,13 +351,15 @@ def fit_scaling(points):
     return ScalingFit(slope, stderr, horizons, means)
 
 
-def bootstrap_ci(values, n_resamples=10000, level=0.95, seed=0):
-    """Percentile bootstrap CI for the mean (deterministic seed)."""
-    gen = np.random.default_rng(seed)
+def bootstrap_ci(values):
+    """Percentile bootstrap CI for the mean at BOOTSTRAP_LEVEL, over
+    BOOTSTRAP_RESAMPLES resamples drawn from seed 0."""
+    gen = np.random.default_rng(0)
     values = np.asarray(values, dtype=float)
-    idx = gen.integers(0, values.size, size=(n_resamples, values.size))
+    idx = gen.integers(0, values.size, size=(BOOTSTRAP_RESAMPLES, values.size))
     means = values[idx].mean(axis=1)
-    lo, hi = np.quantile(means, [(1 - level) / 2, 1 - (1 - level) / 2])
+    tail = (1 - BOOTSTRAP_LEVEL) / 2
+    lo, hi = np.quantile(means, [tail, 1 - tail])
     return float(lo), float(hi)
 
 

@@ -154,10 +154,10 @@ def tune_parameters(n_arms, horizon):
     return params
 
 
-def calibrated_params(n_arms, horizon, eta_scale=2.0, gamma_scale=0.5,
-                      l_scale=0.4):
-    """Desk-scale constants preserving the tuned shapes: epoch_len ~
-    sqrt(K*T/log K), gamma ~ 1/epoch_len, eta ~ 1/epoch_len.
+def calibrated_params(n_arms, horizon, eta_scale=2.0):
+    """Desk-scale constants preserving the tuned shapes: epoch_len =
+    0.4 sqrt(K*T/log K) (even, clamped), gamma = 0.5/epoch_len and
+    eta = eta_scale * log(2)/(5 epoch_len).
 
     The theorem-faithful constants in `tune_parameters` are so conservative
     that at horizons below ~10^6 the FTRL state barely moves; these values
@@ -167,9 +167,9 @@ def calibrated_params(n_arms, horizon, eta_scale=2.0, gamma_scale=0.5,
     """
     base = tune_parameters(n_arms, horizon)
     L = _round_even_clamped(
-        l_scale * math.sqrt(n_arms * horizon / math.log(n_arms)), horizon
+        0.4 * math.sqrt(n_arms * horizon / math.log(n_arms)), horizon
     )
-    gamma = gamma_scale / L
+    gamma = 0.5 / L
     eta = eta_scale * math.log(2.0) / (5.0 * L)
     return replace(base, epoch_len=L, gamma=gamma, eta=eta)
 
@@ -250,7 +250,7 @@ class LearnerObserver:
         pass
 
 
-def _check_space_masks(space, mask, n_arms):
+def check_space_masks(space, mask, n_arms):
     """ParamError unless the space's masks are the active sets that `mask`
     gives at its contexts, None standing for every arm on either side."""
     every = np.ones(n_arms, dtype=bool)
@@ -334,7 +334,7 @@ class CrossLearner:
                 and len(space) > TABLE_ROWS_PER_ROUND * params.epoch_len:
             space = None
         if space is not None:
-            _check_space_masks(space, self._mask, params.n_arms)
+            check_space_masks(space, self._mask, params.n_arms)
         self._space = space
         self.fallback_count = 0
         self.observer = observer

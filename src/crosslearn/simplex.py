@@ -54,17 +54,25 @@ class ContextSpace:
     """A finite context space: the 1-D array `contexts` and `masks`, None
     (every arm active at every context) or an (n, K) boolean matrix whose
     row i is the active set at contexts[i]. `masks` may be given as a
-    function returning that matrix, called when it is first read. `ids` is
-    True when the contexts are the ids 0..n-1, their own row numbers;
-    otherwise `rows` maps a context to its row (its first, if it repeats),
-    built when first read. `index` is the batch_index of the contexts."""
+    function returning that matrix, called when it is first read.
+    `weights` is None or the context distribution nu, with weights[i] the
+    probability of contexts[i]. `ids` is True when the contexts are the
+    ids 0..n-1, their own row numbers; otherwise `rows` maps a context to
+    its row (its first, if it repeats), built when first read. `index` is
+    the batch_index of the contexts."""
 
-    __slots__ = ("contexts", "index", "ids", "_masks", "_rows")
+    __slots__ = ("contexts", "index", "ids", "weights", "_masks", "_rows")
 
-    def __init__(self, contexts, masks=None):
+    def __init__(self, contexts, masks=None, weights=None):
         self.contexts = np.asarray(contexts)
         self.index = batch_index(self.contexts)
         self.ids = isinstance(self.index, slice)
+        if weights is not None:
+            weights = np.asarray(weights, dtype=float)
+            if not (weights.shape == self.contexts.shape and np.isfinite(weights).all()
+                    and (weights >= 0).all() and abs(weights.sum() - 1.0) <= 1e-9):
+                raise SimplexError("context weights must form a distribution over the contexts")
+        self.weights = weights
         self._masks = masks
         self._rows = None
 
@@ -102,12 +110,6 @@ class RngStream:
         self.stream_id = int(stream_id)
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         self.gen = np.random.default_rng(seq)
-
-    def random(self, size=None):
-        return self.gen.random(size)
-
-    def integers(self, low, high=None, size=None):
-        return self.gen.integers(low, high, size)
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"

@@ -32,6 +32,11 @@ from .harness import ENV_STREAM, ALGO_STREAMS
 from .learner import CrossLearner, LearnerObserver, tune_parameters
 from .simplex import RngStream
 
+# samples of t draws averaged at once by inverse_mean_bound_check
+MEAN_CHUNK = 20000
+# the range of the weight ratio beta that good epochs must keep
+BETA_LO, BETA_HI = 0.5, 2.0
+
 
 @dataclass
 class CheckResult:
@@ -40,7 +45,7 @@ class CheckResult:
     detail: str
 
 
-def inverse_mean_bound_check(dist, t, n_trials=100000, rng=None, chunk=20000):
+def inverse_mean_bound_check(dist, t, n_trials=100000, rng=None):
     """Monte-Carlo check of E[1/(mean_t + 16/t)] <= 1/mu with a 99% CI.
 
     dist: ("bernoulli", mu) | ("uniform",) | ("beta", a, b). Passes when the
@@ -55,25 +60,20 @@ def inverse_mean_bound_check(dist, t, n_trials=100000, rng=None, chunk=20000):
         if mu <= 0:
             raise ValueError("bound is vacuous for mu = 0")
         means = gen.binomial(int(t), mu, int(n_trials)) / float(t)
-    elif kind == "uniform":
-        mu = 0.5
-        means = np.empty(int(n_trials))
-        done = 0
-        while done < n_trials:
-            m = min(chunk, n_trials - done)
-            means[done:done + m] = gen.random((m, int(t))).mean(axis=1)
-            done += m
-    elif kind == "beta":
-        a, b = float(dist[1]), float(dist[2])
-        mu = a / (a + b)
-        means = np.empty(int(n_trials))
-        done = 0
-        while done < n_trials:
-            m = min(chunk, n_trials - done)
-            means[done:done + m] = gen.beta(a, b, (m, int(t))).mean(axis=1)
-            done += m
     else:
-        raise ValueError(f"unknown distribution {dist!r}")
+        if kind == "uniform":
+            mu, draw = 0.5, gen.random
+        elif kind == "beta":
+            a, b = float(dist[1]), float(dist[2])
+            mu, draw = a / (a + b), (lambda shape: gen.beta(a, b, shape))
+        else:
+            raise ValueError(f"unknown distribution {dist!r}")
+        means = np.empty(int(n_trials))
+        done = 0
+        while done < n_trials:
+            m = min(MEAN_CHUNK, n_trials - done)
+            means[done:done + m] = draw((m, int(t))).mean(axis=1)
+            done += m
     vals = 1.0 / (means + 16.0 / float(t))
     lhs = float(vals.mean())
     half = 2.576 * float(vals.std(ddof=1)) / math.sqrt(len(vals))
@@ -134,19 +134,16 @@ class _AuditObserver(LearnerObserver):
         self.params = params
         self.records = []
         self._open = None
-        oracle = env.known_nu_oracle()
-        self._probes, self._index = oracle.probes, oracle.index
-        self._probe_weights = oracle.weights
-        self._masks = oracle.masks
+        self._space = env.known_nu_oracle()
         self._acc = acc  # the learner's accumulator; its class is the loss phi
 
     def _freq_true(self, learner):
-        space = learner.context_space
-        if space is not None and space.contexts is self._probes and space.masks is self._masks:
-            table = learner.snapshot_table  # the learner tabulated these probes
+        space = self._space
+        if learner.context_space is space:
+            table = learner.snapshot_table  # the learner tabulated this space
         else:
-            table = learner.snapshot_current.weights_batch(self._index, self._masks)
-        return 0.5 * (self._probe_weights @ table)
+            table = learner.snapshot_current.weights_batch(space.index, space.masks)
+        return 0.5 * (space.weights @ table)
 
     def epoch_started(self, learner, epoch):
         self._close(epoch)
@@ -207,7 +204,7 @@ def audit_run(env, params, seed):
     return observer.records
 
 
-def audit_summary(all_records, beta_lo=0.5, beta_hi=2.0):
+def audit_summary(all_records):
     """Aggregate audit records (possibly across runs) into the fractions the
     acceptance gate cares about."""
     n = len(all_records)
@@ -217,7 +214,7 @@ def audit_summary(all_records, beta_lo=0.5, beta_hi=2.0):
     proxy = sum(r.proxy_ok for r in all_records)
     good = [r for r in all_records if r.conc_ok and r.proxy_ok]
     beta_cells = sum(r.beta.size for r in good)
-    beta_ok = sum(int(((r.beta >= beta_lo) & (r.beta <= beta_hi)).sum()) for r in good)
+    beta_ok = sum(int(((r.beta >= BETA_LO) & (r.beta <= BETA_HI)).sum()) for r in good)
     good_rounds = sum(r.rounds for r in good)
     good_fallbacks = sum(r.fallback_rounds for r in good)
     return {

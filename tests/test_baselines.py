@@ -11,11 +11,11 @@ from crosslearn.accumulator import (
 )
 from crosslearn.baselines import (
     KnownNuLearner,
-    KnownNuOracle,
     PerContextExp3,
     known_nu_rate,
 )
-from crosslearn.simplex import RngStream
+from crosslearn.envs import AuctionEnv, TabularEnv
+from crosslearn.simplex import ContextSpace, RngStream, SimplexError
 
 
 def test_exp3_converges_per_context():
@@ -59,21 +59,26 @@ def test_exp3_respects_active_sets():
 
 
 def test_known_nu_oracle_finite():
-    oracle = KnownNuOracle(np.arange(2), np.array([0.25, 0.75]))
+    # a finite env's oracle is its context space, which carries nu
+    env = TabularEnv.from_tensor(np.full((5, 2, 2), 0.5), [1, 3], RngStream(0, 0))
+    space = env.known_nu_oracle()
+    assert space is env.context_space and space.weights.tolist() == [0.25, 0.75]
     table = np.array([[0.5, 0.5], [0.1, 0.9]])
     want = 0.25 * table[0] + 0.75 * table[1]
-    assert np.allclose(oracle.expectation(table), want, atol=1e-15)
-    with pytest.raises(ValueError):
-        KnownNuOracle(np.arange(2), np.array([0.5, 0.6]))
+    assert np.allclose(space.weights @ table, want, atol=1e-15)
+    with pytest.raises(SimplexError):
+        ContextSpace(np.arange(2), weights=np.array([0.5, 0.6]))
 
 
 def test_known_nu_oracle_quadrature_uniform():
     # E[v] over U[0,1] via the CDF-cell rule, exact to quadrature resolution
-    oracle = KnownNuOracle.quadrature(lambda x: np.clip(x, 0, 1))
-    assert oracle.probes.size >= 512
-    got = float(oracle.weights @ oracle.probes)
+    env = AuctionEnv.generate(64, RngStream(0, 0))
+    assert env.context_space is None
+    space = env.known_nu_oracle()
+    assert len(space) == 512 and not space.ids and space.masks is None
+    got = float(space.weights @ space.contexts)
     assert got == pytest.approx(0.5, abs=2e-3)
-    assert oracle.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    assert space.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_known_nu_denominator_uniform_state():
@@ -81,9 +86,9 @@ def test_known_nu_denominator_uniform_state():
     # context, so the importance denominator is exactly 1/K
     K = 4
     acc = make_accumulator(TABULAR, K, 3)
-    oracle = KnownNuOracle(np.arange(3), np.array([0.2, 0.3, 0.5]))
-    algo = KnownNuLearner(K, acc, oracle, eta=0.01, rng=RngStream(0, 2))
-    denoms = algo.expected_play_probs()
+    space = ContextSpace(np.arange(3), weights=np.array([0.2, 0.3, 0.5]))
+    algo = KnownNuLearner(K, acc, space, eta=0.01, rng=RngStream(0, 2))
+    denoms = algo.space.weights @ algo.probe_table()
     assert np.allclose(denoms, 0.25, atol=1e-12)
 
 
@@ -92,10 +97,10 @@ def test_known_nu_point_mass_matches_single_context():
     K = 3
     acc = make_accumulator(TABULAR, K, 2)
     acc.add(0, 5.0, LinearLoss(TabularAccumulator, np.array([0.0, 1.0])))
-    oracle = KnownNuOracle(np.arange(2), np.array([0.0, 1.0]))
-    algo = KnownNuLearner(K, acc, oracle, eta=0.3, rng=RngStream(1, 2))
+    space = ContextSpace(np.arange(2), weights=np.array([0.0, 1.0]))
+    algo = KnownNuLearner(K, acc, space, eta=0.3, rng=RngStream(1, 2))
     table = algo.probe_table()
-    denoms = algo.expected_play_probs()
+    denoms = algo.space.weights @ table
     assert np.allclose(denoms, table[1], atol=1e-14)
 
 
@@ -104,19 +109,20 @@ def test_known_nu_tiny_denominator_flagged():
     acc = make_accumulator(CONSTANT, K)
     # extreme tilt: arm 1's probability underflows to ~0 everywhere
     acc.add(1, 1e9, LinearLoss(ConstantAccumulator, [1.0]))
-    oracle = KnownNuOracle(np.arange(1), np.array([1.0]))
-    algo = KnownNuLearner(K, acc, oracle, eta=1.0, rng=RngStream(2, 2))
+    space = ContextSpace(np.arange(1), weights=np.array([1.0]))
+    algo = KnownNuLearner(K, acc, space, eta=1.0, rng=RngStream(2, 2))
+    expected = algo.space.weights @ algo.probe_table()
     before = algo.tiny_denominator_count
-    assert algo._denominator(1) == 1e-9
+    assert algo._denominator(1, expected) == 1e-9
     assert algo.tiny_denominator_count == before + 1
-    assert algo._denominator(0) > 0.5  # healthy arm unflagged
+    assert algo._denominator(0, expected) > 0.5  # healthy arm unflagged
     assert algo.tiny_denominator_count == before + 1
 
 
 def test_known_nu_learns():
     acc = make_accumulator(TABULAR, 2, 2)
-    oracle = KnownNuOracle(np.arange(2), np.array([0.5, 0.5]))
-    algo = KnownNuLearner(2, acc, oracle, eta=known_nu_rate(2, 4000),
+    space = ContextSpace(np.arange(2), weights=np.array([0.5, 0.5]))
+    algo = KnownNuLearner(2, acc, space, eta=known_nu_rate(2, 4000),
                           rng=RngStream(3, 2))
     arm_losses = {0: LinearLoss(TabularAccumulator, np.array([0.1, 0.1])),
                   1: LinearLoss(TabularAccumulator, np.array([0.9, 0.9]))}

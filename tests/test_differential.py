@@ -26,7 +26,7 @@ from crosslearn.accumulator import (
     make_accumulator,
     snapshot,
 )
-from crosslearn.baselines import KnownNuLearner, KnownNuOracle, known_nu_rate
+from crosslearn.baselines import KnownNuLearner, known_nu_rate
 from crosslearn.envs import (
     AVAILABILITY_BLOCK,
     SCORE_BLOCK,
@@ -392,8 +392,8 @@ class _RefKnownNuLearner:
     """KnownNuLearner as it was before the once-per-round probe table: plays
     the softmax at the context, then rebuilds the table for the denominator."""
 
-    def __init__(self, n_arms, accumulator, oracle, eta, rng, active=None):
-        self.acc, self.oracle, self.eta = accumulator, oracle, float(eta)
+    def __init__(self, n_arms, accumulator, space, eta, rng, active=None):
+        self.acc, self.space, self.eta = accumulator, space, float(eta)
         self._gen = BlockUniforms(rng.gen)
         self._active = active
         self.denominators = []
@@ -410,9 +410,9 @@ class _RefKnownNuLearner:
         arm = sample_index(w, self._gen)
         fn = reveal(arm)
         # the C-ordered (n, K) layout the reference sums its rows in
-        cum = np.ascontiguousarray(self.acc.eval_batch(self.oracle.probes))
-        table = _ref_ftrl_weights_batch(cum, self.eta, self.oracle.masks)
-        denom = max(float(self.oracle.expectation(table)[arm]), 1e-9)
+        cum = np.ascontiguousarray(self.acc.eval_batch(self.space.contexts))
+        table = _ref_ftrl_weights_batch(cum, self.eta, self.space.masks)
+        denom = max(float((self.space.weights @ table)[arm]), 1e-9)
         self.denominators.append(denom)
         self.acc.add(arm, 1.0 / denom, fn)
         return arm
@@ -421,41 +421,33 @@ class _RefKnownNuLearner:
 KNOWN_NU_HORIZON = 1500
 
 
-def _unmasked_oracle(env):
-    """The env's finite oracle without its masks: only a context whose
-    active set is every arm may be played from the probe table."""
-    return KnownNuOracle(np.arange(env.nu.size), env.nu)
-
-
 KNOWN_NU_CASES = {
-    "tabular": ("tabular_synthetic", {"C": 6, "K": 4}, None),
+    "tabular": ("tabular_synthetic", {"C": 6, "K": 4}),
     "tabular_active": ("tabular_synthetic", {"C": 4, "K": 3, "active": [
-        [1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]]}, None),
-    "tabular_active_unmasked_oracle": ("tabular_synthetic", {"C": 4, "K": 3, "active": [
-        [1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]]}, _unmasked_oracle),
+        [1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]]}),
     "sleeping_bernoulli": ("sleeping", {"K": 5, "availability": {
-        "kind": "bernoulli", "probs": [0.2, 0.5, 0.3, 0.7, 0.4]}}, None),
+        "kind": "bernoulli", "probs": [0.2, 0.5, 0.3, 0.7, 0.4]}}),
     "sleeping_categorical": ("sleeping", {"K": 4, "availability": {
         "kind": "categorical", "subsets": [[0, 1], [2], [1, 2, 3], [0, 1]],
-        "probs": [0.3, 0.2, 0.4, 0.1]}}, None),
+        "probs": [0.3, 0.2, 0.4, 0.1]}}),
     "auction_atoms": ("auction", {"values": {
-        "kind": "discrete", "atoms": [0.1, 0.35, 0.6, 0.9], "probs": [1, 2, 3, 4]}}, None),
-    "auction_continuous": ("auction", {}, None),
+        "kind": "discrete", "atoms": [0.1, 0.35, 0.6, 0.9], "probs": [1, 2, 3, 4]}}),
+    "auction_continuous": ("auction", {}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(KNOWN_NU_CASES))
 def test_known_nu_matches_reference_round_by_round(case):
-    kind, fields, make_oracle = KNOWN_NU_CASES[case]
+    kind, fields = KNOWN_NU_CASES[case]
     env = build_env(dict(fields, kind=kind), KNOWN_NU_HORIZON, RngStream(6, ENV_STREAM))
-    oracle = env.known_nu_oracle() if make_oracle is None else make_oracle(env)
+    space = env.known_nu_oracle()
     active = env.active if env.kind == "tabular" else (
         None if env.kind == "auction" else env.active_mask)
 
     def learner(cls):
         acc = make_accumulator(env.acc_kind, env.n_arms, getattr(env, "n_contexts", None))
         # 4x the default rate, so the distributions move far from uniform
-        return cls(env.n_arms, acc, oracle, 4 * known_nu_rate(env.n_arms, env.horizon),
+        return cls(env.n_arms, acc, space, 4 * known_nu_rate(env.n_arms, env.horizon),
                    RngStream(6, ALGO_STREAMS["known_nu"]), active=active)
 
     new, ref = learner(KnownNuLearner), learner(_RefKnownNuLearner)
@@ -474,10 +466,23 @@ def test_known_nu_matches_reference_round_by_round(case):
     assert len(arms) == env.n_arms
     assert np.array_equal(new.acc.coef, ref.acc.coef)
     # which contexts were played from a probe-table row
-    from_table = {c for c in contexts if c in new._rows}
-    assert from_table == {"auction_continuous": set(),
-                          # only context 3, whose active set is every arm
-                          "tabular_active_unmasked_oracle": {3}}.get(case, contexts)
+    from_table = {c for c in contexts if space.ids or c in space.rows}
+    assert from_table == (set() if case == "auction_continuous" else contexts)
+
+
+def test_known_nu_rejects_a_space_without_the_active_masks():
+    # the denominators would average distributions the learner never plays
+    kind, fields = KNOWN_NU_CASES["tabular_active"]
+    env = build_env(dict(fields, kind=kind), KNOWN_NU_HORIZON, RngStream(6, ENV_STREAM))
+    space = env.context_space
+    unmasked = ContextSpace(space.contexts, weights=space.weights)
+    acc = make_accumulator(env.acc_kind, env.n_arms, env.n_contexts)
+    with pytest.raises(ParamError, match="masks"):
+        KnownNuLearner(env.n_arms, acc, unmasked, 0.1, RngStream(6, 2), active=env.active)
+    with pytest.raises(ParamError, match="weights"):
+        KnownNuLearner(env.n_arms, acc, ContextSpace(space.contexts, space.masks), 0.1,
+                       RngStream(6, 2), active=env.active)
+    KnownNuLearner(env.n_arms, acc, space, 0.1, RngStream(6, 2), active=env.active)
 
 
 def _ref_select(p, s, mask=None):
@@ -849,13 +854,12 @@ class _RefAuditObserver(verify_module.LearnerObserver):
         self._open = None
         if env.kind == "tabular":
             self._probes = np.arange(env.n_contexts)
-            self._probe_weights = env.nu
             self._masks = env.active
         else:
-            oracle = env.known_nu_oracle()
-            self._probes = oracle.probes
-            self._probe_weights = oracle.weights
-            self._masks = oracle.masks
+            space = env.known_nu_oracle()
+            self._probes = space.contexts
+            self._masks = space.masks
+        self._probe_weights = env.context_space.weights
         self._acc_kind = env.acc_kind
 
     def epoch_started(self, learner, epoch):
@@ -1016,8 +1020,7 @@ def _play(env, learner):
 def test_snapshot_table_rows_match_per_lookup_rows(name):
     env = ENVS[name]()
     space = env.context_space
-    oracle = env.known_nu_oracle()
-    assert oracle.probes is space.contexts and oracle.masks is space.masks
+    assert env.known_nu_oracle() is space
     versions = []
 
     def check(learner):
@@ -1133,3 +1136,4 @@ def test_context_space_builds_masks_and_rows_when_first_read():
     env = SleepingEnv.generate(50, 16, RngStream(4, 0))
     assert len(env.context_space) == 65535 and callable(env.context_space._masks)
     assert env.known_nu_oracle().masks.shape == (65535, 16)
+    assert env.context_space.weights.sum() == pytest.approx(1.0, abs=1e-12)

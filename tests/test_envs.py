@@ -196,9 +196,8 @@ def test_from_tensor_validation():
 def test_from_tensor_normalises_nu_for_known_nu_and_audit():
     tensor = np.random.default_rng(4).random((200, 3, 4))
     env = TabularEnv.from_tensor(tensor, [1, 1, 1, 1], RngStream(0, 0))
-    assert env.nu.tolist() == [0.25] * 4
     oracle = env.known_nu_oracle()
-    assert oracle.weights.tolist() == [0.25] * 4
+    assert oracle is env.context_space and oracle.weights.tolist() == [0.25] * 4
     acc = make_accumulator(env.acc_kind, env.n_arms, env.n_contexts)
     learner = KnownNuLearner(env.n_arms, acc, oracle, known_nu_rate(env.n_arms, env.horizon),
                              RngStream(0, 2), active=env.active)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from crosslearn.simplex import (
+    ContextSpace,
     RngStream,
     SimplexError,
     ftrl_weights,
@@ -103,9 +104,10 @@ def test_rng_streams_independent():
     assert not np.array_equal(a, b)
 
 
-def test_rng_stream_helpers():
-    s = RngStream(0, 0)
-    x = s.random()
-    assert 0.0 <= x < 1.0
-    k = s.integers(10)
-    assert 0 <= k < 10
+def test_context_space_rejects_weights_that_are_not_a_distribution():
+    for bad in ([np.nan, 1.0], [-0.5, 1.5], [0.5, 0.6], [1.0]):
+        with pytest.raises(SimplexError):
+            ContextSpace(np.arange(2), weights=bad)
+    space = ContextSpace(np.arange(2), weights=[0.25, 0.75])
+    assert space.weights.dtype == float and space.weights.tolist() == [0.25, 0.75]
+    assert ContextSpace(np.arange(2)).weights is None
