@@ -112,8 +112,8 @@ class ConstantAccumulator(_Linear):
     add, eval_column = _Linear.add, _Linear.eval_column
     dim = 1
     column = staticmethod(lambda coef, context: coef[..., 0])
-    batch = staticmethod(lambda coef, contexts: np.broadcast_to(
-        coef[..., 0], (len(_points(contexts)),) + coef.shape[:-1]).copy())
+    batch = staticmethod(lambda coef, contexts: np.repeat(
+        coef[None, ..., 0], len(_points(contexts)), axis=0))
     upper = staticmethod(lambda coef: coef[..., 0])
 
 
@@ -141,7 +141,7 @@ class SnapshotHandle:
         return self.phi.batch(self.coef, contexts)
 
     def weights(self, context, mask=None):
-        return ftrl_weights(self.eval_column(context), self.eta, mask)
+        return ftrl_weights(np.multiply(self.eval_column(context), -self.eta), mask)
 
     def weights_batch(self, contexts, masks=None):
         return ftrl_weights_batch(self.eval_batch(contexts), self.eta, masks)

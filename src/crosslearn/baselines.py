@@ -45,13 +45,13 @@ class PerContextExp3:
     def distribution(self, context):
         cum, visits = self._state(context)
         eta = math.sqrt(self._log_k / ((visits + 1) * self.n_arms))
-        return ftrl_weights(cum, eta, self._mask(context))
+        return ftrl_weights(np.multiply(cum, -eta), self._mask(context))
 
     def step(self, context, reveal, t=None):
         st = self._state(context)
         cum, visits = st
         eta = math.sqrt(self._log_k / ((visits + 1) * self.n_arms))
-        w = ftrl_weights(cum, eta, self._mask(context))
+        w = ftrl_weights(np.multiply(cum, -eta), self._mask(context))
         arm = sample_index(w.tolist(), self._gen)
         fn = reveal(arm)
         cum[arm] += fn.eval(context) / w[arm]
@@ -112,7 +112,8 @@ class KnownNuLearner:
         rows = space.rows
         row = context if rows is None else rows.get(context)
         if row is None:
-            w = ftrl_weights(self.acc.eval_column(context), self.eta, self._mask(context))
+            w = ftrl_weights(np.multiply(self.acc.eval_column(context), -self.eta),
+                             self._mask(context))
         else:
             w = table[row]
         arm = sample_index(w.tolist(), self._gen)

@@ -15,7 +15,8 @@ run is reproducible from (spec, seed) alone. The learner-facing surface is:
     known_nu_oracle()     the ContextSpace a known-nu learner averages
                           over: context_space, or for continuous auction
                           values a QUADRATURE_NODES-cell quadrature of nu
-    reveal(t, arm)        LinearLoss of the played arm, full context map
+    reveal(t, arm)        LinearLoss of the played arm, full context map;
+                          EnvError for an arm outside 0..K-1 or inactive
     loss_scalar(t, c, k)  realized loss value
     loss_column(t, c)     losses of all arms at context c
     loss_columns(ts, cs)  loss_column of many rounds at once (regret scoring)
@@ -170,6 +171,10 @@ class TabularEnv:
             raise EnvError("provide exactly one of tensor or mu")
         self.active = _active_matrix(active, self.n_contexts, self.n_arms)
         self.context_space = ContextSpace(np.arange(self.n_contexts), self.active, nu)
+        # per-round reads in plain Python: the contexts, and the active sets
+        # as rows of bools (None: every arm active)
+        self._context_list = self.contexts.tolist()
+        self._active_rows = None if self.active is None else self.active.tolist()
         for arr in (self._tensor, self._mu, self._noise, self.contexts):
             if arr is not None:
                 arr.flags.writeable = False
@@ -237,15 +242,17 @@ class TabularEnv:
         return cls.from_tensor(tensor, nu, rng, active=active)
 
     def context(self, t):
-        return int(self.contexts[t])
+        return self._context_list[t]
 
     def active_mask(self, context):
         return None if self.active is None else self.active[context]
 
     def reveal(self, t, arm):
-        m = self.active_mask(self.contexts[t])
-        if m is not None and not m[arm]:
-            raise EnvError(f"arm {arm} inactive at context {self.contexts[t]}")
+        if not 0 <= arm < self.n_arms:
+            raise EnvError(f"arm {arm} outside 0..{self.n_arms - 1}")
+        rows = self._active_rows
+        if rows is not None and not rows[self._context_list[t]][arm]:
+            raise EnvError(f"arm {arm} inactive at context {self._context_list[t]}")
         if self._tensor is not None:
             return LinearLoss(TabularAccumulator, self._tensor[t, arm], validate=False)
         return _StructuredLoss(self, t, arm)
@@ -290,7 +297,7 @@ class _StructuredLoss(LinearLoss):
     def coef(self):
         if self._row is None:
             env, arm = self._env, self._arm
-            self._row = env._mu[arm] + env._amp * env._noise[self._t, arm]
+            self._row = env._mu[arm] + env._amp * env._noise.item(self._t, arm)
         return self._row
 
     def eval(self, context):
@@ -471,6 +478,7 @@ class SleepingEnv:
 
             self.context_space = ContextSpace(drawable, masks, weights)
         self._mask_cache = {}
+        self._subset_list = self.subsets.tolist()
         for arr in (self.losses, self.subsets):
             arr.flags.writeable = False
 
@@ -545,7 +553,7 @@ class SleepingEnv:
         return masks, p / p.sum()
 
     def context(self, t):
-        return int(self.subsets[t])
+        return self._subset_list[t]
 
     def active_mask(self, context):
         m = self._mask_cache.get(context)
@@ -560,7 +568,9 @@ class SleepingEnv:
         return self.active_mask
 
     def reveal(self, t, arm):
-        if not self.active_mask(int(self.subsets[t]))[arm]:
+        if not 0 <= arm < self.n_arms:
+            raise EnvError(f"arm {arm} outside 0..{self.n_arms - 1}")
+        if not self._subset_list[t] >> arm & 1:
             raise EnvError(f"arm {arm} is asleep in round {t}")
         return LinearLoss(ConstantAccumulator, self.losses[t, arm:arm + 1], validate=False)
 

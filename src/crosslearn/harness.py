@@ -255,14 +255,30 @@ def _run_task(task):
 
 
 def worker_cap():
+    """Most pool workers: CROSSLEARN_THREADS when set, else the CPUs this
+    process may run on (its affinity set, where the platform reports one)."""
     cap = os.environ.get(THREADS_VAR)
     if cap is None:
+        if hasattr(os, "sched_getaffinity"):
+            return max(1, len(os.sched_getaffinity(0)))
         return os.cpu_count() or 1
     try:
         n = int(cap)
     except ValueError as err:
         raise ConfigError(f"{THREADS_VAR} must be an integer, got {cap!r}") from err
     return max(1, n)
+
+
+def map_tasks(fn, tasks, workers):
+    """[fn(task) for task in tasks], in order: serially when at most one of
+    `workers` is left after the CROSSLEARN_THREADS cap (worker_cap) and the
+    number of tasks, else on a process pool of that many workers, one task
+    at a time each. fn must be a module-level function."""
+    workers = min(workers, worker_cap(), len(tasks))
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks, chunksize=1))
 
 
 def run_experiment(config):
@@ -276,11 +292,7 @@ def run_experiment(config):
         for horizon in config["T_grid"]
         for seed in config["seeds"]
     ]
-    workers = min(int(config.get("workers", 1)), worker_cap(), len(tasks))
-    if workers <= 1:
-        return [_run_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_task, tasks, chunksize=1))
+    return map_tasks(_run_task, tasks, int(config.get("workers", 1)))
 
 
 def results_rows(results, timing=False):

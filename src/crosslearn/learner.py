@@ -56,6 +56,21 @@ _REL_TOL = 1e-9
 # softmax call. Raise it towards the break-even when that test changes.
 TABLE_ROWS_PER_ROUND = 4
 
+# Largest tabulated space over which the learner keeps its exponent table
+# (_Exponents). A rebuild follows each kept loss sample and costs 3 to 6 us
+# plus 25 to 75 ns per context; a round that reads the table instead of
+# evaluating the accumulator saves 2 us (context ids) to 3.5 us (masked
+# subsets, affine atoms), whatever the number of contexts. Measured per
+# rebuild and per round (numpy 2.4.6, Python 3.11, 2-vCPU x86_64, K = 6 to
+# 21), a rebuild repays itself in 2 to 4 rounds at 63 to 128 contexts (one
+# reading of 6), 4.5 to 6.3 at 255 and 256, 9 to 24 at 1 023 and 1 024,
+# and 50 to 74 at 4 096. Kept samples came every 4.1 to 4.8 rounds on every
+# run measured (tuned tabular C = 64 to 4 096, tuned and calibrated auction
+# atoms and sleeping subsets), and at most one comes per pair of rounds.
+# The bound is on the number of contexts only: the epoch length does not
+# set how often the table is rebuilt, and K moves the rebuild cost little.
+EXPONENT_TABLE_ROWS = 128
+
 
 class ParamError(ValueError):
     pass
@@ -272,29 +287,22 @@ class _SnapView:
     distributions at every context of the space, computed in one batch, so
     a lookup reads a row. Without a space, or at a context outside it, the
     row is computed per lookup. `row` serves a row as a list of floats (a
-    table row is converted when first read) and `index` gives a context's
-    table row number."""
+    table row is converted when first read)."""
 
-    __slots__ = ("handle", "table", "_rows", "_lists")
+    __slots__ = ("handle", "table", "_lists")
 
     def __init__(self, handle, space=None):
         self.handle = handle
         if space is None:
             self.table = self._lists = None
-            self._rows = {}  # no context has a table row
         else:
             self.table = handle.weights_batch(space.index, space.masks)
             self.table.flags.writeable = False
-            self._rows = space.rows  # None: the contexts are the row numbers
             self._lists = [None] * len(space)
 
-    def index(self, context):
-        """The table row of `context`, or None when the table lacks it."""
-        rows = self._rows
-        return context if rows is None else rows.get(context)
-
-    def row(self, context, mask=None):
-        i = self.index(context)
+    def row(self, i, context, mask=None):
+        """The distribution at `context`, whose table row is i (None: the
+        table lacks it)."""
         if i is None:
             return self.handle.weights(context, mask).tolist()
         lists = self._lists
@@ -304,22 +312,62 @@ class _SnapView:
         return row
 
 
+class _Exponents:
+    """The FTRL exponents -eta * L(c, .) of the accumulator's sum L at every
+    context c of a finite space, -inf off c's active set, as the rows of
+    `table`, and each row's maximum in the list `tops`. The sum changes
+    only when a loss sample is kept, so both are recomputed from
+    acc.eval_batch only when acc.version has moved since they were built.
+    They are built in the accumulator's (K, n) layout, where the row maxima
+    are one reduction over axis 0 (a max is exact, so the layout cannot
+    change it); `table` is its transposed view."""
+
+    __slots__ = ("_acc", "_index", "_masks", "_neg_eta", "_version", "table", "tops")
+
+    def __init__(self, acc, space, eta):
+        self._acc = acc
+        self._index = space.index
+        self._masks = None if space.masks is None else np.ascontiguousarray(space.masks.T)
+        self._neg_eta = -eta
+        self._version = None
+
+    def row(self, i):
+        """Row i of the table and its maximum, current with the
+        accumulator."""
+        acc = self._acc
+        if acc.version != self._version:
+            z = np.multiply(acc.eval_batch(self._index).T, self._neg_eta, order="C")
+            if self._masks is not None:
+                z = np.where(self._masks, z, -np.inf)
+            self.tops = np.maximum.reduce(z, axis=0).tolist()
+            self.table = z.T
+            self._version = acc.version
+        return self.table[i], self.tops[i]
+
+
 class CrossLearner:
     """Plays the paired-epoch cross-learning strategy over one accumulator.
 
     active: None (every arm always active), a (C, K) boolean matrix indexed
     by integer context ids, or a callable context -> mask/None.
     space: the env's finite ContextSpace, or None. Its masks must be the
-    active sets at its contexts (ParamError otherwise). Each snapshot
-    tabulates it when its contexts are ids or number at most
-    TABLE_ROWS_PER_ROUND * epoch_len.
+    active sets at its contexts (ParamError otherwise). It is tabulated
+    when its contexts are ids or number at most TABLE_ROWS_PER_ROUND *
+    epoch_len: each snapshot then holds its distributions at every context
+    of the space. A tabulated space of at most EXPONENT_TABLE_ROWS contexts
+    also gets the FTRL exponents of the live accumulator (_Exponents,
+    recomputed when a kept loss sample has changed the accumulator), so a
+    round at one of its contexts reads its rows and calls ftrl_weights only
+    to subtract, exponentiate and normalise. Elsewhere a round evaluates
+    the accumulator at its context.
     observer: a LearnerObserver whose hooks watch the run, or None.
     reveal passed to step: callable arm -> LinearLoss of the played arm.
 
     After the FTRL softmax a round works on Python floats: the play and
     snapshot distributions are lists. A frequency sample read from the
     next snapshot's table is recorded by row number and summed when the
-    epoch ends (_flush_freq).
+    epoch ends (_flush_freq). The epoch length, horizon, eta and gamma are
+    read from params once, at construction.
     """
 
     def __init__(self, params, accumulator, rng, active=None, observer=None, space=None):
@@ -336,6 +384,13 @@ class CrossLearner:
         if space is not None:
             check_space_masks(space, self._mask, params.n_arms)
         self._space = space
+        self._L, self._horizon = params.epoch_len, params.horizon
+        self._eta, self._gamma = params.eta, params.gamma
+        # context -> table row: {} without a space (no context has one),
+        # None when the contexts are the row numbers
+        self._rows = {} if space is None else space.rows
+        self._exponents = None if space is None or len(space) > EXPONENT_TABLE_ROWS \
+            else _Exponents(accumulator, space, self._eta)
         self.fallback_count = 0
         self.observer = observer
         self._t = 0
@@ -345,8 +400,8 @@ class CrossLearner:
         self._freq = [0.0] * K
         self._freq_next = np.zeros(K)
         self._freq_rows = []  # next-snapshot table rows not yet in _freq_next
-        self._snap_cur = self._view(snapshot(accumulator, params.eta))
-        self._snap_next = self._view(snapshot(accumulator, params.eta))
+        self._snap_cur = self._view(snapshot(accumulator, self._eta))
+        self._snap_next = self._view(snapshot(accumulator, self._eta))
         self._snap_pending = None
         self._pending = None
         if observer is not None:
@@ -387,17 +442,15 @@ class CrossLearner:
         return self._snap_cur.table
 
     def _freq_div(self):
-        L = self.params.epoch_len
-        return 2.0 * L if self._epoch == 1 else float(L)
+        return 2.0 * self._L if self._epoch == 1 else float(self._L)
 
-    def _add_freq(self, context, mask):
-        """Add the next snapshot's row at context, over _freq_div, to the
-        next epoch's frequency estimate; a table row is only recorded."""
-        view = self._snap_next
-        i = view.index(context)
+    def _add_freq(self, i, context, mask):
+        """Add the next snapshot's row at context (table row i, or None),
+        over _freq_div, to the next epoch's frequency estimate; a table row
+        is only recorded."""
         if i is None:
             self._flush_freq()
-            self._freq_next += view.handle.weights(context, mask) / self._freq_div()
+            self._freq_next += self._snap_next.handle.weights(context, mask) / self._freq_div()
         else:
             self._freq_rows.append(i)
 
@@ -413,7 +466,7 @@ class CrossLearner:
         self._flush_freq()
         if self._snap_pending is None:
             # warm-up boundary: the FTRL state is still the initial one
-            self._snap_pending = self._view(snapshot(self.acc, self.params.eta))
+            self._snap_pending = self._view(snapshot(self.acc, self._eta))
         self._snap_cur = self._snap_next
         self._snap_next = self._snap_pending
         self._snap_pending = None
@@ -432,27 +485,35 @@ class CrossLearner:
         t_next = self._t + 1
         if t is not None and t != t_next:
             raise OutOfOrderError(f"expected round {t_next}, got {t}")
-        if t_next > self.params.horizon:
-            raise OutOfOrderError(f"horizon {self.params.horizon} exhausted")
+        if t_next > self._horizon:
+            raise OutOfOrderError(f"horizon {self._horizon} exhausted")
         self._t = t_next
-        L = self.params.epoch_len
-        mask = self._mask(context)
+        L = self._L
+        rows = self._rows
+        i = context if rows is None else rows.get(context)
+        ex = self._exponents
+        # a context with rows in both tables needs no mask: its rows carry it
+        mask = None if i is not None and ex is not None else self._mask(context)
         gen = self._gen
 
         if t_next <= L:
             # warm-up epoch: uniform play, frequency accumulation for epoch 2
-            arm = sample_index(self._snap_cur.row(context, mask), gen)
+            arm = sample_index(self._snap_cur.row(i, context, mask), gen)
             reveal(arm)
-            self._add_freq(context, mask)
+            self._add_freq(i, context, mask)
             if self.observer is not None:
                 self.observer.round_played(self, False)
             if t_next == L:
                 self._end_epoch()
             return arm
 
-        s = self._snap_cur.row(context, mask)
-        p = ftrl_weights(self.acc.eval_column(context), self.params.eta, mask).tolist()
-        q, fb = select_sampling_distribution(p, s)
+        s = self._snap_cur.row(i, context, mask)
+        if i is None or ex is None:
+            p = ftrl_weights(np.multiply(self.acc.eval_column(context), -self._eta), mask)
+        else:
+            z, top = ex.row(i)
+            p = ftrl_weights(z, None, top)
+        q, fb = select_sampling_distribution(p.tolist(), s)
         arm = sample_index(q, gen)
         fn = reveal(arm)
         self.fallback_count += fb
@@ -467,20 +528,19 @@ class CrossLearner:
             if pos == L - 2:
                 # the pair playing this state is the epoch's last: its
                 # distribution becomes the snapshot two epochs ahead
-                self._snap_pending = self._view(snapshot(self.acc, self.params.eta))
-            self._pending = (context, mask, arm, q[arm], s[arm], fn)
+                self._snap_pending = self._view(snapshot(self.acc, self._eta))
+            self._pending = (i, context, mask, arm, q[arm], s[arm], fn)
             return arm
-        c1, m1, a1, q1, s1, fn1 = self._pending
+        i1, c1, m1, a1, q1, s1, fn1 = self._pending
         self._pending = None
         if gen.random() < 0.5:  # the first round takes the frequency sample
-            cf, mf = c1, m1
+            self._add_freq(i1, c1, m1)
             al, ql, sl, fnl = arm, q[arm], s[arm], fn
         else:
-            cf, mf = context, mask
+            self._add_freq(i, context, mask)
             al, ql, sl, fnl = a1, q1, s1, fn1
-        self._add_freq(cf, mf)
         if gen.random() < bernoulli_param(sl, ql):
-            self.acc.add(al, estimate_weight(self._freq[al], self.params.gamma), fnl)
+            self.acc.add(al, estimate_weight(self._freq[al], self._gamma), fnl)
             if self.observer is not None:
                 self.observer.estimate_recorded(self, al, fnl)
         if pos == L - 1:

@@ -138,25 +138,36 @@ class BlockUniforms:
             return self._next()
 
 
-def ftrl_weights(cum_loss, eta, mask=None):
-    """Softmax of -eta * cum_loss restricted to `mask` (None means all arms).
+# module-level names of the ufuncs ftrl_weights calls, read without an
+# attribute lookup on numpy
+_exp, _subtract, _divide, _where = np.exp, np.subtract, np.divide, np.where
+_max, _sum = np.maximum.reduce, np.add.reduce
+_NEG_INF = -np.inf
 
-    Hot-path core without finiteness checks. Returns a fresh length-K
-    array. The ufunc reductions are called directly: they run the loops of
-    .max() and .sum() without those methods' Python wrappers.
+
+def ftrl_weights(z, mask=None, top=None):
+    """Softmax of the exponents `z` restricted to `mask` (None means all
+    arms): the entropy-FTRL distribution at a context when z is -eta times
+    its cumulative losses, np.multiply(cum_loss, -eta).
+
+    `top` is the maximum of z over the mask when the caller knows it (the
+    learner's exponent table keeps one per context). Hot-path core without
+    finiteness checks; z is not modified and a fresh length-K array is
+    returned. The masked branch works on the full row with -inf off the
+    mask, whose exp is 0, so the row sum adds the same zeros as a scatter
+    into a zero row would. The ufuncs are called directly, with their
+    outputs passed positionally: they run the loops of .max() and .sum()
+    without those methods' Python wrappers.
     """
-    z = np.multiply(cum_loss, -eta)
-    if mask is None:
-        z -= np.maximum.reduce(z)
-        w = np.exp(z, out=z)
-    else:
-        zm = z[mask]
-        if zm.size == 0:
+    if mask is not None:
+        z = _where(mask, z, _NEG_INF)
+    if top is None:
+        top = _max(z)
+        if top == _NEG_INF:
             raise SimplexError("active set is empty")
-        w = np.zeros(z.shape[0])
-        zm -= np.maximum.reduce(zm)
-        w[mask] = np.exp(zm, out=zm)
-    w /= np.add.reduce(w)
+    w = _subtract(z, top)
+    _exp(w, w)
+    _divide(w, _sum(w), w)
     return w
 
 
@@ -164,8 +175,8 @@ def ftrl_weights_batch(cum_loss, eta, masks=None):
     """Row-wise ftrl_weights for an (n, K) array of cumulative losses.
 
     `masks` may be None (all active), a (K,) mask shared by all rows, or an
-    (n, K) mask matrix. Row i equals ftrl_weights(cum_loss[i], eta, mask_i)
-    bit for bit.
+    (n, K) mask matrix. Row i equals
+    ftrl_weights(np.multiply(cum_loss[i], -eta), mask_i) bit for bit.
 
     Without masks the work runs in the accumulator's (K, n) layout: the
     multiply reads cum_loss.T, which is contiguous when cum_loss is the

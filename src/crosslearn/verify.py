@@ -28,7 +28,7 @@ import numpy as np
 
 from .accumulator import make_accumulator
 from .envs import TabularEnv
-from .harness import ENV_STREAM, ALGO_STREAMS
+from .harness import ENV_STREAM, ALGO_STREAMS, map_tasks
 from .learner import CrossLearner, LearnerObserver, tune_parameters
 from .simplex import RngStream
 
@@ -127,13 +127,17 @@ class EpochAudit:
 
 
 class _AuditObserver(LearnerObserver):
-    """Closes an EpochAudit each time the learner advances an epoch."""
+    """Closes an EpochAudit each time the learner advances an epoch. An
+    epoch's rounds are the rounds the learner played since it opened, and
+    its fallback rounds are tallied as they are played."""
 
     def __init__(self, env, params, acc):
         self.env = env
         self.params = params
         self.records = []
         self._open = None
+        self._t0 = 0  # learner.t when the open epoch started
+        self._fallbacks = 0
         self._space = env.known_nu_oracle()
         self._acc = acc  # the learner's accumulator; its class is the loss phi
 
@@ -146,7 +150,7 @@ class _AuditObserver(LearnerObserver):
         return 0.5 * (space.weights @ table)
 
     def epoch_started(self, learner, epoch):
-        self._close(epoch)
+        self._close(learner)
         if epoch < 2:
             return
         params = self.params
@@ -156,15 +160,19 @@ class _AuditObserver(LearnerObserver):
         dev = np.abs(fhat - f)
         bound = 2.0 * np.maximum(np.sqrt(f * params.conf / params.epoch_len),
                                  params.conf / params.epoch_len)
+        self._t0 = learner.t
+        self._fallbacks = 0
         self._open = {
             "epoch": epoch, "freq_true": f, "freq_est": fhat, "beta": beta,
             "conc_ok": bool((dev <= bound).all()),
-            "fallback_rounds": 0, "rounds": 0,
+            # per arm, the weight 2/(f + gamma) of a kept loss row
+            "scales": (2.0 / (f + params.gamma)).tolist(),
             # per arm, the sum of scaled loss rows
             "proxy": np.zeros_like(self._acc.coef),
         }
 
-    def _close(self, next_epoch):
+    def _close(self, learner):
+        """Record the open epoch, if any, as ending at learner.t."""
         if self._open is None:
             return
         o = self._open
@@ -174,19 +182,14 @@ class _AuditObserver(LearnerObserver):
             epoch=o["epoch"], freq_true=o["freq_true"], freq_est=o["freq_est"],
             beta=o["beta"], conc_ok=o["conc_ok"],
             proxy_ok=float(self._acc.upper(o["proxy"]).max()) <= limit,
-            fallback_rounds=o["fallback_rounds"], rounds=o["rounds"]))
+            fallback_rounds=int(self._fallbacks), rounds=learner.t - self._t0))
 
     def round_played(self, learner, fallback):
-        if self._open is not None:
-            self._open["rounds"] += 1
-            self._open["fallback_rounds"] += bool(fallback)
+        self._fallbacks += fallback
 
     def estimate_recorded(self, learner, arm, loss_fn):
-        if self._open is None:
-            return
-        f_arm = self._open["freq_true"][arm]
-        scale = 2.0 / (f_arm + self.params.gamma)
-        self._open["proxy"][arm] += scale * loss_fn.coef
+        if self._open is not None:
+            self._open["proxy"][arm] += self._open["scales"][arm] * loss_fn.coef
 
 
 def audit_run(env, params, seed):
@@ -200,7 +203,7 @@ def audit_run(env, params, seed):
     for t in range(env.horizon):
         context = env.context(t)
         learner.step(context, lambda a: env.reveal(t, a))
-    observer._close(None)  # flush the final epoch if the run ended mid-epoch
+    observer._close(learner)  # flush the final epoch if the run ended mid-epoch
     return observer.records
 
 
@@ -227,16 +230,26 @@ def audit_summary(all_records):
     }
 
 
+def _audit_seed(task):
+    """audit_run of one seed of tuned_synthetic_audit."""
+    seed, params, n_contexts, n_arms, horizon, gap, noise = task
+    env = TabularEnv.synthetic(n_contexts, n_arms, horizon,
+                               RngStream(seed, ENV_STREAM), gap=gap, noise=noise)
+    return audit_run(env, params, seed)
+
+
 def tuned_synthetic_audit(n_seeds=100, n_contexts=64, n_arms=8, horizon=16384,
                           gap=0.7, noise=0.15):
-    """Audit of theorem-tuned runs on the synthetic tabular suite."""
+    """Audit of theorem-tuned runs on the synthetic tabular suite. The
+    seeds run on a process pool of one worker per seed, capped by
+    harness.worker_cap() (CROSSLEARN_THREADS, else the usable CPUs; serially
+    under CROSSLEARN_THREADS=1); the records are summarised in seed order
+    either way."""
     params = tune_parameters(n_arms, horizon)
-    records = []
-    for seed in range(n_seeds):
-        env = TabularEnv.synthetic(n_contexts, n_arms, horizon,
-                                   RngStream(seed, ENV_STREAM), gap=gap, noise=noise)
-        records.extend(audit_run(env, params, seed))
-    return audit_summary(records)
+    tasks = [(seed, params, n_contexts, n_arms, horizon, gap, noise)
+             for seed in range(n_seeds)]
+    per_seed = map_tasks(_audit_seed, tasks, n_seeds)
+    return audit_summary([r for records in per_seed for r in records])
 
 
 def run_verify(quick=False, seeds=100, trials=100000):

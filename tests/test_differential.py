@@ -373,7 +373,7 @@ def test_softmaxes_match_reference_on_every_eval_batch_layout(kind):
                     assert np.array_equal(got, _ref_ftrl_weights_batch(
                         np.ascontiguousarray(cum), eta, masks))
                     for i, (col, mask) in enumerate(zip(cols, rows)):
-                        row = ftrl_weights(col, eta, mask)
+                        row = ftrl_weights(np.multiply(col, -eta), mask)
                         assert np.array_equal(row, _ref_ftrl_weights(col, eta, mask))
                         # what the known-nu probe table relies on
                         assert np.array_equal(row, got[i])
@@ -385,7 +385,7 @@ def test_batch_rows_match_one_row_softmax_on_a_transposed_input():
     eta = 0.37
     got = ftrl_weights_batch(cum.T, eta)
     for i in range(64):
-        assert np.array_equal(got[i], ftrl_weights(cum[:, i], eta))
+        assert np.array_equal(got[i], ftrl_weights(np.multiply(cum[:, i], -eta)))
 
 
 class _RefKnownNuLearner:
@@ -715,7 +715,7 @@ class _RefSnapshotHandle:
         return np.broadcast_to(self._state[0], (len(contexts), self.n_arms)).copy()
 
     def weights(self, context, mask=None):
-        return ftrl_weights(self.eval_column(context), self.eta, mask)
+        return _ref_ftrl_weights(self.eval_column(context), self.eta, mask)
 
     def weights_batch(self, contexts, masks=None):
         return ftrl_weights_batch(self.eval_batch(contexts), self.eta, masks)
@@ -1030,13 +1030,56 @@ def test_snapshot_table_rows_match_per_lookup_rows(name):
                 mask = env.active_mask(context)
                 want = view.handle.weights(context, mask).tobytes()
                 assert view.table[row].tobytes() == want, (row, context)
-                assert view.row(context, mask) == view.handle.weights(context, mask).tolist()
+                assert view.row(row, context, mask) == view.handle.weights(context, mask).tolist()
         versions.append(learner._snap_cur.handle.version)
 
     params = dataclasses.replace(calibrated_params(env.n_arms, env.horizon), eta=0.5)
     _play(env, _cross_learner(env, params, space, _EpochLog(check)))
     # the warm-up snapshot, then snapshots of several accumulator states
     assert versions[0] == 0 and len(set(versions)) > 5
+
+
+# The learner's exponent table against the softmax each round computed
+# before it: _ref_ftrl_weights(acc.eval_column(c), eta, mask) at every
+# context c of the space, after every add, on the real accumulators and on
+# the reference ones above.
+EXPONENT_SPECS = {
+    "tabular": {"kind": "tabular_synthetic", "C": 64, "K": 8},
+    "tabular_active": {"kind": "tabular_synthetic", "C": 4, "K": 3, "active": [
+        [1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]]},
+    "auction_atoms": {"kind": "auction", "K": 13, "values": {
+        "kind": "discrete", "atoms": [(i + 0.5) / 64 for i in range(64)],
+        "probs": [1.0] * 64}},
+    "sleeping_bernoulli": {"kind": "sleeping", "K": 6},
+    "sleeping_categorical": KNOWN_NU_CASES["sleeping_categorical"][1] | {"kind": "sleeping"},
+}
+
+
+@pytest.mark.parametrize("reference", [False, True], ids=["acc", "ref_acc"])
+@pytest.mark.parametrize("name", sorted(EXPONENT_SPECS))
+def test_exponent_rows_match_per_round_softmax_after_every_add(name, reference):
+    env = build_env(EXPONENT_SPECS[name], 64, RngStream(8, ENV_STREAM))
+    space, kind, K = env.context_space, env.acc_kind, env.n_arms
+    n_contexts = getattr(env, "n_contexts", None)
+    acc = (_ref_accumulator if reference else make_accumulator)(kind, K, n_contexts)
+    gen = np.random.default_rng(sorted(EXPONENT_SPECS).index(name) + 40 * reference)
+    eta = float(gen.uniform(0.05, 2.0))
+    table = learner_module._Exponents(acc, space, eta)
+    contexts = space.contexts.tolist()
+    rows = [c if space.rows is None else space.rows[c] for c in contexts]
+    masks = [env.active_mask(c) for c in contexts]
+    for step in range(60):
+        numbers = _random_numbers(kind, gen, n_contexts)
+        loss = (_ref_loss(kind, numbers, validate=False) if reference
+                else LinearLoss(PHI[kind], numbers, validate=False))
+        acc.add(int(gen.integers(K)), float(10.0 ** gen.uniform(-2, 2)), loss)
+        for i, c, mask in zip(rows, contexts, masks):
+            z, top = table.row(i)
+            want = _ref_ftrl_weights(acc.eval_column(c), eta, mask)
+            assert ftrl_weights(z, None, top).tobytes() == want.tobytes(), (step, c)
+        built = table.table
+        table.row(rows[0])
+        assert table.table is built  # no add, no rebuild
 
 
 @pytest.mark.parametrize("name", TABLE_ENVS)
@@ -1056,6 +1099,33 @@ def test_run_from_tables_matches_run_on_per_lookup_rows(name):
         assert got.tobytes() == want.tobytes()
     assert tabled.freq_estimate.tobytes() == per_lookup.freq_estimate.tobytes()
     assert tabled.acc.coef.tobytes() == per_lookup.acc.coef.tobytes()
+
+
+@pytest.mark.parametrize("name", TABLE_ENVS)
+def test_run_without_the_exponent_table_matches_run_with_it(name, monkeypatch):
+    env = ENVS[name]()
+    params = build_algo("crosslearn", env, env.horizon, 3, "calibrated").params
+    with_table = _cross_learner(env, params, env.context_space, _EpochLog())
+    # one context too many for an exponent table; the snapshot tables stay
+    monkeypatch.setattr(learner_module, "EXPONENT_TABLE_ROWS", len(env.context_space) - 1)
+    without = _cross_learner(env, params, env.context_space, _EpochLog())
+    assert with_table._exponents is not None and without._exponents is None
+    assert without._snap_cur.table is not None
+    arms = _play(env, with_table)
+    assert arms == _play(env, without)
+    assert with_table.fallback_count == without.fallback_count > 0
+    assert with_table.acc.coef.tobytes() == without.acc.coef.tobytes()
+    assert with_table.freq_estimate.tobytes() == without.freq_estimate.tobytes()
+
+
+def test_exponent_table_only_up_to_its_bound():
+    n = learner_module.EXPONENT_TABLE_ROWS
+    params = with_overrides(calibrated_params(3, 400), L=10, unsafe=True)
+    for n_contexts, tabled in ((n, True), (n + 1, False)):
+        env = TabularEnv.synthetic(n_contexts, 3, 400, RngStream(4, 0))
+        learner = _cross_learner(env, params, env.context_space)
+        assert learner._snap_cur.table is not None
+        assert (learner._exponents is not None) is tabled, n_contexts
 
 
 def test_space_larger_than_the_epoch_allows_serves_per_lookup_rows():
@@ -1085,7 +1155,7 @@ def test_space_larger_than_the_epoch_allows_serves_per_lookup_rows():
         view = learner._snap_cur
         mask = env.active_mask(context)
         assert view.table is None
-        assert view.row(context, mask) == view.handle.weights(context, mask).tolist()
+        assert view.row(None, context, mask) == view.handle.weights(context, mask).tolist()
         learner.step(context, lambda a: env.reveal(t, a))
 
 

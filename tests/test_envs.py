@@ -296,9 +296,30 @@ def test_sleeping_subset_distribution_exact():
     env = SleepingEnv.generate(4000, 3, RngStream(4, 0),
                                availability={"kind": "bernoulli", "probs": probs.tolist()})
     oracle = env.known_nu_oracle()
+    assert oracle is env.context_space
+    assert oracle.contexts.tolist() == masks.tolist()
+    assert oracle.weights.tobytes() == p.tobytes()
     counts = np.bincount(env.subsets, minlength=8)[1:]
     emp = counts / counts.sum()
     assert np.max(np.abs(emp - p)) < 0.03
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TabularEnv.synthetic(4, 3, 10, RngStream(1, 0)),
+    lambda: TabularEnv.synthetic(4, 3, 10, RngStream(1, 0), active=[
+        [1, 1, 1], [1, 0, 1], [0, 1, 1], [1, 1, 0]]),
+    lambda: TabularEnv.from_tensor(np.full((10, 3, 4), 0.5), np.ones(4), RngStream(1, 0)),
+    lambda: AuctionEnv.generate(10, RngStream(1, 0), n_arms=3),
+    lambda: SleepingEnv.generate(10, 3, RngStream(1, 0), availability={
+        "kind": "categorical", "subsets": [[0, 1, 2]], "probs": [1.0]}),
+], ids=["tabular", "tabular_active", "tabular_tensor", "auction", "sleeping"])
+def test_reveal_rejects_arms_outside_the_arm_range(make):
+    env = make()
+    K = env.n_arms
+    for t in range(env.horizon):
+        for arm in (-1, K):
+            with pytest.raises(EnvError, match="outside"):
+                env.reveal(t, arm)
 
 
 def test_sleeping_categorical_subsets():

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,8 @@ def test_worker_cap_env(monkeypatch):
         worker_cap()
     monkeypatch.delenv("CROSSLEARN_THREADS")
     assert worker_cap() >= 1
+    if hasattr(os, "sched_getaffinity"):
+        assert worker_cap() == len(os.sched_getaffinity(0))
 
 
 def test_cli_run_and_scaling(tmp_path, capsys):

@@ -21,8 +21,9 @@ from crosslearn.accumulator import LinearLoss, TabularAccumulator, make_accumula
 from crosslearn.harness import ALGO_STREAMS, ENV_STREAM, build_env
 from crosslearn.learner import (CrossLearner, LearnerObserver, Params, _sum_rows,
                                 bernoulli_param, calibrated_params, estimate_weight)
-from crosslearn.simplex import (BlockUniforms, ContextSpace, RngStream, ftrl_weights,
-                                sample_index)
+from crosslearn.simplex import BlockUniforms, ContextSpace, RngStream, sample_index
+
+from test_differential import _ref_ftrl_weights
 
 
 def _ref_select(p, s):
@@ -99,7 +100,7 @@ class _RefCrossLearner(CrossLearner):
                 self._end_epoch()
             return arm
         s = self._snap_cur.weights(context, mask)
-        p = ftrl_weights(self.acc.eval_column(context), self.params.eta, mask)
+        p = _ref_ftrl_weights(self.acc.eval_column(context), self.params.eta, mask)
         q, fb = _ref_select(p, s)
         arm = _ref_sample_index(q, gen)
         fn = reveal(arm)
@@ -282,6 +283,7 @@ def _set_state(learner, fallback):
         arm = int(np.argmax(s)) if fb else int(np.flatnonzero(s)[-1])
         coef[arm, c] += (20.0 if fb else 0.3) / learner.params.eta
     learner.acc.coef[...] = coef
+    learner.acc.version += 1  # the state moved, as an add would move it
 
 
 def _pair_outcomes(learner, nu, losses):
@@ -295,7 +297,7 @@ def _pair_outcomes(learner, nu, losses):
     for c in range(n_contexts):
         mask = learner._mask(c)
         sc = learner.snapshot_current.weights(c, mask)
-        pc = ftrl_weights(acc.eval_column(c), eta, mask)
+        pc = _ref_ftrl_weights(acc.eval_column(c), eta, mask)
         fb = not bool((pc >= 0.5 * sc).all())
         q.append(sc if fb else pc)
         s.append(sc)

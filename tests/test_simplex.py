@@ -14,14 +14,14 @@ from crosslearn.simplex import (
 
 
 def test_ftrl_uniform_on_zero_losses():
-    w = ftrl_weights(np.zeros(5), eta=0.3)
+    w = ftrl_weights(np.multiply(np.zeros(5), -0.3))
     assert np.allclose(w, 0.2)
 
 
 def test_ftrl_two_arm_example():
     # cum losses (0, ln2/eta) puts odds 2:1 on the first arm
     eta = 0.05
-    w = ftrl_weights(np.array([0.0, math.log(2.0) / eta]), eta)
+    w = ftrl_weights(np.multiply([0.0, math.log(2.0) / eta], -eta))
     assert np.allclose(w, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
 
 
@@ -29,8 +29,8 @@ def test_ftrl_shift_invariance():
     gen = np.random.default_rng(7)
     for _ in range(50):
         z = gen.normal(size=8) * gen.uniform(1, 100)
-        w1 = ftrl_weights(z, 0.17)
-        w2 = ftrl_weights(z + gen.uniform(-1e4, 1e4), 0.17)
+        w1 = ftrl_weights(np.multiply(z, -0.17))
+        w2 = ftrl_weights(np.multiply(z + gen.uniform(-1e4, 1e4), -0.17))
         assert np.max(np.abs(w1 - w2)) < 1e-12
 
 
@@ -40,7 +40,7 @@ def test_ftrl_sums_to_one_fuzz():
         n = int(gen.integers(2, 50))
         z = gen.uniform(-1e6, 1e6, n)
         eta = float(gen.uniform(1e-6, 2.0))
-        w = ftrl_weights(z, eta)
+        w = ftrl_weights(np.multiply(z, -eta))
         assert abs(w.sum() - 1.0) < 1e-12
         assert w.min() >= 0.0
 
@@ -50,16 +50,18 @@ def test_ftrl_monotone_in_loss():
     gen = np.random.default_rng(3)
     for _ in range(100):
         z = gen.uniform(0, 30, 6)
-        w = ftrl_weights(z, 0.4)
+        w = ftrl_weights(np.multiply(z, -0.4))
         order = np.argsort(z)
         assert np.all(np.diff(w[order]) <= 1e-15)
 
 
 def test_ftrl_mask_zeroes_inactive():
     mask = np.array([True, False, True, False])
-    w = ftrl_weights(np.array([1.0, 0.0, 2.0, 0.0]), 0.5, mask)
+    w = ftrl_weights(np.multiply([1.0, 0.0, 2.0, 0.0], -0.5), mask)
     assert w[1] == 0.0 and w[3] == 0.0
     assert abs(w.sum() - 1.0) < 1e-12
+    with pytest.raises(SimplexError):
+        ftrl_weights(np.zeros(4), np.zeros(4, dtype=bool))
 
 
 def test_ftrl_batch_matches_single():
@@ -69,7 +71,7 @@ def test_ftrl_batch_matches_single():
     masks[np.arange(40), gen.integers(0, 6, 40)] = True  # keep rows nonempty
     out = ftrl_weights_batch(z, 0.21, masks)
     for i in range(40):
-        assert np.allclose(out[i], ftrl_weights(z[i], 0.21, masks[i]), atol=1e-14)
+        assert np.allclose(out[i], ftrl_weights(np.multiply(z[i], -0.21), masks[i]), atol=1e-14)
 
 
 def test_sample_index_frequencies():

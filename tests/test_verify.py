@@ -5,6 +5,7 @@ import pytest
 
 from crosslearn import accumulator as accumulator_module
 from crosslearn import learner as learner_module
+from crosslearn import verify as verify_module
 from crosslearn.envs import AuctionEnv, SleepingEnv, TabularEnv
 from crosslearn.learner import tune_parameters
 from crosslearn.simplex import RngStream
@@ -136,3 +137,30 @@ def test_audit_summary_arithmetic():
     assert summary["good_fraction"] == pytest.approx(n_good / len(records))
     with pytest.raises(ValueError):
         audit_summary([])
+
+
+def _records_key(records):
+    return [(r.epoch, r.freq_true.tobytes(), r.freq_est.tobytes(), r.beta.tobytes(),
+             r.conc_ok, r.proxy_ok, r.fallback_rounds, r.rounds) for r in records]
+
+
+def test_tuned_audit_runs_its_seeds_on_a_pool_in_seed_order(monkeypatch):
+    calls = []
+    pooled = verify_module.map_tasks
+
+    def recording(fn, tasks, workers):
+        calls.append(workers)
+        return pooled(fn, tasks, workers)
+
+    monkeypatch.setattr(verify_module, "map_tasks", recording)
+    monkeypatch.setenv("CROSSLEARN_THREADS", "2")
+    shape = dict(n_contexts=8, n_arms=4, horizon=1024)
+    summary = verify_module.tuned_synthetic_audit(n_seeds=3, **shape)
+    assert calls == [3]  # one worker per seed, before the cap of 2
+    params = tune_parameters(4, 1024)
+    serial = [audit_run(TabularEnv.synthetic(8, 4, 1024, RngStream(seed, 0)), params, seed)
+              for seed in range(3)]
+    tasks = [(seed, params, 8, 4, 1024, 0.7, 0.15) for seed in range(3)]
+    assert [_records_key(r) for r in pooled(verify_module._audit_seed, tasks, 2)] == \
+        [_records_key(r) for r in serial]
+    assert summary == audit_summary([r for records in serial for r in records])
