@@ -319,12 +319,22 @@ def write_csv(results, path, timing=False):
 
 
 def load_results_csv(path):
+    """The rows of a results CSV as dicts of strings; ConfigError on an
+    empty file, a wrong header or a row with the wrong number of fields."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ConfigError("empty results file")
         if header != CSV_HEADER:
             raise ConfigError(f"unexpected CSV header {header!r}")
-        return [dict(zip(header, row)) for row in reader]
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise ConfigError(f"line {reader.line_num}: expected {len(header)} "
+                                  f"fields, got {len(row)}")
+            rows.append(dict(zip(header, row)))
+        return rows
 
 
 @dataclass
@@ -382,10 +392,13 @@ def scaling_report(rows, algo=None):
     for row in rows:
         if algo is not None and row["algo"] != algo:
             continue
-        if int(row["checkpoint"]) != int(row["T"]):
-            continue
-        key = (row["algo"], int(row["T"]))
-        final.setdefault(key, []).append(float(row["cum_regret"]))
+        try:
+            horizon, checkpoint = int(row["T"]), int(row["checkpoint"])
+            regret = float(row["cum_regret"])
+        except ValueError as err:
+            raise ConfigError(f"malformed results row {row!r}: {err}") from err
+        if checkpoint == horizon:
+            final.setdefault((row["algo"], horizon), []).append(regret)
     report = {}
     for name in sorted({k[0] for k in final}):
         points = []
@@ -438,6 +451,16 @@ def _cmd_scaling(args):
     return 0
 
 
+def _int_at_least(low):
+    """argparse type: an integer >= low."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+    return integer
+
+
 def _cmd_verify(args):
     from .verify import run_verify
 
@@ -459,8 +482,9 @@ def main(argv=None):
 
     p_ver = sub.add_parser("verify", help="run the verification suite")
     p_ver.add_argument("--quick", action="store_true")
-    p_ver.add_argument("--seeds", type=int, default=100)
-    p_ver.add_argument("--trials", type=int, default=100000)
+    p_ver.add_argument("--seeds", type=_int_at_least(1), default=100)
+    # the lemma checks need two trials for a sample standard deviation
+    p_ver.add_argument("--trials", type=_int_at_least(2), default=100000)
     p_ver.set_defaults(func=_cmd_verify)
 
     p_sc = sub.add_parser("scaling", help="fit regret scaling from a results CSV")

@@ -208,19 +208,15 @@ def with_overrides(params, eta=None, gamma=None, L=None, unsafe=False):
     return out
 
 
-def select_sampling_distribution(p, s, mask=None):
+def select_sampling_distribution(p, s):
     """Rejection fallback: returns (q, fallback) with q = p when p >= s/2
-    on every active arm (ties count as no fallback), else q = s. FTRL
-    distributions are exactly zero off their active set, so for them the
-    test without a mask decides the same as the masked one.
+    on every arm (ties count as no fallback), else q = s. FTRL
+    distributions are exactly zero off their active set, so the test over
+    every arm decides the same as one over the active set.
 
-    Without a mask p and s may be any sequences of floats; on lists the
-    test runs on Python floats, the same multiply and compare as numpy's.
-    A mask needs arrays."""
-    if mask is None:
-        ok = all(map(ge, p, map(mul, repeat(0.5), s)))
-    else:
-        ok = bool((p[mask] >= 0.5 * s[mask]).all())
+    p and s may be any sequences of floats; on lists the test runs on
+    Python floats, the same multiply and compare as numpy's."""
+    ok = all(map(ge, p, map(mul, repeat(0.5), s)))
     return (p, False) if ok else (s, True)
 
 
@@ -241,28 +237,6 @@ def bernoulli_param(s_val, q_val):
 def estimate_weight(freq_k, gamma):
     """Importance weight 2/(freq + 1.5*gamma) of a subsampled loss."""
     return 2.0 / (freq_k + 1.5 * gamma)
-
-
-class LearnerObserver:
-    """No-op hooks that watch a CrossLearner run; subclass and override.
-
-    epoch_started(learner, epoch) fires at construction (epoch 1) and after
-    each epoch advance; round_played(learner, fallback) after every round's
-    draw, fallback True when the round played the snapshot; and
-    estimate_recorded(learner, arm, loss_fn) for each kept loss sample,
-    after loss_fn (arm's revealed loss) was added to the accumulator.
-    In the last two, learner.t and learner.epoch are the firing round's.
-    crosslearn.verify builds its per-epoch audit on these hooks.
-    """
-
-    def epoch_started(self, learner, epoch):
-        pass
-
-    def round_played(self, learner, fallback):
-        pass
-
-    def estimate_recorded(self, learner, arm, loss_fn):
-        pass
 
 
 def check_space_masks(space, mask, n_arms):
@@ -360,8 +334,12 @@ class CrossLearner:
     round at one of its contexts reads its rows and calls ftrl_weights only
     to subtract, exponentiate and normalise. Elsewhere a round evaluates
     the accumulator at its context.
-    observer: a LearnerObserver whose hooks watch the run, or None.
     reveal passed to step: callable arm -> LinearLoss of the played arm.
+
+    A run is watched by reading the learner between steps: t, epoch,
+    fallback_count, freq_estimate, the snapshots and their table, and
+    last_kept, the (arm, loss_fn) of the latest loss sample added to the
+    accumulator (None before the first); acc.version counts those samples.
 
     After the FTRL softmax a round works on Python floats: the play and
     snapshot distributions are lists. A frequency sample read from the
@@ -370,7 +348,7 @@ class CrossLearner:
     read from params once, at construction.
     """
 
-    def __init__(self, params, accumulator, rng, active=None, observer=None, space=None):
+    def __init__(self, params, accumulator, rng, active=None, space=None):
         params.validate_structure()
         self.params = params
         self.acc = accumulator
@@ -392,7 +370,7 @@ class CrossLearner:
         self._exponents = None if space is None or len(space) > EXPONENT_TABLE_ROWS \
             else _Exponents(accumulator, space, self._eta)
         self.fallback_count = 0
-        self.observer = observer
+        self.last_kept = None
         self._t = 0
         self._epoch = 1
         self._paired_end = params.horizon - params.horizon % params.epoch_len
@@ -404,8 +382,6 @@ class CrossLearner:
         self._snap_next = self._view(snapshot(accumulator, self._eta))
         self._snap_pending = None
         self._pending = None
-        if observer is not None:
-            observer.epoch_started(self, 1)
 
     def _view(self, handle):
         return _SnapView(handle, self._space)
@@ -473,8 +449,6 @@ class CrossLearner:
         self._freq = self._freq_next.tolist()
         self._freq_next = np.zeros(self.params.n_arms)
         self._epoch += 1
-        if self.observer is not None:
-            self.observer.epoch_started(self, self._epoch)
 
     def step(self, context, reveal, t=None):
         """Play one round and return the chosen arm.
@@ -501,8 +475,6 @@ class CrossLearner:
             arm = sample_index(self._snap_cur.row(i, context, mask), gen)
             reveal(arm)
             self._add_freq(i, context, mask)
-            if self.observer is not None:
-                self.observer.round_played(self, False)
             if t_next == L:
                 self._end_epoch()
             return arm
@@ -517,8 +489,6 @@ class CrossLearner:
         arm = sample_index(q, gen)
         fn = reveal(arm)
         self.fallback_count += fb
-        if self.observer is not None:
-            self.observer.round_played(self, fb)
         # past the last full epoch (a horizon that L does not divide) play
         # on without estimates, from the state frozen at the last boundary
         if t_next > self._paired_end:
@@ -541,8 +511,7 @@ class CrossLearner:
             al, ql, sl, fnl = a1, q1, s1, fn1
         if gen.random() < bernoulli_param(sl, ql):
             self.acc.add(al, estimate_weight(self._freq[al], self._gamma), fnl)
-            if self.observer is not None:
-                self.observer.estimate_recorded(self, al, fnl)
+            self.last_kept = (al, fnl)
         if pos == L - 1:
             self._end_epoch()
         return arm

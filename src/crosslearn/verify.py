@@ -9,10 +9,11 @@ Three families of checks:
   sum_{i=floor(k/16)}^{floor(k/4)} (i+1) * exp(-i) /
       (max(0, 1 - 2*sqrt((i+1)/k)) + 16/(k+1)),
   which must stay <= 2 for k >= 16;
-* audit_run: instruments a live learner and reports, per epoch, the exact
-  observation frequencies f = E_nu[s_e(c, .)]/2, the learner's estimate,
-  the weight ratio beta = (f + gamma)/(fhat + 1.5*gamma), the frequency
-  concentration event, and a bound on the accumulated estimate magnitudes.
+* audit_run: plays a learner, reads its state after every round, and
+  reports, per epoch, the exact observation frequencies
+  f = E_nu[s_e(c, .)]/2, the learner's estimate, the weight ratio
+  beta = (f + gamma)/(fhat + 1.5*gamma), the frequency concentration
+  event, and a bound on the accumulated estimate magnitudes.
 
 The audit events (named conc/proxy here) mirror the concentration analysis:
 an epoch is "good" when both hold, and on good epochs beta must lie in
@@ -29,7 +30,7 @@ import numpy as np
 from .accumulator import make_accumulator
 from .envs import TabularEnv
 from .harness import ENV_STREAM, ALGO_STREAMS, map_tasks
-from .learner import CrossLearner, LearnerObserver, tune_parameters
+from .learner import CrossLearner, tune_parameters
 from .simplex import RngStream
 
 # samples of t draws averaged at once by inverse_mean_bound_check
@@ -126,20 +127,23 @@ class EpochAudit:
     rounds: int
 
 
-class _AuditObserver(LearnerObserver):
-    """Closes an EpochAudit each time the learner advances an epoch. An
-    epoch's rounds are the rounds the learner played since it opened, and
-    its fallback rounds are tallied as they are played."""
+class _AuditObserver:
+    """Closes an EpochAudit each time the learner advances an epoch.
+    round_played, called after every round, hands a loss sample the round
+    kept (acc.version moved) to estimate_recorded, then an epoch the round
+    started to epoch_started. An epoch's rounds and fallback rounds are how
+    far learner.t and learner.fallback_count moved while it was open.
+    The class and method names stay because perfbench/layers.py wraps
+    them by name."""
 
     def __init__(self, env, params, acc):
-        self.env = env
         self.params = params
         self.records = []
         self._open = None
-        self._t0 = 0  # learner.t when the open epoch started
-        self._fallbacks = 0
         self._space = env.known_nu_oracle()
         self._acc = acc  # the learner's accumulator; its class is the loss phi
+        self._version = acc.version
+        self._epoch = 1  # the learner's epoch after the last round seen
 
     def _freq_true(self, learner):
         space = self._space
@@ -149,10 +153,16 @@ class _AuditObserver(LearnerObserver):
             table = learner.snapshot_current.weights_batch(space.index, space.masks)
         return 0.5 * (space.weights @ table)
 
+    def round_played(self, learner):
+        if self._acc.version != self._version:
+            self._version = self._acc.version
+            self.estimate_recorded(*learner.last_kept)
+        if learner.epoch != self._epoch:
+            self._epoch = learner.epoch
+            self.epoch_started(learner, self._epoch)
+
     def epoch_started(self, learner, epoch):
         self._close(learner)
-        if epoch < 2:
-            return
         params = self.params
         f = self._freq_true(learner)
         fhat = learner.freq_estimate
@@ -160,16 +170,18 @@ class _AuditObserver(LearnerObserver):
         dev = np.abs(fhat - f)
         bound = 2.0 * np.maximum(np.sqrt(f * params.conf / params.epoch_len),
                                  params.conf / params.epoch_len)
-        self._t0 = learner.t
-        self._fallbacks = 0
         self._open = {
             "epoch": epoch, "freq_true": f, "freq_est": fhat, "beta": beta,
             "conc_ok": bool((dev <= bound).all()),
+            "t0": learner.t, "fallbacks0": learner.fallback_count,
             # per arm, the weight 2/(f + gamma) of a kept loss row
             "scales": (2.0 / (f + params.gamma)).tolist(),
             # per arm, the sum of scaled loss rows
             "proxy": np.zeros_like(self._acc.coef),
         }
+
+    def estimate_recorded(self, arm, loss_fn):
+        self._open["proxy"][arm] += self._open["scales"][arm] * loss_fn.coef
 
     def _close(self, learner):
         """Record the open epoch, if any, as ending at learner.t."""
@@ -182,29 +194,22 @@ class _AuditObserver(LearnerObserver):
             epoch=o["epoch"], freq_true=o["freq_true"], freq_est=o["freq_est"],
             beta=o["beta"], conc_ok=o["conc_ok"],
             proxy_ok=float(self._acc.upper(o["proxy"]).max()) <= limit,
-            fallback_rounds=int(self._fallbacks), rounds=learner.t - self._t0))
-
-    def round_played(self, learner, fallback):
-        self._fallbacks += fallback
-
-    def estimate_recorded(self, learner, arm, loss_fn):
-        if self._open is not None:
-            self._open["proxy"][arm] += self._open["scales"][arm] * loss_fn.coef
+            fallback_rounds=learner.fallback_count - o["fallbacks0"],
+            rounds=learner.t - o["t0"]))
 
 
 def audit_run(env, params, seed):
     """Run the cross-learner on env under audit; returns per-epoch records."""
     acc = make_accumulator(env.acc_kind, env.n_arms,
                            getattr(env, "n_contexts", None))
-    observer = _AuditObserver(env, params, acc)
     learner = CrossLearner(params, acc, RngStream(seed, ALGO_STREAMS["crosslearn"]),
-                           active=env.active, observer=observer,
-                           space=env.context_space)
+                           active=env.active, space=env.context_space)
+    audit = _AuditObserver(env, params, acc)
     for t in range(env.horizon):
-        context = env.context(t)
-        learner.step(context, lambda a: env.reveal(t, a))
-    observer._close(learner)  # flush the final epoch if the run ended mid-epoch
-    return observer.records
+        learner.step(env.context(t), lambda a: env.reveal(t, a))
+        audit.round_played(learner)
+    audit._close(learner)  # flush the final epoch if the run ended mid-epoch
+    return audit.records
 
 
 def audit_summary(all_records):

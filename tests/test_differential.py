@@ -44,8 +44,8 @@ from crosslearn.harness import (
     checkpoint_schedule,
     run_single,
 )
-from crosslearn.learner import (TABLE_ROWS_PER_ROUND, CrossLearner, LearnerObserver,
-                                ParamError, calibrated_params, with_overrides)
+from crosslearn.learner import (TABLE_ROWS_PER_ROUND, CrossLearner, ParamError,
+                                calibrated_params, with_overrides)
 from crosslearn.simplex import (
     UNIFORM_BLOCK,
     BlockUniforms,
@@ -485,12 +485,9 @@ def test_known_nu_rejects_a_space_without_the_active_masks():
     KnownNuLearner(env.n_arms, acc, space, 0.1, RngStream(6, 2), active=env.active)
 
 
-def _ref_select(p, s, mask=None):
+def _ref_select(p, s, mask):
     """select_sampling_distribution with the masked test, as it was."""
-    if mask is None:
-        ok = bool((p >= 0.5 * s).all())
-    else:
-        ok = bool((p[mask] >= 0.5 * s[mask]).all())
+    ok = bool((p[mask] >= 0.5 * s[mask]).all())
     return (p, False) if ok else (s, True)
 
 
@@ -511,14 +508,11 @@ def test_unmasked_fallback_matches_masked_test(name, monkeypatch):
     decisions = []
     select = learner_module.select_sampling_distribution
 
-    def checked(p, s, mask=None):
-        assert mask is None
+    def checked(p, s):
         got = select(p, s)
         # the learner passes lists; the masked test needs arrays
-        pa, sa = np.array(p), np.array(s)
-        want = _ref_select(pa, sa, mask_now[-1])
+        want = _ref_select(np.array(p), np.array(s), mask_now[-1])
         assert got[1] == want[1] and got[0] is (s if want[1] else p)
-        assert select(pa, sa, mask_now[-1])[1] == got[1]
         decisions.append(got[1])
         return got
 
@@ -844,9 +838,9 @@ def test_loss_range_check_matches_reference(kind):
     assert 0 < refused < 3000
 
 
-class _RefAuditObserver(verify_module.LearnerObserver):
-    """The audit observer with its kind switches and per-kind proxy sums;
-    it also keeps the proxy maximum of every closed epoch."""
+class _RefAudit:
+    """The audit with its kind switches, per-kind proxy sums and per-round
+    tallies; it also keeps the proxy maximum of every closed epoch."""
 
     def __init__(self, env, params):
         self.env, self.params = env, params
@@ -905,12 +899,12 @@ class _RefAuditObserver(verify_module.LearnerObserver):
             proxy_ok=self._proxy_max(o["proxy"]) <= limit,
             fallback_rounds=o["fallback_rounds"], rounds=o["rounds"]))
 
-    def round_played(self, learner, fallback):
-        if self._open is not None and learner.epoch == self._open["epoch"]:
+    def round_played(self, fallback):
+        if self._open is not None:
             self._open["rounds"] += 1
             self._open["fallback_rounds"] += bool(fallback)
 
-    def estimate_recorded(self, learner, arm, loss_fn):
+    def estimate_recorded(self, arm, loss_fn):
         if self._open is None:
             return
         scale = 2.0 / (self._open["freq_true"][arm] + self.params.gamma)
@@ -960,20 +954,26 @@ def test_audit_records_match_reference(case, monkeypatch):
     got = verify_module.audit_run(env, params, seed)
 
     monkeypatch.setattr(learner_module, "snapshot", _ref_snapshot)
-    observer = _RefAuditObserver(env, params)
+    audit = _RefAudit(env, params)
     active = env.active if env.kind == "tabular" else (
         None if env.kind == "auction" else env.active_mask)
     ref_acc = _ref_accumulator(env.acc_kind, env.n_arms, getattr(env, "n_contexts", None))
     ref = CrossLearner(params, ref_acc, RngStream(seed, ALGO_STREAMS["crosslearn"]),
-                       active=active, observer=observer)
+                       active=active)
     for t in range(horizon):
         context = env.context(t)
+        fallbacks, version, epoch = ref.fallback_count, ref_acc.version, ref.epoch
         ref.step(context, lambda a: _ref_reveal(env, t, a))
-    observer._close(None)
+        audit.round_played(ref.fallback_count - fallbacks)
+        if ref_acc.version != version:
+            audit.estimate_recorded(*ref.last_kept)
+        if ref.epoch != epoch:
+            audit.epoch_started(ref, ref.epoch)
+    audit._close(None)
 
-    want = observer.records
+    want = audit.records
     assert len(got) == len(want) > 5
-    assert maxima == observer.proxy_maxima
+    assert maxima == audit.proxy_maxima
     assert len(set(maxima)) > 1  # the proxies moved
     for g, w in zip(got, want):
         for field in ("epoch", "conc_ok", "proxy_ok", "fallback_rounds", "rounds"):
@@ -988,31 +988,24 @@ TABLE_ENVS = ("tabular", "tabular_active", "auction_atoms", "sleeping_bernoulli"
               "sleeping_categorical")
 
 
-class _EpochLog(LearnerObserver):
-    """Runs `check(learner)` and keeps a copy of the frequency estimate at
-    the start of every epoch."""
-
-    def __init__(self, check=None):
-        self.check = check
-        self.freq = []
-
-    def epoch_started(self, learner, epoch):
-        self.freq.append(learner.freq_estimate)
-        if self.check is not None:
-            self.check(learner)
-
-
-def _cross_learner(env, params, space, observer=None):
+def _cross_learner(env, params, space):
     acc = make_accumulator(env.acc_kind, env.n_arms, getattr(env, "n_contexts", None))
     return CrossLearner(params, acc, RngStream(3, ALGO_STREAMS["crosslearn"]),
-                        active=env.active, observer=observer, space=space)
+                        active=env.active, space=space)
 
 
-def _play(env, learner):
+def _play(env, learner, at_epoch_start=None):
+    """The arms the learner plays over env's horizon. at_epoch_start(learner)
+    runs before the first round and after each round that starts an epoch."""
     arms = []
+    if at_epoch_start is not None:
+        at_epoch_start(learner)
     for t in range(env.horizon):
         context = env.context(t)
+        epoch = learner.epoch
         arms.append(learner.step(context, lambda a: env.reveal(t, a)))
+        if at_epoch_start is not None and learner.epoch != epoch:
+            at_epoch_start(learner)
     return arms
 
 
@@ -1034,7 +1027,7 @@ def test_snapshot_table_rows_match_per_lookup_rows(name):
         versions.append(learner._snap_cur.handle.version)
 
     params = dataclasses.replace(calibrated_params(env.n_arms, env.horizon), eta=0.5)
-    _play(env, _cross_learner(env, params, space, _EpochLog(check)))
+    _play(env, _cross_learner(env, params, space), check)
     # the warm-up snapshot, then snapshots of several accumulator states
     assert versions[0] == 0 and len(set(versions)) > 5
 
@@ -1087,15 +1080,16 @@ def test_run_from_tables_matches_run_on_per_lookup_rows(name):
     env = ENVS[name]()
     built = build_algo("crosslearn", env, env.horizon, 3, "calibrated")
     assert built._space is env.context_space
-    tabled = _cross_learner(env, built.params, env.context_space, _EpochLog())
-    per_lookup = _cross_learner(env, built.params, None, _EpochLog())
+    tabled = _cross_learner(env, built.params, env.context_space)
+    per_lookup = _cross_learner(env, built.params, None)
     assert tabled._snap_cur.table is not None and per_lookup._snap_cur.table is None
-    arms = _play(env, tabled)
-    assert arms == _play(env, per_lookup)
+    tabled_freq, per_lookup_freq = [], []
+    arms = _play(env, tabled, lambda lrn: tabled_freq.append(lrn.freq_estimate))
+    assert arms == _play(env, per_lookup, lambda lrn: per_lookup_freq.append(lrn.freq_estimate))
     assert len(set(arms)) == env.n_arms
     assert tabled.fallback_count == per_lookup.fallback_count > 0
-    assert len(tabled.observer.freq) == len(per_lookup.observer.freq) > 5
-    for got, want in zip(tabled.observer.freq, per_lookup.observer.freq):
+    assert len(tabled_freq) == len(per_lookup_freq) > 5
+    for got, want in zip(tabled_freq, per_lookup_freq):
         assert got.tobytes() == want.tobytes()
     assert tabled.freq_estimate.tobytes() == per_lookup.freq_estimate.tobytes()
     assert tabled.acc.coef.tobytes() == per_lookup.acc.coef.tobytes()
@@ -1105,10 +1099,10 @@ def test_run_from_tables_matches_run_on_per_lookup_rows(name):
 def test_run_without_the_exponent_table_matches_run_with_it(name, monkeypatch):
     env = ENVS[name]()
     params = build_algo("crosslearn", env, env.horizon, 3, "calibrated").params
-    with_table = _cross_learner(env, params, env.context_space, _EpochLog())
+    with_table = _cross_learner(env, params, env.context_space)
     # one context too many for an exponent table; the snapshot tables stay
     monkeypatch.setattr(learner_module, "EXPONENT_TABLE_ROWS", len(env.context_space) - 1)
-    without = _cross_learner(env, params, env.context_space, _EpochLog())
+    without = _cross_learner(env, params, env.context_space)
     assert with_table._exponents is not None and without._exponents is None
     assert without._snap_cur.table is not None
     arms = _play(env, with_table)
@@ -1164,8 +1158,7 @@ def test_continuous_values_serve_per_lookup_rows():
     assert env.context_space is None
     learner = build_algo("crosslearn", env, env.horizon, 3, "calibrated")
     views = []
-    learner.observer = _EpochLog(lambda lrn: views.extend((lrn._snap_cur, lrn._snap_next)))
-    _play(env, learner)
+    _play(env, learner, lambda lrn: views.extend((lrn._snap_cur, lrn._snap_next)))
     assert len(views) > 10 and all(view.table is None for view in views)
 
 

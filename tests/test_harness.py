@@ -205,6 +205,20 @@ def test_cli_run_and_scaling(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.json")]) == 1
 
 
+@pytest.mark.parametrize("text, match", [
+    ("", "empty results file"),
+    (",".join(CSV_HEADER) + "\n0,0,crosslearn,tabular,64\n", "line 2: expected 9 fields, got 5"),
+    (",".join(CSV_HEADER) + "\n0,0,crosslearn,tabular,64,64,lots,3,0\n",
+     "malformed results row"),
+], ids=["empty", "short_row", "non_numeric_regret"])
+def test_cli_scaling_reports_malformed_csv(tmp_path, capsys, text, match):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    assert main(["scaling", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and match in err
+
+
 def test_run_single_auction_and_sleeping():
     # non-tabular env kinds run end to end through the same entry point
     res = run_single({"kind": "auction"}, "crosslearn", 256, 0,

@@ -14,7 +14,6 @@ from crosslearn.accumulator import (
 )
 from crosslearn.learner import (
     CrossLearner,
-    LearnerObserver,
     OutOfOrderError,
     bernoulli_param,
     calibrated_params,
@@ -48,17 +47,6 @@ def test_select_sampling_distribution():
     p_tie = np.array([0.25, 0.45, 0.3])
     q, fb = select_sampling_distribution(p_tie, s)
     assert q is p_tie and fb is False
-
-
-def test_select_sampling_distribution_masked():
-    s = np.array([0.5, 0.0, 0.5])
-    p = np.array([0.2, 0.0, 0.8])  # violates only at arm 0, which is active
-    mask = np.array([True, False, True])
-    q, fb = select_sampling_distribution(p, s, mask)
-    assert fb is True
-    mask_only_2 = np.array([False, False, True])
-    q, fb = select_sampling_distribution(p, s, mask_only_2)
-    assert fb is False
 
 
 def test_bernoulli_param_bounds():
@@ -103,25 +91,20 @@ def test_roles_partition_rounds(monkeypatch):
         tested.append(learner.t)
         return bernoulli_param(s_val, q_val)
 
-    class FreqSums(LearnerObserver):
-        def __init__(self):
-            self.sums = []
-
-        def epoch_started(self, learner, epoch):
-            if epoch > 1:
-                self.sums.append(learner.freq_estimate.sum())
-
     monkeypatch.setattr(learner_module, "bernoulli_param", logged)
-    sums = FreqSums()
-    learner = CrossLearner(params, acc, RngStream(3, 1), observer=sums)
+    learner = CrossLearner(params, acc, RngStream(3, 1))
     reveal = _const_env_step([0.4, 0.6])
+    sums = []
     for t in range(107):
+        epoch = learner.epoch
         learner.step(t % 2, reveal)
+        if learner.epoch != epoch:
+            sums.append(learner.freq_estimate.sum())
     # five full epochs cover rounds 1..100; the leftover 7 rounds follow
     assert tested == list(range(22, 101, 2))
     # the warm-up adds L rows over 2L, a paired epoch L/2 rows over L
-    assert len(sums.sums) == 5
-    assert np.allclose(sums.sums, 0.5, rtol=0, atol=1e-12)
+    assert len(sums) == 5
+    assert np.allclose(sums, 0.5, rtol=0, atol=1e-12)
 
 
 def test_out_of_order_and_horizon_exhaustion():
@@ -270,50 +253,40 @@ def test_loss_round_subsampling_feeds_accumulator(monkeypatch):
         offered.append(learner.t)
         return bernoulli_param(s_val, q_val)
 
-    class CountKept(LearnerObserver):
-        kept = 0
-
-        def estimate_recorded(self, learner, arm, loss_fn):
-            self.kept += 1
-
     monkeypatch.setattr(learner_module, "bernoulli_param", logged)
-    counter = CountKept()
-    learner = CrossLearner(params, acc, RngStream(6, 1), observer=counter)
+    learner = CrossLearner(params, acc, RngStream(6, 1))
     reveal = _const_env_step([0.5, 0.5])
+    kept = 0
     for t in range(400):
+        last = learner.last_kept
         learner.step(t % 2, reveal)
+        kept += learner.last_kept is not last
     # one keep test per pair of epochs 2..20
     assert len(offered) == 190
     assert 0 < acc.version < len(offered), "subsampling never dropped a round (expected about half)"
-    assert counter.kept == acc.version
+    assert kept == acc.version
 
 
-def test_observer_sees_epochs_and_estimates():
-    class Capture(LearnerObserver):
-        def __init__(self):
-            self.epochs = []
-            self.estimates = 0
-            self.rounds = 0
-
-        def epoch_started(self, learner, epoch):
-            self.epochs.append((epoch, learner.t))
-
-        def round_played(self, learner, fallback):
-            self.rounds += 1
-
-        def estimate_recorded(self, learner, arm, loss_fn):
-            self.estimates += 1
-
+def test_learner_state_shows_epochs_and_kept_samples():
     params = _small_params(horizon=100, L=20)
     acc = make_accumulator(TABULAR, 3, 2)
-    cap = Capture()
-    learner = CrossLearner(params, acc, RngStream(7, 1), observer=cap)
-    reveal = _const_env_step([0.5, 0.5])
+    learner = CrossLearner(params, acc, RngStream(7, 1))
+    losses = [LinearLoss(TabularAccumulator, np.array([0.1 * k, 0.5])) for k in range(3)]
+    epochs = [(learner.epoch, learner.t)]
+    kept = []
+    assert learner.last_kept is None
     for t in range(100):
-        learner.step(t % 2, reveal)
-    assert cap.epochs == [(1, 0), (2, 20), (3, 40), (4, 60), (5, 80), (6, 100)]
-    assert cap.rounds == 100
-    assert cap.estimates == acc.version
+        version = acc.version
+        learner.step(t % 2, losses.__getitem__)
+        if acc.version != version:
+            k, fn = learner.last_kept
+            assert fn is losses[k]
+            kept.append(k)
+        if learner.epoch != epochs[-1][0]:
+            epochs.append((learner.epoch, learner.t))
+    assert epochs == [(1, 0), (2, 20), (3, 40), (4, 60), (5, 80), (6, 100)]
+    assert 0 < len(kept) == acc.version
+    assert set(kept) == {0, 1, 2}
 
 
 def test_snapshot_two_epoch_lag():

@@ -4,10 +4,11 @@
   the sampler on lists, frequency samples summed when the epoch ends)
   against a reference copy of the round on numpy vectors, with a
   frequency `+=` per pair: every comparison is exact.
-* An exact check of one pair through the real CrossLearner.step: every
-  outcome of the pair is enumerated with scripted uniforms, and the laws
-  of the added arm, the frequency sample and the added coefficients are
-  compared with the paper's expectations to 1e-12.
+* An exact check of one pair through the real CrossLearner.step, at the
+  end of an epoch and at its start: every outcome of the pair is
+  enumerated with scripted uniforms, and the laws of the added arm, the
+  frequency sample and the added coefficients are compared with the
+  paper's expectations to 1e-12.
 """
 
 import copy
@@ -19,8 +20,8 @@ import pytest
 
 from crosslearn.accumulator import LinearLoss, TabularAccumulator, make_accumulator, snapshot
 from crosslearn.harness import ALGO_STREAMS, ENV_STREAM, build_env
-from crosslearn.learner import (CrossLearner, LearnerObserver, Params, _sum_rows,
-                                bernoulli_param, calibrated_params, estimate_weight)
+from crosslearn.learner import (CrossLearner, Params, _sum_rows, bernoulli_param,
+                                calibrated_params, estimate_weight)
 from crosslearn.simplex import BlockUniforms, ContextSpace, RngStream, sample_index
 
 from test_differential import _ref_ftrl_weights
@@ -81,8 +82,6 @@ class _RefCrossLearner(CrossLearner):
         self._freq = self._freq_next
         self._freq_next = np.zeros(self.params.n_arms)
         self._epoch += 1
-        if self.observer is not None:
-            self.observer.epoch_started(self, self._epoch)
 
     def step(self, context, reveal, t=None):
         t_next = self._t + 1
@@ -94,8 +93,6 @@ class _RefCrossLearner(CrossLearner):
             arm = _ref_sample_index(self._snap_cur.weights(context, mask), gen)
             reveal(arm)
             self._freq_next += self._snap_next.weights(context, mask) / (2.0 * L)
-            if self.observer is not None:
-                self.observer.round_played(self, False)
             if t_next == L:
                 self._end_epoch()
             return arm
@@ -105,8 +102,6 @@ class _RefCrossLearner(CrossLearner):
         arm = _ref_sample_index(q, gen)
         fn = reveal(arm)
         self.fallback_count += fb
-        if self.observer is not None:
-            self.observer.round_played(self, fb)
         if t_next > self._paired_end:
             return arm
         pos = (t_next - 1) % L
@@ -127,23 +122,9 @@ class _RefCrossLearner(CrossLearner):
         if gen.random() < bernoulli_param(sl, ql):
             w = estimate_weight(self._freq[al], self.params.gamma)
             self.acc.add(al, w, fnl)
-            if self.observer is not None:
-                self.observer.estimate_recorded(self, al, fnl)
         if pos == L - 1:
             self._end_epoch()
         return arm
-
-
-class _EpochLog(LearnerObserver):
-    def __init__(self):
-        self.freq = []
-        self.fallbacks = 0
-
-    def epoch_started(self, learner, epoch):
-        self.freq.append(learner.freq_estimate.tobytes())
-
-    def round_played(self, learner, fallback):
-        self.fallbacks += fallback
 
 
 # (spec, horizon); no horizon is a multiple of its epoch length
@@ -178,20 +159,26 @@ def test_round_on_floats_matches_round_on_arrays(name):
     def learner(cls):
         acc = make_accumulator(env.acc_kind, env.n_arms, getattr(env, "n_contexts", None))
         return cls(params, acc, RngStream(4, ALGO_STREAMS["crosslearn"]), active=env.active,
-                   observer=_EpochLog(), space=env.context_space)
+                   space=env.context_space)
 
     new, ref = learner(CrossLearner), learner(_RefCrossLearner)
     assert (new._snap_cur.table is None) == (name in PER_LOOKUP)
     arms = []
+    # the frequency estimate at the start of every epoch
+    new_freq, ref_freq = [new.freq_estimate.tobytes()], [ref.freq_estimate.tobytes()]
     for t in range(horizon):
         context = env.context(t)
+        epoch = new.epoch
         arms.append(new.step(context, lambda a: env.reveal(t, a)))
         assert arms[-1] == ref.step(context, lambda a: env.reveal(t, a)), t
+        assert new.epoch == ref.epoch
+        if new.epoch != epoch:
+            new_freq.append(new.freq_estimate.tobytes())
+            ref_freq.append(ref.freq_estimate.tobytes())
     assert len(set(arms)) == env.n_arms
     assert 0 < new.fallback_count == ref.fallback_count < horizon - params.epoch_len
-    assert new.observer.fallbacks == ref.observer.fallbacks == new.fallback_count
-    assert len(new.observer.freq) == 1 + horizon // params.epoch_len
-    assert new.observer.freq == ref.observer.freq
+    assert len(new_freq) == 1 + horizon // params.epoch_len
+    assert new_freq == ref_freq
     assert new.freq_estimate.tobytes() == ref.freq_estimate.tobytes()
     assert new.acc.coef.tobytes() == ref.acc.coef.tobytes()
     assert new.acc._comp.tobytes() == ref.acc._comp.tobytes()
@@ -227,7 +214,7 @@ def test_sample_index_same_on_list_and_array():
 
 
 # Exact check of one pair. The learner is driven to the first round of the
-# last pair of an epoch >= 2; the current FTRL state is then set per
+# last (or the first) pair of an epoch >= 2; the current FTRL state is then set per
 # context, so that some contexts fall back (q = s) and some play q = p.
 class _Script:
     """A generator whose random(n) returns the scripted floats, then 0.5s."""
@@ -243,9 +230,10 @@ class _Script:
 PAIR_L = 4
 
 
-def _drive(n_contexts, n_arms, active, seed):
+def _drive(n_contexts, n_arms, active, seed, last):
     """A learner after four epochs of random play on fixed loss rows, one
-    round before the epoch's last pair; its nu and loss rows."""
+    round before the fifth epoch's last pair if `last`, else before its
+    first; its nu and loss rows."""
     gen = np.random.default_rng(seed)
     nu = gen.random(n_contexts) + 0.2
     nu /= nu.sum()
@@ -259,15 +247,17 @@ def _drive(n_contexts, n_arms, active, seed):
                            space=ContextSpace(np.arange(n_contexts), active))
     losses = [LinearLoss(TabularAccumulator, row) for row in ell]
     played = {}  # epoch -> the FTRL state its last pair plays
-    for _ in range(4 * PAIR_L + PAIR_L - 2):
+    pos = PAIR_L - 2 if last else 0
+    for _ in range(4 * PAIR_L + pos):
         if learner.t % PAIR_L == PAIR_L - 2 and learner.epoch >= 2:
             played[learner.epoch] = learner.acc.coef.tobytes()
         learner.step(int(gen.choice(n_contexts, p=nu)), losses.__getitem__)
-    assert learner.epoch == 5 and learner.t % PAIR_L == PAIR_L - 2
+    assert learner.epoch == 5 and learner.t % PAIR_L == pos
     # the snapshots are two and one epochs behind
     assert learner.snapshot_current.coef.tobytes() == played[3]
     assert learner.snapshot_next.coef.tobytes() == played[4]
-    assert learner._freq_rows  # samples of this epoch wait to be summed
+    # samples of this epoch wait to be summed
+    assert bool(learner._freq_rows) is last
     learner._gen = None  # replaced by a script for each outcome
     return learner, nu, ell, losses
 
@@ -331,18 +321,19 @@ def _mid(q, k):
 
 
 PAIR_CASES = {
-    # (contexts, arms, active, which contexts fall back)
-    "unmasked": (3, 3, None, [True, False, False]),
+    # (contexts, arms, active, which contexts fall back, the pair ends the epoch)
+    "unmasked": (3, 3, None, [True, False, False], True),
     "masked": (3, 3, np.array([[1, 1, 0], [0, 1, 1], [1, 1, 1]], dtype=bool),
-               [True, False, True]),
-    "no_fallback": (2, 2, None, [False, False]),
+               [True, False, True], True),
+    "no_fallback": (2, 2, None, [False, False], True),
+    "not_last": (3, 3, None, [True, False, False], False),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PAIR_CASES))
 def test_one_pair_matches_the_estimator_laws_exactly(case):
-    n_contexts, n_arms, active, want_fallback = PAIR_CASES[case]
-    learner, nu, ell, losses = _drive(n_contexts, n_arms, active, seed=len(case))
+    n_contexts, n_arms, active, want_fallback, last = PAIR_CASES[case]
+    learner, nu, ell, losses = _drive(n_contexts, n_arms, active, len(case), last)
     # the epoch's estimate so far, its recorded rows summed
     before = copy.deepcopy(learner)
     before._flush_freq()
@@ -367,12 +358,18 @@ def test_one_pair_matches_the_estimator_laws_exactly(case):
     # per (coin, first-round context): E[frequency sample; coin, c1]
     by_coin = np.zeros((2, n_contexts, n_arms))
     for prob, after, coin, c1, c2, added in outcomes:
-        assert after.epoch == 6  # the pair ended the epoch
-        delta = np.array(after.freq_estimate) - freq0
+        if last:
+            assert after.epoch == 6  # the pair ended the epoch
+            delta = np.array(after.freq_estimate) - freq0
+        else:
+            assert after.epoch == 5 and after._freq_rows  # the sample waits
+            after._flush_freq()
+            delta = after._freq_next - freq0
         d_freq += prob * delta
         cf = c1 if coin else c2
         by_coin[int(coin), c1] += prob * delta
         if added is not None:
+            assert after.last_kept == (added, losses[added])
             p_add[added] += prob
             joint[cf, added] += prob
             d_coef += prob * (after.acc.coef - coef0)

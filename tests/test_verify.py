@@ -7,6 +7,7 @@ from crosslearn import accumulator as accumulator_module
 from crosslearn import learner as learner_module
 from crosslearn import verify as verify_module
 from crosslearn.envs import AuctionEnv, SleepingEnv, TabularEnv
+from crosslearn.harness import main
 from crosslearn.learner import tune_parameters
 from crosslearn.simplex import RngStream
 from crosslearn.verify import (
@@ -164,3 +165,13 @@ def test_tuned_audit_runs_its_seeds_on_a_pool_in_seed_order(monkeypatch):
     assert [_records_key(r) for r in pooled(verify_module._audit_seed, tasks, 2)] == \
         [_records_key(r) for r in serial]
     assert summary == audit_summary([r for records in serial for r in records])
+
+
+@pytest.mark.parametrize("args", [["--seeds", "0"], ["--trials", "-1"], ["--trials", "1"]],
+                         ids=["no_seeds", "negative_trials", "one_trial"])
+def test_cli_verify_rejects_counts_it_cannot_use(capsys, args):
+    # no seed leaves no audited epoch; one trial has no standard deviation
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *args])
+    assert exc.value.code == 2
+    assert "must be an integer >= " in capsys.readouterr().err
