@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .learner import ParamError, check_space_masks
-from .simplex import BlockUniforms, ftrl_weights, ftrl_weights_batch, mask_lookup, sample_index
+from .learner import ParamError, mask_function
+from .simplex import BlockUniforms, ftrl_weights, ftrl_weights_batch, sample_index, space_masks
 
 TINY_DENOM = 1e-9
 
@@ -25,12 +25,14 @@ class PerContextExp3:
     importance weighting, at the anytime rate sqrt(log K / (t_c * K)) where
     t_c counts visits to that context. A context never seen before starts
     from the uniform state, so fresh contexts are played uniformly.
+    active: None (every arm always active) or a callable context ->
+    mask/None, an env's active_mask (ParamError otherwise).
     """
 
     def __init__(self, n_arms, rng, active=None):
         self.n_arms = int(n_arms)
         self._gen = BlockUniforms(rng.gen)
-        self._mask = mask_lookup(active)
+        self._mask = mask_function(active)
         self._states = {}
         self._log_k = math.log(self.n_arms)
         self.fallback_count = 0
@@ -69,14 +71,16 @@ class KnownNuLearner:
     tiny_denominator_count; FTRL keeps every active arm's probability
     positive, so this flags numerical trouble instead of guessing.
 
-    space: a ContextSpace with weights, the env's known_nu_oracle(). It
-    must carry weights, and its masks must be the learner's active sets
-    (ParamError otherwise). Each
-    round computes the probe table, the distributions at every context of
-    the space, once: the denominators are its nu-average, and a context of
-    the space is played from its row, which equals ftrl_weights at the
-    context bit for bit. Any other context (a continuous value between
-    quadrature nodes) is played from ftrl_weights at the context itself.
+    space: a ContextSpace with weights, the env's known_nu_oracle()
+    (ParamError without weights). active: None (every arm always active) or
+    a callable context -> mask/None, an env's active_mask (ParamError
+    otherwise); the masks of the probe table are read from it once, at
+    construction (simplex.space_masks). Each round computes the probe
+    table, the distributions at every context of the space, once: the
+    denominators are its nu-average, and a context of the space is played
+    from its row, which equals ftrl_weights at the context bit for bit. Any
+    other context (a continuous value between quadrature nodes) is played
+    from ftrl_weights at the context itself.
     """
 
     def __init__(self, n_arms, accumulator, space, eta, rng, active=None):
@@ -85,17 +89,17 @@ class KnownNuLearner:
         self.space = space
         self.eta = float(eta)
         self._gen = BlockUniforms(rng.gen)
-        self._mask = mask_lookup(active)
+        self._mask = mask_function(active)
         if space.weights is None:
             raise ParamError("the context space carries no weights")
-        check_space_masks(space, self._mask, self.n_arms)
+        self._masks = space_masks(space, active, self.n_arms)
         self.tiny_denominator_count = 0
         self.fallback_count = 0
 
     def probe_table(self):
         """Current play distributions at every context of the space."""
         space = self.space
-        return ftrl_weights_batch(self.acc.eval_batch(space.index), self.eta, space.masks)
+        return ftrl_weights_batch(self.acc.eval_batch(space.index), self.eta, self._masks)
 
     def _denominator(self, arm, expected):
         """Floored E[p(., arm)], from `expected`, E[p] of the current state."""

@@ -6,12 +6,10 @@ construction time from its own stream, so the adversary is oblivious and a
 run is reproducible from (spec, seed) alone. The learner-facing surface is:
 
     context(t)            realized context of round t (0-based)
-    active_mask(context)  None (all arms) or a boolean (K,) mask
-    active                the active sets in the form learners take: None,
-                          a (C, K) matrix, or the callable active_mask
+    active_mask(context)  None (all arms) or a boolean (K,) mask; learners
+                          take this function as their active sets
     context_space         the finite ContextSpace of the contexts the env
-                          can draw, with their active sets and their
-                          probabilities nu, or None
+                          can draw, with their probabilities nu, or None
     known_nu_oracle()     the ContextSpace a known-nu learner averages
                           over: context_space, or for continuous auction
                           values a QUADRATURE_NODES-cell quadrature of nu
@@ -143,6 +141,14 @@ def _active_matrix(active, n_contexts, n_arms):
     return out
 
 
+def _is_number(field):
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 class TabularEnv:
     """Finite context space with a per-round loss tensor.
 
@@ -170,7 +176,7 @@ class TabularEnv:
         if (tensor is None) == (mu is None):
             raise EnvError("provide exactly one of tensor or mu")
         self.active = _active_matrix(active, self.n_contexts, self.n_arms)
-        self.context_space = ContextSpace(np.arange(self.n_contexts), self.active, nu)
+        self.context_space = ContextSpace(np.arange(self.n_contexts), nu)
         # per-round reads in plain Python: the contexts, and the active sets
         # as rows of bools (None: every arm active)
         self._context_list = self.contexts.tolist()
@@ -209,7 +215,7 @@ class TabularEnv:
         tensor = np.asarray(tensor, dtype=float)
         if tensor.ndim != 3:
             raise EnvError("tensor must have shape (T, K, C)")
-        if tensor.min() < 0 or tensor.max() > 1:
+        if not ((tensor >= 0) & (tensor <= 1)).all():  # NaN fails too
             raise EnvError("losses must lie in [0, 1]")
         horizon, n_arms, n_contexts = tensor.shape
         nu = _weights(nu, n_contexts, "nu")
@@ -219,26 +225,30 @@ class TabularEnv:
 
     @classmethod
     def from_csv(cls, path, nu, rng, active=None):
-        """Load a loss tensor from rows t,k,c,value (header optional)."""
-        entries = []
+        """Load a loss tensor from rows t,k,c,value after an optional header
+        row: nonnegative integers t, k, c, each triple once, and a number;
+        EnvError naming the line otherwise."""
+        losses = {}
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or not row[0].strip().lstrip("-").isdigit():
-                    continue
-                t, k, c, v = int(row[0]), int(row[1]), int(row[2]), float(row[3])
-                entries.append((t, k, c, v))
-        if not entries:
+            reader = csv.reader(fh)
+            for row in reader:
+                if not row or reader.line_num == 1 and not _is_number(row[0]):
+                    continue  # a blank line, or the header
+                where = f"{path} line {reader.line_num}"
+                if len(row) != 4 or not all(f.strip().isdecimal() for f in row[:3]):
+                    raise EnvError(f"{where}: expected t,k,c,value with nonnegative "
+                                   f"integers t, k, c, got {row!r}")
+                key = tuple(int(f) for f in row[:3])
+                if key in losses:
+                    raise EnvError(f"{where}: duplicate entry for (t, k, c) = {key}")
+                losses[key] = _number(row[3], f"{where}: value")
+        if not losses:
             raise EnvError(f"no loss rows found in {path}")
-        T = max(e[0] for e in entries) + 1
-        K = max(e[1] for e in entries) + 1
-        C = max(e[2] for e in entries) + 1
-        tensor = np.zeros((T, K, C))
-        seen = np.zeros((T, K, C), dtype=bool)
-        for t, k, c, v in entries:
-            tensor[t, k, c] = v
-            seen[t, k, c] = True
-        if not seen.all():
+        keys = np.array(list(losses))
+        tensor = np.zeros(keys.max(axis=0) + 1)
+        if len(keys) != tensor.size:
             raise EnvError("loss tensor has missing (t, k, c) entries")
+        tensor[tuple(keys.T)] = list(losses.values())
         return cls.from_tensor(tensor, nu, rng, active=active)
 
     def context(self, t):
@@ -370,7 +380,6 @@ class AuctionEnv:
 
     kind = "auction"
     acc_kind = AFFINE
-    active = None
     regret_scale = 2.0
 
     def __init__(self, values, payments, n_arms, value_cdf=None, atoms=None):
@@ -466,17 +475,7 @@ class SleepingEnv:
         self.losses = np.asarray(losses, dtype=float)
         self.subsets = np.asarray(subsets, dtype=np.int64)
         self.horizon, self.n_arms = self.losses.shape
-        self.context_space = None
-        if subset_probs is not None:
-            drawable, weights = subset_probs
-            n_arms = self.n_arms
-
-            def masks():  # up to 65 535 rows, built only when read; holds no env
-                out = subset_to_mask(drawable[:, None], n_arms)
-                out.flags.writeable = False
-                return out
-
-            self.context_space = ContextSpace(drawable, masks, weights)
+        self.context_space = None if subset_probs is None else ContextSpace(*subset_probs)
         self._mask_cache = {}
         self._subset_list = self.subsets.tolist()
         for arr in (self.losses, self.subsets):
@@ -562,10 +561,6 @@ class SleepingEnv:
             m.flags.writeable = False
             self._mask_cache[context] = m
         return m
-
-    @property
-    def active(self):
-        return self.active_mask
 
     def reveal(self, t, arm):
         if not 0 <= arm < self.n_arms:

@@ -170,13 +170,13 @@ def build_algo(name, env, horizon, seed, overrides):
     if name == "crosslearn":
         params = crosslearn_params(env.n_arms, horizon, overrides)
         acc = make_accumulator(env.acc_kind, env.n_arms, n_contexts)
-        return CrossLearner(params, acc, rng, active=env.active, space=env.context_space)
+        return CrossLearner(params, acc, rng, active=env.active_mask, space=env.context_space)
     if name == "known_nu":
         acc = make_accumulator(env.acc_kind, env.n_arms, n_contexts)
         return KnownNuLearner(env.n_arms, acc, env.known_nu_oracle(),
-                              known_nu_rate(env.n_arms, horizon), rng, active=env.active)
+                              known_nu_rate(env.n_arms, horizon), rng, active=env.active_mask)
     if name == "exp3_per_context":
-        return PerContextExp3(env.n_arms, rng, active=env.active)
+        return PerContextExp3(env.n_arms, rng, active=env.active_mask)
     raise ConfigError(f"unknown algorithm {name!r}")
 
 
@@ -482,9 +482,11 @@ def main(argv=None):
 
     p_ver = sub.add_parser("verify", help="run the verification suite")
     p_ver.add_argument("--quick", action="store_true")
-    p_ver.add_argument("--seeds", type=_int_at_least(1), default=100)
+    p_ver.add_argument("--seeds", type=_int_at_least(1), default=None,
+                       help="audited seeds (default 100, 10 with --quick)")
     # the lemma checks need two trials for a sample standard deviation
-    p_ver.add_argument("--trials", type=_int_at_least(2), default=100000)
+    p_ver.add_argument("--trials", type=_int_at_least(2), default=None,
+                       help="trials per lemma cell (default 100000, 20000 with --quick)")
     p_ver.set_defaults(func=_cmd_verify)
 
     p_sc = sub.add_parser("scaling", help="fit regret scaling from a results CSV")

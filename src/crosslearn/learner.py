@@ -38,7 +38,7 @@ from operator import ge, mul
 import numpy as np
 
 from .accumulator import snapshot
-from .simplex import BlockUniforms, ftrl_weights, mask_lookup, sample_index
+from .simplex import BlockUniforms, ftrl_weights, sample_index, space_masks
 
 BERN_TOL = 1e-12
 _REL_TOL = 1e-9
@@ -239,14 +239,17 @@ def estimate_weight(freq_k, gamma):
     return 2.0 / (freq_k + 1.5 * gamma)
 
 
-def check_space_masks(space, mask, n_arms):
-    """ParamError unless the space's masks are the active sets that `mask`
-    gives at its contexts, None standing for every arm on either side."""
-    every = np.ones(n_arms, dtype=bool)
-    got = np.array([every if m is None else m for m in map(mask, space.contexts.tolist())])
-    want = np.broadcast_to(every, got.shape) if space.masks is None else space.masks
-    if not np.array_equal(got, want):
-        raise ParamError("the context space's masks differ from the active sets")
+def _every_arm(context):
+    return None
+
+
+def mask_function(active):
+    """A learner's function context -> active mask: `active`, an env's
+    active_mask, or for None one giving None (every arm); ParamError if
+    `active` is neither."""
+    if active is not None and not callable(active):
+        raise ParamError(f"active must be None or a callable, got {type(active).__name__}")
+    return _every_arm if active is None else active
 
 
 def _sum_rows(total, table, rows, div):
@@ -258,19 +261,20 @@ def _sum_rows(total, table, rows, div):
 
 class _SnapView:
     """Snapshot plus, over a finite context space, the table of its
-    distributions at every context of the space, computed in one batch, so
-    a lookup reads a row. Without a space, or at a context outside it, the
-    row is computed per lookup. `row` serves a row as a list of floats (a
-    table row is converted when first read)."""
+    distributions at every context of the space (masks: the space_masks of
+    its active sets), computed in one batch, so a lookup reads a row.
+    Without a space, or at a context outside it, the row is computed per
+    lookup. `row` serves a row as a list of floats (a table row is
+    converted when first read)."""
 
     __slots__ = ("handle", "table", "_lists")
 
-    def __init__(self, handle, space=None):
+    def __init__(self, handle, space=None, masks=None):
         self.handle = handle
         if space is None:
             self.table = self._lists = None
         else:
-            self.table = handle.weights_batch(space.index, space.masks)
+            self.table = handle.weights_batch(space.index, masks)
             self.table.flags.writeable = False
             self._lists = [None] * len(space)
 
@@ -288,20 +292,21 @@ class _SnapView:
 
 class _Exponents:
     """The FTRL exponents -eta * L(c, .) of the accumulator's sum L at every
-    context c of a finite space, -inf off c's active set, as the rows of
-    `table`, and each row's maximum in the list `tops`. The sum changes
-    only when a loss sample is kept, so both are recomputed from
-    acc.eval_batch only when acc.version has moved since they were built.
-    They are built in the accumulator's (K, n) layout, where the row maxima
-    are one reduction over axis 0 (a max is exact, so the layout cannot
-    change it); `table` is its transposed view."""
+    context c of a finite space, -inf off c's active set (masks: the
+    space_masks of the space), as the rows of `table`, and each row's
+    maximum in the list `tops`. The sum changes only when a loss sample is
+    kept, so both are recomputed from acc.eval_batch only when acc.version
+    has moved since they were built. They are built in the accumulator's
+    (K, n) layout, where the row maxima are one reduction over axis 0 (a
+    max is exact, so the layout cannot change it); `table` is its
+    transposed view."""
 
     __slots__ = ("_acc", "_index", "_masks", "_neg_eta", "_version", "table", "tops")
 
-    def __init__(self, acc, space, eta):
+    def __init__(self, acc, space, masks, eta):
         self._acc = acc
         self._index = space.index
-        self._masks = None if space.masks is None else np.ascontiguousarray(space.masks.T)
+        self._masks = None if masks is None else np.ascontiguousarray(masks.T)
         self._neg_eta = -eta
         self._version = None
 
@@ -322,18 +327,18 @@ class _Exponents:
 class CrossLearner:
     """Plays the paired-epoch cross-learning strategy over one accumulator.
 
-    active: None (every arm always active), a (C, K) boolean matrix indexed
-    by integer context ids, or a callable context -> mask/None.
-    space: the env's finite ContextSpace, or None. Its masks must be the
-    active sets at its contexts (ParamError otherwise). It is tabulated
-    when its contexts are ids or number at most TABLE_ROWS_PER_ROUND *
-    epoch_len: each snapshot then holds its distributions at every context
-    of the space. A tabulated space of at most EXPONENT_TABLE_ROWS contexts
-    also gets the FTRL exponents of the live accumulator (_Exponents,
-    recomputed when a kept loss sample has changed the accumulator), so a
-    round at one of its contexts reads its rows and calls ftrl_weights only
-    to subtract, exponentiate and normalise. Elsewhere a round evaluates
-    the accumulator at its context.
+    active: None (every arm always active) or a callable context ->
+    mask/None, an env's active_mask (ParamError otherwise).
+    space: the env's finite ContextSpace, or None. It is tabulated when its
+    contexts are ids or number at most TABLE_ROWS_PER_ROUND * epoch_len:
+    each snapshot then holds its distributions at every context of the
+    space, masked by the active sets read from `active` once, at
+    construction (simplex.space_masks). A tabulated space of at most
+    EXPONENT_TABLE_ROWS contexts also gets the FTRL exponents of the live
+    accumulator (_Exponents, recomputed when a kept loss sample has changed
+    the accumulator), so a round at one of its contexts reads its rows and
+    calls ftrl_weights only to subtract, exponentiate and normalise.
+    Elsewhere a round evaluates the accumulator at its context.
     reveal passed to step: callable arm -> LinearLoss of the played arm.
 
     A run is watched by reading the learner between steps: t, epoch,
@@ -355,20 +360,19 @@ class CrossLearner:
         self._gen = BlockUniforms(rng.gen)
         if accumulator.n_arms != params.n_arms:
             raise ParamError("accumulator and params disagree on the number of arms")
-        self._mask = mask_lookup(active)
+        self._mask = mask_function(active)
         if space is not None and not space.ids \
                 and len(space) > TABLE_ROWS_PER_ROUND * params.epoch_len:
             space = None
-        if space is not None:
-            check_space_masks(space, self._mask, params.n_arms)
         self._space = space
+        self._masks = None if space is None else space_masks(space, active, params.n_arms)
         self._L, self._horizon = params.epoch_len, params.horizon
         self._eta, self._gamma = params.eta, params.gamma
         # context -> table row: {} without a space (no context has one),
         # None when the contexts are the row numbers
         self._rows = {} if space is None else space.rows
         self._exponents = None if space is None or len(space) > EXPONENT_TABLE_ROWS \
-            else _Exponents(accumulator, space, self._eta)
+            else _Exponents(accumulator, space, self._masks, self._eta)
         self.fallback_count = 0
         self.last_kept = None
         self._t = 0
@@ -384,7 +388,7 @@ class CrossLearner:
         self._pending = None
 
     def _view(self, handle):
-        return _SnapView(handle, self._space)
+        return _SnapView(handle, self._space, self._masks)
 
     @property
     def t(self):

@@ -20,24 +20,6 @@ class SimplexError(ValueError):
     pass
 
 
-def _every_arm(context):
-    return None
-
-
-def mask_lookup(active):
-    """The function context -> active mask (None: every arm) of an active
-    set given as None (every arm always active), a (C, K) boolean matrix
-    indexed by integer context ids, or a callable context -> mask/None."""
-    if active is None:
-        return _every_arm
-    if isinstance(active, np.ndarray):
-        empty = np.flatnonzero(~active.any(axis=1))
-        if empty.size:
-            raise SimplexError(f"active set is empty at context {int(empty[0])}")
-        return active.__getitem__
-    return active
-
-
 def batch_index(contexts):
     """The index that reads `contexts` from the context axis of a
     coefficient matrix in a batch: the slice 0:n when they are the ids
@@ -51,19 +33,17 @@ def batch_index(contexts):
 
 
 class ContextSpace:
-    """A finite context space: the 1-D array `contexts` and `masks`, None
-    (every arm active at every context) or an (n, K) boolean matrix whose
-    row i is the active set at contexts[i]. `masks` may be given as a
-    function returning that matrix, called when it is first read.
-    `weights` is None or the context distribution nu, with weights[i] the
-    probability of contexts[i]. `ids` is True when the contexts are the
-    ids 0..n-1, their own row numbers; otherwise `rows` maps a context to
-    its row (its first, if it repeats), built when first read. `index` is
-    the batch_index of the contexts."""
+    """A finite context space: the 1-D array `contexts` and `weights`, None
+    or the context distribution nu, with weights[i] the probability of
+    contexts[i]. `ids` is True when the contexts are the ids 0..n-1, their
+    own row numbers; otherwise `rows` maps a context to its row (its first,
+    if it repeats), built when first read. `index` is the batch_index of
+    the contexts. The active sets at the contexts are not part of the
+    space: space_masks reads them from an active-set function."""
 
-    __slots__ = ("contexts", "index", "ids", "weights", "_masks", "_rows")
+    __slots__ = ("contexts", "index", "ids", "weights", "_rows")
 
-    def __init__(self, contexts, masks=None, weights=None):
+    def __init__(self, contexts, weights=None):
         self.contexts = np.asarray(contexts)
         self.index = batch_index(self.contexts)
         self.ids = isinstance(self.index, slice)
@@ -73,14 +53,7 @@ class ContextSpace:
                     and (weights >= 0).all() and abs(weights.sum() - 1.0) <= 1e-9):
                 raise SimplexError("context weights must form a distribution over the contexts")
         self.weights = weights
-        self._masks = masks
         self._rows = None
-
-    @property
-    def masks(self):
-        if callable(self._masks):
-            self._masks = self._masks()
-        return self._masks
 
     @property
     def rows(self):
@@ -94,6 +67,22 @@ class ContextSpace:
 
     def __len__(self):
         return self.contexts.size
+
+
+def space_masks(space, active, n_arms):
+    """The read-only (n, K) boolean matrix whose row i is the active set
+    active(contexts[i]) of a context of the space, a None mask standing for
+    every arm; None when active is None or gives None at every context, so
+    that an unmasked space keeps the unmasked batch softmax."""
+    if active is None:
+        return None
+    masks = [active(c) for c in space.contexts.tolist()]
+    if all(m is None for m in masks):
+        return None
+    every = np.ones(n_arms, dtype=bool)
+    out = np.array([every if m is None else m for m in masks], dtype=bool)
+    out.flags.writeable = False
+    return out
 
 
 class RngStream:

@@ -31,7 +31,7 @@ from .accumulator import make_accumulator
 from .envs import TabularEnv
 from .harness import ENV_STREAM, ALGO_STREAMS, map_tasks
 from .learner import CrossLearner, tune_parameters
-from .simplex import RngStream
+from .simplex import RngStream, space_masks
 
 # samples of t draws averaged at once by inverse_mean_bound_check
 MEAN_CHUNK = 20000
@@ -141,6 +141,7 @@ class _AuditObserver:
         self.records = []
         self._open = None
         self._space = env.known_nu_oracle()
+        self._masks = space_masks(self._space, env.active_mask, env.n_arms)
         self._acc = acc  # the learner's accumulator; its class is the loss phi
         self._version = acc.version
         self._epoch = 1  # the learner's epoch after the last round seen
@@ -150,7 +151,7 @@ class _AuditObserver:
         if learner.context_space is space:
             table = learner.snapshot_table  # the learner tabulated this space
         else:
-            table = learner.snapshot_current.weights_batch(space.index, space.masks)
+            table = learner.snapshot_current.weights_batch(space.index, self._masks)
         return 0.5 * (space.weights @ table)
 
     def round_played(self, learner):
@@ -203,7 +204,7 @@ def audit_run(env, params, seed):
     acc = make_accumulator(env.acc_kind, env.n_arms,
                            getattr(env, "n_contexts", None))
     learner = CrossLearner(params, acc, RngStream(seed, ALGO_STREAMS["crosslearn"]),
-                           active=env.active, space=env.context_space)
+                           active=env.active_mask, space=env.context_space)
     audit = _AuditObserver(env, params, acc)
     for t in range(env.horizon):
         learner.step(env.context(t), lambda a: env.reveal(t, a))
@@ -257,10 +258,15 @@ def tuned_synthetic_audit(n_seeds=100, n_contexts=64, n_arms=8, horizon=16384,
     return audit_summary([r for records in per_seed for r in records])
 
 
-def run_verify(quick=False, seeds=100, trials=100000):
-    """CLI entry: PASS/FAIL table over the whole verification suite."""
+def run_verify(quick=False, seeds=None, trials=None):
+    """CLI entry: PASS/FAIL table over the whole verification suite. The
+    audit runs `seeds` seeds (default 100, 10 if quick) at horizon 16384
+    (8192 if quick), the lemma checks `trials` trials per cell (default
+    100000, 20000 if quick)."""
+    seeds = (10 if quick else 100) if seeds is None else seeds
+    trials = (20000 if quick else 100000) if trials is None else trials
     checks = []
-    checks.extend(lemma_suite(n_trials=(20000 if quick else trials)))
+    checks.extend(lemma_suite(n_trials=trials))
 
     tail_vals = [inverse_moment_tail_sum(k) for k in range(16, 201)]
     tail_vals += [inverse_moment_tail_sum(1000), inverse_moment_tail_sum(10000)]
@@ -268,9 +274,8 @@ def run_verify(quick=False, seeds=100, trials=100000):
     checks.append(CheckResult(
         "tail-sum k in [16,200] + {1e3,1e4}", worst <= 2.0, f"max={worst:.6f}"))
 
-    n_seeds = 10 if quick else seeds
     horizon = 8192 if quick else 16384
-    summary = tuned_synthetic_audit(n_seeds=n_seeds, horizon=horizon)
+    summary = tuned_synthetic_audit(n_seeds=seeds, horizon=horizon)
     checks.append(CheckResult(
         "audit: good-epoch frequency",
         summary["good_fraction"] >= 0.99,

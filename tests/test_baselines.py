@@ -75,7 +75,7 @@ def test_known_nu_oracle_quadrature_uniform():
     env = AuctionEnv.generate(64, RngStream(0, 0))
     assert env.context_space is None
     space = env.known_nu_oracle()
-    assert len(space) == 512 and not space.ids and space.masks is None
+    assert len(space) == 512 and not space.ids
     got = float(space.weights @ space.contexts)
     assert got == pytest.approx(0.5, abs=2e-3)
     assert space.weights.sum() == pytest.approx(1.0, abs=1e-12)

@@ -56,6 +56,7 @@ from crosslearn.simplex import (
     ftrl_weights,
     ftrl_weights_batch,
     sample_index,
+    space_masks,
 )
 
 
@@ -311,6 +312,18 @@ def _ref_ftrl_weights_batch(cum_loss, eta, masks=None):
     return w
 
 
+def _ref_masks(contexts, active, n_arms):
+    """The (n, K) active-set rows active(c) at the contexts, every arm for
+    a None mask; None when there is no active function or it gives None
+    everywhere. Built here, apart from the package's own helper."""
+    if active is None:
+        return None
+    rows = [active(c) for c in contexts]
+    if all(m is None for m in rows):
+        return None
+    return np.array([np.ones(n_arms, dtype=bool) if m is None else m for m in rows])
+
+
 def _random_accumulator(kind, gen, n_arms, n_contexts):
     """An accumulator of the kind after a few hundred weighted adds."""
     acc = make_accumulator(kind, n_arms, n_contexts)
@@ -396,14 +409,11 @@ class _RefKnownNuLearner:
         self.acc, self.space, self.eta = accumulator, space, float(eta)
         self._gen = BlockUniforms(rng.gen)
         self._active = active
+        self._masks = _ref_masks(space.contexts.tolist(), active, n_arms)
         self.denominators = []
 
     def _mask(self, context):
-        if self._active is None:
-            return None
-        if isinstance(self._active, np.ndarray):
-            return self._active[context]
-        return self._active(context)
+        return None if self._active is None else self._active(context)
 
     def step(self, context, reveal):
         w = _ref_ftrl_weights(self.acc.eval_column(context), self.eta, self._mask(context))
@@ -411,7 +421,7 @@ class _RefKnownNuLearner:
         fn = reveal(arm)
         # the C-ordered (n, K) layout the reference sums its rows in
         cum = np.ascontiguousarray(self.acc.eval_batch(self.space.contexts))
-        table = _ref_ftrl_weights_batch(cum, self.eta, self.space.masks)
+        table = _ref_ftrl_weights_batch(cum, self.eta, self._masks)
         denom = max(float((self.space.weights @ table)[arm]), 1e-9)
         self.denominators.append(denom)
         self.acc.add(arm, 1.0 / denom, fn)
@@ -441,14 +451,12 @@ def test_known_nu_matches_reference_round_by_round(case):
     kind, fields = KNOWN_NU_CASES[case]
     env = build_env(dict(fields, kind=kind), KNOWN_NU_HORIZON, RngStream(6, ENV_STREAM))
     space = env.known_nu_oracle()
-    active = env.active if env.kind == "tabular" else (
-        None if env.kind == "auction" else env.active_mask)
 
     def learner(cls):
         acc = make_accumulator(env.acc_kind, env.n_arms, getattr(env, "n_contexts", None))
         # 4x the default rate, so the distributions move far from uniform
         return cls(env.n_arms, acc, space, 4 * known_nu_rate(env.n_arms, env.horizon),
-                   RngStream(6, ALGO_STREAMS["known_nu"]), active=active)
+                   RngStream(6, ALGO_STREAMS["known_nu"]), active=env.active_mask)
 
     new, ref = learner(KnownNuLearner), learner(_RefKnownNuLearner)
     weights = []
@@ -470,19 +478,15 @@ def test_known_nu_matches_reference_round_by_round(case):
     assert from_table == (set() if case == "auction_continuous" else contexts)
 
 
-def test_known_nu_rejects_a_space_without_the_active_masks():
-    # the denominators would average distributions the learner never plays
+def test_known_nu_rejects_a_space_without_weights():
     kind, fields = KNOWN_NU_CASES["tabular_active"]
     env = build_env(dict(fields, kind=kind), KNOWN_NU_HORIZON, RngStream(6, ENV_STREAM))
     space = env.context_space
-    unmasked = ContextSpace(space.contexts, weights=space.weights)
     acc = make_accumulator(env.acc_kind, env.n_arms, env.n_contexts)
-    with pytest.raises(ParamError, match="masks"):
-        KnownNuLearner(env.n_arms, acc, unmasked, 0.1, RngStream(6, 2), active=env.active)
     with pytest.raises(ParamError, match="weights"):
-        KnownNuLearner(env.n_arms, acc, ContextSpace(space.contexts, space.masks), 0.1,
-                       RngStream(6, 2), active=env.active)
-    KnownNuLearner(env.n_arms, acc, space, 0.1, RngStream(6, 2), active=env.active)
+        KnownNuLearner(env.n_arms, acc, ContextSpace(space.contexts), 0.1,
+                       RngStream(6, 2), active=env.active_mask)
+    KnownNuLearner(env.n_arms, acc, space, 0.1, RngStream(6, 2), active=env.active_mask)
 
 
 def _ref_select(p, s, mask):
@@ -520,10 +524,9 @@ def test_unmasked_fallback_matches_masked_test(name, monkeypatch):
     # a hot rate makes the FTRL state drift from its snapshots, so both
     # branches of the fallback test occur
     hot = dataclasses.replace(params, eta=8 * params.eta)
-    active = env.active if env.kind == "tabular" else env.active_mask
     algo = CrossLearner(hot, make_accumulator(env.acc_kind, env.n_arms,
                                               getattr(env, "n_contexts", None)),
-                        RngStream(8, ALGO_STREAMS["crosslearn"]), active=active)
+                        RngStream(8, ALGO_STREAMS["crosslearn"]), active=env.active_mask)
     for t in range(horizon):
         context = env.context(t)
         mask_now.append(env.active_mask(context))
@@ -846,13 +849,9 @@ class _RefAudit:
         self.env, self.params = env, params
         self.records, self.proxy_maxima = [], []
         self._open = None
-        if env.kind == "tabular":
-            self._probes = np.arange(env.n_contexts)
-            self._masks = env.active
-        else:
-            space = env.known_nu_oracle()
-            self._probes = space.contexts
-            self._masks = space.masks
+        space = env.known_nu_oracle()
+        self._probes = space.contexts
+        self._masks = _ref_masks(space.contexts.tolist(), env.active_mask, env.n_arms)
         self._probe_weights = env.context_space.weights
         self._acc_kind = env.acc_kind
 
@@ -955,11 +954,9 @@ def test_audit_records_match_reference(case, monkeypatch):
 
     monkeypatch.setattr(learner_module, "snapshot", _ref_snapshot)
     audit = _RefAudit(env, params)
-    active = env.active if env.kind == "tabular" else (
-        None if env.kind == "auction" else env.active_mask)
     ref_acc = _ref_accumulator(env.acc_kind, env.n_arms, getattr(env, "n_contexts", None))
     ref = CrossLearner(params, ref_acc, RngStream(seed, ALGO_STREAMS["crosslearn"]),
-                       active=active)
+                       active=env.active_mask)
     for t in range(horizon):
         context = env.context(t)
         fallbacks, version, epoch = ref.fallback_count, ref_acc.version, ref.epoch
@@ -991,7 +988,7 @@ TABLE_ENVS = ("tabular", "tabular_active", "auction_atoms", "sleeping_bernoulli"
 def _cross_learner(env, params, space):
     acc = make_accumulator(env.acc_kind, env.n_arms, getattr(env, "n_contexts", None))
     return CrossLearner(params, acc, RngStream(3, ALGO_STREAMS["crosslearn"]),
-                        active=env.active, space=space)
+                        active=env.active_mask, space=space)
 
 
 def _play(env, learner, at_epoch_start=None):
@@ -1057,7 +1054,7 @@ def test_exponent_rows_match_per_round_softmax_after_every_add(name, reference):
     acc = (_ref_accumulator if reference else make_accumulator)(kind, K, n_contexts)
     gen = np.random.default_rng(sorted(EXPONENT_SPECS).index(name) + 40 * reference)
     eta = float(gen.uniform(0.05, 2.0))
-    table = learner_module._Exponents(acc, space, eta)
+    table = learner_module._Exponents(acc, space, space_masks(space, env.active_mask, K), eta)
     contexts = space.contexts.tolist()
     rows = [c if space.rows is None else space.rows[c] for c in contexts]
     masks = [env.active_mask(c) for c in contexts]
@@ -1163,40 +1160,46 @@ def test_continuous_values_serve_per_lookup_rows():
 
 
 
-def test_space_masks_must_match_the_active_sets():
-    params = calibrated_params(4, HORIZON)
-    env = ENVS["tabular_active"]()
-    no_masks = ContextSpace(np.arange(env.n_contexts))
-    for active, space in ((env.active, no_masks), (None, env.context_space)):
-        with pytest.raises(ParamError, match="masks"):
-            CrossLearner(params, make_accumulator(env.acc_kind, 4, env.n_contexts),
-                         RngStream(3, 0), active=active, space=space)
-    env = ENVS["sleeping_categorical"]()
-    space = env.context_space
-    with pytest.raises(ParamError, match="masks"):
-        _cross_learner(env, params, ContextSpace(space.contexts, ~space.masks))
-    # masks left out stand for every arm, as an active set of None does
+def test_tables_give_inactive_arms_zero_weight():
+    # the masks of every table over a space are read from env.active_mask
+    for name in ("tabular_active", "sleeping_bernoulli", "sleeping_categorical"):
+        env = ENVS[name]()
+        space = env.context_space
+        inactive = np.array([~env.active_mask(c) for c in space.contexts.tolist()])
+        assert inactive.any(), name
+        params = dataclasses.replace(calibrated_params(env.n_arms, env.horizon), eta=0.5)
+        learner = _cross_learner(env, params, space)
+        acc = make_accumulator(env.acc_kind, env.n_arms, getattr(env, "n_contexts", None))
+        known = KnownNuLearner(env.n_arms, acc, space, 0.5, RngStream(3, 2),
+                               active=env.active_mask)
+        snapshots = set()
+        for t in range(env.horizon):
+            context = env.context(t)
+            learner.step(context, lambda a: env.reveal(t, a))
+            known.step(context, lambda a: env.reveal(t, a))
+            ex = learner._exponents
+            ex.row(0)
+            for table in (learner.snapshot_table, known.probe_table()):
+                assert (table[inactive] == 0.0).all() and (table[~inactive] > 0.0).all()
+            assert (ex.table[inactive] == -np.inf).all()
+            assert np.isfinite(ex.table[~inactive]).all()
+            snapshots.add(learner.snapshot_table.tobytes())
+        assert len(snapshots) > 3, name  # the tables moved
+    # no masks stand for every arm
     env = ENVS["tabular"]()
     assert env.active is None
-    learner = _cross_learner(env, params, no_masks)
-    assert learner._snap_cur.table.shape == (env.n_contexts, 4)
+    assert space_masks(env.context_space, env.active_mask, env.n_arms) is None
+    learner = _cross_learner(env, calibrated_params(4, HORIZON), env.context_space)
+    assert (learner.snapshot_table == 0.25).all()
 
 
-def test_context_space_builds_masks_and_rows_when_first_read():
-    built = []
-
-    def masks():
-        built.append(1)
-        return np.ones((3, 2), dtype=bool)
-
-    space = ContextSpace(np.array([4, 9, 4]), masks)
-    assert not space.ids and built == []
+def test_context_space_builds_rows_when_first_read():
+    space = ContextSpace(np.array([4, 9, 4]))
+    assert not space.ids and space._rows is None
     assert space.rows == {4: 0, 9: 1} and space.rows is space.rows
-    assert space.masks is space.masks and built == [1]
     ids = ContextSpace(np.arange(3))
-    assert ids.ids and ids.rows is None and ids.masks is None
+    assert ids.ids and ids.rows is None
     assert not ContextSpace(np.arange(3) + 0.0).ids
     env = SleepingEnv.generate(50, 16, RngStream(4, 0))
-    assert len(env.context_space) == 65535 and callable(env.context_space._masks)
-    assert env.known_nu_oracle().masks.shape == (65535, 16)
+    assert len(env.context_space) == 65535 and env.known_nu_oracle() is env.context_space
     assert env.context_space.weights.sum() == pytest.approx(1.0, abs=1e-12)

@@ -189,6 +189,9 @@ def test_from_tensor_validation():
     bad[0, 0, 0] = 1.5
     with pytest.raises(EnvError):
         TabularEnv.from_tensor(bad, np.ones(2) / 2, RngStream(0, 0))
+    bad[0, 0, 0] = np.nan
+    with pytest.raises(EnvError, match=r"\[0, 1\]"):
+        TabularEnv.from_tensor(bad, np.ones(2) / 2, RngStream(0, 0))
     with pytest.raises(EnvError):
         TabularEnv.from_tensor(np.zeros((3, 2, 2)), np.ones(3) / 3, RngStream(0, 0))
 
@@ -200,7 +203,7 @@ def test_from_tensor_normalises_nu_for_known_nu_and_audit():
     assert oracle is env.context_space and oracle.weights.tolist() == [0.25] * 4
     acc = make_accumulator(env.acc_kind, env.n_arms, env.n_contexts)
     learner = KnownNuLearner(env.n_arms, acc, oracle, known_nu_rate(env.n_arms, env.horizon),
-                             RngStream(0, 2), active=env.active)
+                             RngStream(0, 2), active=env.active_mask)
     for t in range(env.horizon):
         learner.step(env.context(t), lambda a: env.reveal(t, a))
     assert acc.version == env.horizon
@@ -242,6 +245,28 @@ def test_from_csv_missing_entry(tmp_path):
         w.writerow([1, 1, 1, 0.5])
     with pytest.raises(EnvError):
         TabularEnv.from_csv(path, np.ones(2) / 2, RngStream(0, 0))
+
+
+# a header and every (t, k, c) of a 2 x 2 x 1 tensor, on lines 1 to 5
+CSV_ROWS = "t,k,c,value\n0,0,0,0.5\n0,1,0,0.25\n1,0,0,0.75\n1,1,0,1.0\n"
+
+
+@pytest.mark.parametrize("row, match", [
+    ("-1,0,0,0.9", "nonnegative integers"),
+    ("0.5,0,0,0.3", "nonnegative integers"),
+    ("0,1.5,0,0.3", "nonnegative integers"),
+    ("0,0", "expected t,k,c,value"),
+    ("0,0,1,abc", "value must be a number"),
+    ("1,1,0,0.5", "duplicate"),
+], ids=["negative_t", "fractional_t", "fractional_k", "short", "text_value", "duplicate"])
+def test_from_csv_names_the_line_of_a_bad_row(tmp_path, row, match):
+    path = tmp_path / "losses.csv"
+    path.write_text(CSV_ROWS + row + "\n")
+    with pytest.raises(EnvError, match=f"line 6: .*{match}"):
+        TabularEnv.from_csv(path, np.ones(1), RngStream(0, 0))
+    path.write_text(CSV_ROWS)
+    env = TabularEnv.from_csv(path, np.ones(1), RngStream(0, 0))
+    assert [env.loss_scalar(t, 0, k) for t in (0, 1) for k in (0, 1)] == [0.5, 0.25, 0.75, 1.0]
 
 
 def test_subset_mask_roundtrip():

@@ -15,6 +15,7 @@ from crosslearn.accumulator import (
 from crosslearn.learner import (
     CrossLearner,
     OutOfOrderError,
+    ParamError,
     bernoulli_param,
     calibrated_params,
     estimate_weight,
@@ -22,7 +23,8 @@ from crosslearn.learner import (
     tune_parameters,
     with_overrides,
 )
-from crosslearn.simplex import RngStream
+from crosslearn.baselines import KnownNuLearner, PerContextExp3
+from crosslearn.simplex import ContextSpace, RngStream
 
 
 def _small_params(n_arms=3, horizon=400, L=20, eta=0.01, gamma=0.05):
@@ -125,7 +127,7 @@ def test_out_of_order_and_horizon_exhaustion():
 
 def test_empty_active_set_rejected():
     # a callable's empty set fails when its context is first played; an
-    # empty row of an active matrix fails when the learner is built
+    # active set that is not a callable fails when the learner is built
     params = _small_params()
     reveal = _const_env_step([0.5, 0.5])
     full, empty = np.ones(3, dtype=bool), np.zeros(3, dtype=bool)
@@ -134,9 +136,16 @@ def test_empty_active_set_rejected():
     learner.step(0, reveal)
     with pytest.raises(ValueError, match="empty"):
         learner.step(1, reveal)
-    with pytest.raises(ValueError, match="empty"):
-        CrossLearner(params, make_accumulator(TABULAR, 3, 2), RngStream(0, 1),
-                     active=np.array([full, empty]))
+    matrix = np.array([full, full])
+    space = ContextSpace(np.arange(2), weights=[0.5, 0.5])
+    for build in (
+            lambda: CrossLearner(params, make_accumulator(TABULAR, 3, 2), RngStream(0, 1),
+                                 active=matrix),
+            lambda: KnownNuLearner(3, make_accumulator(TABULAR, 3, 2), space, 0.1,
+                                   RngStream(0, 2), active=matrix),
+            lambda: PerContextExp3(3, RngStream(0, 3), active=matrix)):
+        with pytest.raises(ParamError, match="callable"):
+            build()
 
 
 def test_callable_active_set_respected_with_tabular_accumulator():
@@ -234,7 +243,7 @@ def test_frequency_estimate_unbiased_after_warmup():
     ests = []
     for seed in range(400):
         acc = make_accumulator(TABULAR, K, C)
-        learner = CrossLearner(params, acc, RngStream(seed, 1), active=active)
+        learner = CrossLearner(params, acc, RngStream(seed, 1), active=active.__getitem__)
         gen = np.random.default_rng(seed + 10_000)
         for t in range(L):
             learner.step(int(gen.integers(2)), reveal)

@@ -18,13 +18,14 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
-from crosslearn.accumulator import LinearLoss, TabularAccumulator, make_accumulator, snapshot
+from crosslearn.accumulator import LinearLoss, make_accumulator, snapshot
+from crosslearn.envs import SleepingEnv
 from crosslearn.harness import ALGO_STREAMS, ENV_STREAM, build_env
 from crosslearn.learner import (CrossLearner, Params, _sum_rows, bernoulli_param,
                                 calibrated_params, estimate_weight)
 from crosslearn.simplex import BlockUniforms, ContextSpace, RngStream, sample_index
 
-from test_differential import _ref_ftrl_weights
+from test_differential import _ref_ftrl_weights, _ref_masks
 
 
 def _ref_select(p, s):
@@ -49,12 +50,12 @@ class _RefSnapView:
     """The snapshot view as it was: array rows read from the table, or one
     softmax per lookup."""
 
-    def __init__(self, handle, space=None):
+    def __init__(self, handle, space=None, masks=None):
         self.handle = handle
         if space is None:
             self.table = self._rows = None
         else:
-            self.table = handle.weights_batch(space.index, space.masks)
+            self.table = handle.weights_batch(space.index, masks)
             self._rows = space.rows
 
     def weights(self, context, mask=None):
@@ -70,8 +71,14 @@ class _RefCrossLearner(CrossLearner):
     """CrossLearner with the round as it was: numpy vectors after the
     softmax and a frequency `+=` per sample."""
 
+    def __init__(self, params, accumulator, rng, active=None, space=None):
+        # the table masks, built here apart from the learner's own
+        self._ref_masks = None if space is None else _ref_masks(
+            space.contexts.tolist(), active, params.n_arms)
+        super().__init__(params, accumulator, rng, active, space)
+
     def _view(self, handle):
-        return _RefSnapView(handle, self._space)
+        return _RefSnapView(handle, self._space, self._ref_masks)
 
     def _end_epoch(self):
         if self._snap_pending is None:
@@ -158,8 +165,8 @@ def test_round_on_floats_matches_round_on_arrays(name):
 
     def learner(cls):
         acc = make_accumulator(env.acc_kind, env.n_arms, getattr(env, "n_contexts", None))
-        return cls(params, acc, RngStream(4, ALGO_STREAMS["crosslearn"]), active=env.active,
-                   space=env.context_space)
+        return cls(params, acc, RngStream(4, ALGO_STREAMS["crosslearn"]),
+                   active=env.active_mask, space=env.context_space)
 
     new, ref = learner(CrossLearner), learner(_RefCrossLearner)
     assert (new._snap_cur.table is None) == (name in PER_LOOKUP)
@@ -230,28 +237,30 @@ class _Script:
 PAIR_L = 4
 
 
-def _drive(n_contexts, n_arms, active, seed, last):
+def _drive(n_arms, space, active, seed, last):
     """A learner after four epochs of random play on fixed loss rows, one
     round before the fifth epoch's last pair if `last`, else before its
-    first; its nu and loss rows."""
+    first; its nu and loss rows. Over context ids the accumulator is
+    tabular, over the subsets of a sleeping env it is constant."""
+    contexts = space.contexts.tolist()
+    n_contexts = len(contexts)
     gen = np.random.default_rng(seed)
     nu = gen.random(n_contexts) + 0.2
     nu /= nu.sum()
-    ell = gen.random((n_arms, n_contexts))
+    acc = make_accumulator("tabular" if space.ids else "constant", n_arms, n_contexts)
+    ell = gen.random(acc.coef.shape)
     params = Params(n_arms=n_arms, horizon=10 * PAIR_L, conf=1.0, epoch_len=PAIR_L,
                     gamma=0.1, eta=0.3)
-    # over the ids space, so that the frequency samples are table rows
+    # over a tabulated space, so that the frequency samples are table rows
     # whose sum waits for the end of the epoch
-    learner = CrossLearner(params, make_accumulator("tabular", n_arms, n_contexts),
-                           RngStream(seed, 0), active=active,
-                           space=ContextSpace(np.arange(n_contexts), active))
-    losses = [LinearLoss(TabularAccumulator, row) for row in ell]
+    learner = CrossLearner(params, acc, RngStream(seed, 0), active=active, space=space)
+    losses = [LinearLoss(type(acc), row) for row in ell]
     played = {}  # epoch -> the FTRL state its last pair plays
     pos = PAIR_L - 2 if last else 0
     for _ in range(4 * PAIR_L + pos):
         if learner.t % PAIR_L == PAIR_L - 2 and learner.epoch >= 2:
             played[learner.epoch] = learner.acc.coef.tobytes()
-        learner.step(int(gen.choice(n_contexts, p=nu)), losses.__getitem__)
+        learner.step(contexts[int(gen.choice(n_contexts, p=nu))], losses.__getitem__)
     assert learner.epoch == 5 and learner.t % PAIR_L == pos
     # the snapshots are two and one epochs behind
     assert learner.snapshot_current.coef.tobytes() == played[3]
@@ -263,15 +272,18 @@ def _drive(n_contexts, n_arms, active, seed, last):
 
 
 def _set_state(learner, fallback):
-    """Set the FTRL state at each context c to its current snapshot, with
-    the logit of one arm lowered: by 20 at the snapshot's likeliest arm
-    where fallback[c] (so q = s), else by 0.3 (so q = p, not s)."""
+    """Set the FTRL state to the current snapshot, then for each context c
+    lower the logit of one arm: by 20 at the snapshot's likeliest arm at c
+    where fallback[c] (so q = s), else by 0.3 at its last active arm (so
+    q = p, not s). Over context ids each context has its own column of the
+    state; a constant accumulator shares one column, so the contexts'
+    changes add up."""
     snap = learner.snapshot_current
     coef = snap.coef.copy()
-    for c, fb in enumerate(fallback):
+    for i, (c, fb) in enumerate(zip(learner.context_space.contexts.tolist(), fallback)):
         s = snap.weights(c, learner._mask(c))
         arm = int(np.argmax(s)) if fb else int(np.flatnonzero(s)[-1])
-        coef[arm, c] += (20.0 if fb else 0.3) / learner.params.eta
+        coef[arm, i if coef.shape[1] > 1 else 0] += (20.0 if fb else 0.3) / learner.params.eta
     learner.acc.coef[...] = coef
     learner.acc.version += 1  # the state moved, as an add would move it
 
@@ -279,12 +291,12 @@ def _set_state(learner, fallback):
 def _pair_outcomes(learner, nu, losses):
     """Every outcome of the next pair with its probability: the learner
     after the pair, the coin (True: the first round takes the frequency
-    sample), the contexts and the arm added (None if none)."""
+    sample), the context rows and the arm added (None if none)."""
     acc = learner.acc
     eta = learner.params.eta
-    n_contexts = len(nu)
+    contexts = learner.context_space.contexts.tolist()
     q, s, fallback = [], [], []
-    for c in range(n_contexts):
+    for c in contexts:
         mask = learner._mask(c)
         sc = learner.snapshot_current.weights(c, mask)
         pc = _ref_ftrl_weights(acc.eval_column(c), eta, mask)
@@ -293,6 +305,7 @@ def _pair_outcomes(learner, nu, losses):
         s.append(sc)
         fallback.append(fb)
     out = []
+    n_contexts = len(contexts)
     for c1 in range(n_contexts):
         for a1 in np.flatnonzero(q[c1]):
             for c2 in range(n_contexts):
@@ -307,8 +320,8 @@ def _pair_outcomes(learner, nu, losses):
                                  r / 2 if keep else (1.0 + r) / 2]
                             after = copy.deepcopy(learner)
                             after._gen = BlockUniforms(_Script(u))
-                            assert after.step(c1, losses.__getitem__) == a1
-                            assert after.step(c2, losses.__getitem__) == a2
+                            assert after.step(contexts[c1], losses.__getitem__) == a1
+                            assert after.step(contexts[c2], losses.__getitem__) == a2
                             out.append((prob, after, coin, c1, c2,
                                         al if after.acc.version > acc.version else None))
     return out, s, fallback
@@ -320,20 +333,37 @@ def _mid(q, k):
     return float((cs[k] - 0.5 * q[k]) / cs[-1])
 
 
+def _ids(n_contexts, active=None):
+    return ContextSpace(np.arange(n_contexts)), active
+
+
+def _subsets(subsets, n_arms):
+    """The context space and active_mask of a sleeping env whose
+    availability draws one of the listed subsets."""
+    env = SleepingEnv.generate(PAIR_L, n_arms, RngStream(0, 0), availability={
+        "kind": "categorical", "subsets": subsets, "probs": [1.0] * len(subsets)})
+    return env.context_space, env.active_mask
+
+
+MASKS = np.array([[1, 1, 0], [0, 1, 1], [1, 1, 1]], dtype=bool)
 PAIR_CASES = {
-    # (contexts, arms, active, which contexts fall back, the pair ends the epoch)
-    "unmasked": (3, 3, None, [True, False, False], True),
-    "masked": (3, 3, np.array([[1, 1, 0], [0, 1, 1], [1, 1, 1]], dtype=bool),
-               [True, False, True], True),
-    "no_fallback": (2, 2, None, [False, False], True),
-    "not_last": (3, 3, None, [True, False, False], False),
+    # (arms, the space and the active sets, which contexts fall back, the
+    # pair ends the epoch)
+    "unmasked": (3, lambda: _ids(3), [True, False, False], True),
+    "masked": (3, lambda: _ids(3, MASKS.__getitem__), [True, False, True], True),
+    "no_fallback": (2, lambda: _ids(2), [False, False], True),
+    "not_last": (3, lambda: _ids(3), [True, False, False], False),
+    "sleeping": (3, lambda: _subsets([[0, 1], [2], [1, 2]], 3), [True, False, False], True),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PAIR_CASES))
 def test_one_pair_matches_the_estimator_laws_exactly(case):
-    n_contexts, n_arms, active, want_fallback, last = PAIR_CASES[case]
-    learner, nu, ell, losses = _drive(n_contexts, n_arms, active, len(case), last)
+    n_arms, make_space, want_fallback, last = PAIR_CASES[case]
+    space, active = make_space()
+    contexts = space.contexts.tolist()
+    n_contexts = len(contexts)
+    learner, nu, ell, losses = _drive(n_arms, space, active, len(case), last)
     # the epoch's estimate so far, its recorded rows summed
     before = copy.deepcopy(learner)
     before._flush_freq()
@@ -344,7 +374,7 @@ def test_one_pair_matches_the_estimator_laws_exactly(case):
     assert fallback == want_fallback
     s = np.array(s)
     s_next = np.array([learner._snap_next.handle.weights(c, learner._mask(c))
-                       for c in range(n_contexts)])
+                       for c in contexts])
     assert np.abs(s_next - s).max() > 1e-3  # the two snapshots differ
     L, gamma = learner.params.epoch_len, learner.params.gamma
     probs = np.array([o[0] for o in outcomes])

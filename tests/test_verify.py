@@ -175,3 +175,29 @@ def test_cli_verify_rejects_counts_it_cannot_use(capsys, args):
         main(["verify", *args])
     assert exc.value.code == 2
     assert "must be an integer >= " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, want", [
+    ([], (100, 16384, 100000)),
+    (["--quick"], (10, 8192, 20000)),
+    (["--quick", "--seeds", "3"], (3, 8192, 20000)),
+    (["--quick", "--trials", "50"], (10, 8192, 50)),
+    (["--seeds", "4", "--trials", "60"], (4, 16384, 60)),
+], ids=["full", "quick", "quick_seeds", "quick_trials", "counts"])
+def test_cli_verify_quick_sets_only_the_counts_not_given(monkeypatch, capsys, args, want):
+    got = []
+
+    def audit(n_seeds, horizon):
+        got.extend((n_seeds, horizon))
+        return {"epochs": 1, "good_fraction": 1.0, "beta_in_range_fraction": 1.0,
+                "fallback_fraction": 0.0}
+
+    def lemmas(n_trials):
+        got.append(n_trials)
+        return []
+
+    monkeypatch.setattr(verify_module, "tuned_synthetic_audit", audit)
+    monkeypatch.setattr(verify_module, "lemma_suite", lemmas)
+    assert main(["verify", *args]) == 0
+    assert (got[1], got[2], got[0]) == want
+    assert "checks passed" in capsys.readouterr().out
