@@ -62,6 +62,14 @@ def _number(value, name):
         raise EnvError(f"{name} must be a number, got {value!r}") from None
 
 
+def _positive(value, name):
+    """value as a finite float > 0; EnvError naming the field otherwise."""
+    x = _number(value, name)
+    if not (math.isfinite(x) and x > 0):
+        raise EnvError(f"{name} must be a finite number > 0, got {value!r}")
+    return x
+
+
 def _field(spec, key, name):
     """spec[key]; EnvError naming the field if the spec lacks it."""
     if key not in spec:
@@ -319,8 +327,8 @@ def _value_sampler(spec, n, gen):
     if kind == "uniform":
         return gen.random(n), (lambda x: np.clip(x, 0.0, 1.0)), None
     if kind == "beta":
-        a = _number(spec.get("a"), "values field 'a'")
-        b = _number(spec.get("b"), "values field 'b'")
+        a = _positive(spec.get("a"), "values field 'a'")
+        b = _positive(spec.get("b"), "values field 'b'")
         from scipy.stats import beta as beta_dist
 
         return gen.beta(a, b, n), (lambda x: beta_dist.cdf(x, a, b)), None
@@ -345,8 +353,8 @@ def _payment_sequence(spec, n, gen):
                            f"got lo={lo!r}, hi={hi!r}")
         return lo + (hi - lo) * gen.random(n)
     if kind == "iid_beta":
-        return gen.beta(_number(spec.get("a"), "payments field 'a'"),
-                        _number(spec.get("b"), "payments field 'b'"), n)
+        return gen.beta(_positive(spec.get("a"), "payments field 'a'"),
+                        _positive(spec.get("b"), "payments field 'b'"), n)
     if kind == "iid_discrete":
         atoms = _numbers(_field(spec, "atoms", "payments"), "payments field 'atoms'")
         probs = _weights(_field(spec, "probs", "payments"), atoms.size, "payments field 'probs'")
@@ -358,7 +366,7 @@ def _payment_sequence(spec, n, gen):
     if kind == "drift":
         base = _number(spec.get("base", 0.5), "payments field 'base'")
         amplitude = _number(spec.get("amplitude", 0.3), "payments field 'amplitude'")
-        period = _number(spec.get("period", max(n // 4, 1)), "payments field 'period'")
+        period = _positive(spec.get("period", max(n // 4, 1)), "payments field 'period'")
         noise = _number(spec.get("noise", 0.02), "payments field 'noise'")
         t = np.arange(n)
         m = base + amplitude * np.sin(2.0 * math.pi * t / period)
@@ -493,6 +501,9 @@ class SleepingEnv:
                              "availability field 'probs'")
             if probs.size != n_arms:
                 raise EnvError("availability probs must have length K")
+            if not ((probs >= 0) & (probs <= 1)).all():  # NaN fails too
+                raise EnvError(f"availability field 'probs' must lie in [0, 1], "
+                               f"got {availability['probs']!r}")
             if not (probs > 0).any():
                 raise EnvError("availability probs are all zero")
             # one row per attempt, rejecting empty rows, in the order a

@@ -15,15 +15,12 @@ measured times always live in the in-memory RunResult.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
-import json
 import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,10 +270,14 @@ def map_tasks(fn, tasks, workers):
     """[fn(task) for task in tasks], in order: serially when at most one of
     `workers` is left after the CROSSLEARN_THREADS cap (worker_cap) and the
     number of tasks, else on a process pool of that many workers, one task
-    at a time each. fn must be a module-level function."""
+    at a time each. fn must be a module-level function. The pool machinery
+    (multiprocessing) is imported here, by the first run that starts a
+    pool, so a serial run never loads it."""
     workers = min(workers, worker_cap(), len(tasks))
     if workers <= 1:
         return [fn(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=1))
 
@@ -413,7 +414,20 @@ def scaling_report(rows, algo=None):
     return report
 
 
+def _check_output(path):
+    """ConfigError unless `path` names a file in an existing directory."""
+    if not path:
+        raise ConfigError("output must be a nonempty path")
+    if os.path.isdir(path):
+        raise ConfigError(f"output {path!r} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"output directory {parent!r} does not exist")
+
+
 def _cmd_run(args):
+    import json
+
     try:
         with open(args.config) as fh:
             config = json.load(fh)
@@ -423,12 +437,19 @@ def _cmd_run(args):
     if args.workers is not None and isinstance(config, dict):
         config["workers"] = args.workers
     try:
+        # the config and the output path are checked before any run starts
+        validate_config(config)
+        out = config.get("output", "results.csv")
+        _check_output(out)
         results = run_experiment(config)
     except (ConfigError, ParamError, EnvError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    out = config.get("output", "results.csv")
-    write_csv(results, out, timing=args.timing or bool(config.get("timing")))
+    try:
+        write_csv(results, out, timing=args.timing or bool(config.get("timing")))
+    except OSError as err:
+        print(f"error: cannot write {out}: {err}", file=sys.stderr)
+        return 1
     print(f"wrote {sum(len(r.checkpoints) for r in results)} rows "
           f"({len(results)} runs) to {out}")
     return 0
@@ -454,6 +475,8 @@ def _cmd_scaling(args):
 def _int_at_least(low):
     """argparse type: an integer >= low."""
     def integer(text):
+        import argparse
+
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
@@ -468,6 +491,9 @@ def _cmd_verify(args):
 
 
 def main(argv=None):
+    # imported here, not with the package: only the CLI parses arguments
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="crosslearn",
         description="cross-learning contextual bandit simulator")

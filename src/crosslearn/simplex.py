@@ -73,14 +73,25 @@ def space_masks(space, active, n_arms):
     """The read-only (n, K) boolean matrix whose row i is the active set
     active(contexts[i]) of a context of the space, a None mask standing for
     every arm; None when active is None or gives None at every context, so
-    that an unmasked space keeps the unmasked batch softmax."""
+    that an unmasked space keeps the unmasked batch softmax. SimplexError
+    names the first context whose mask is not n_arms booleans."""
     if active is None:
         return None
-    masks = [active(c) for c in space.contexts.tolist()]
+    contexts = space.contexts.tolist()
+    masks = [active(c) for c in contexts]
     if all(m is None for m in masks):
         return None
     every = np.ones(n_arms, dtype=bool)
-    out = np.array([every if m is None else m for m in masks], dtype=bool)
+    rows = [every if m is None else m for m in masks]
+    bad = [i for i, m in enumerate(rows) if np.shape(m) != (n_arms,)]
+    if not bad:
+        out = np.array(rows)
+        if out.dtype != bool:
+            bad = np.flatnonzero(~np.isin(out, (0, 1)).all(axis=1)).tolist()
+    if bad:
+        raise SimplexError(f"active set of context {contexts[bad[0]]!r} must be "
+                           f"{n_arms} booleans, got {rows[bad[0]]!r}")
+    out = out.astype(bool, copy=False)
     out.flags.writeable = False
     return out
 
@@ -142,13 +153,20 @@ def ftrl_weights(z, mask=None, top=None):
     `top` is the maximum of z over the mask when the caller knows it (the
     learner's exponent table keeps one per context). Hot-path core without
     finiteness checks; z is not modified and a fresh length-K array is
-    returned. The masked branch works on the full row with -inf off the
-    mask, whose exp is 0, so the row sum adds the same zeros as a scatter
+    returned. A mask whose shape is not z's raises SimplexError, rather
+    than broadcast. The masked branch works on the full row with -inf off
+    the mask, whose exp is 0, so the row sum adds the same zeros as a scatter
     into a zero row would. The ufuncs are called directly, with their
     outputs passed positionally: they run the loops of .max() and .sum()
     without those methods' Python wrappers.
     """
     if mask is not None:
+        try:
+            shape = mask.shape
+        except AttributeError:  # a list of booleans
+            shape = np.shape(mask)
+        if shape != z.shape:
+            raise SimplexError(f"active mask must be {z.size} booleans, got shape {shape}")
         z = _where(mask, z, _NEG_INF)
     if top is None:
         top = _max(z)
@@ -164,7 +182,7 @@ def ftrl_weights_batch(cum_loss, eta, masks=None):
     """Row-wise ftrl_weights for an (n, K) array of cumulative losses.
 
     `masks` may be None (all active), a (K,) mask shared by all rows, or an
-    (n, K) mask matrix. Row i equals
+    (n, K) mask matrix; SimplexError for any other shape. Row i equals
     ftrl_weights(np.multiply(cum_loss[i], -eta), mask_i) bit for bit.
 
     Without masks the work runs in the accumulator's (K, n) layout: the
@@ -184,6 +202,8 @@ def ftrl_weights_batch(cum_loss, eta, masks=None):
     else:
         z = np.multiply(cum_loss, -eta, order="C")
         masks = np.asarray(masks, dtype=bool)
+        if masks.shape not in (z.shape, z.shape[1:]):
+            raise SimplexError(f"masks of shape {masks.shape} for {z.shape[1]} arms")
         if masks.ndim == 1:
             masks = np.broadcast_to(masks, z.shape)
         if not np.logical_or.reduce(np.ascontiguousarray(masks.T), axis=0).all():

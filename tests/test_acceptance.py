@@ -7,14 +7,13 @@ in the assertions. The synthetic suite (criteria 5-7) and the auction suite
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 
 import numpy as np
 import pytest
 
 from crosslearn.envs import TabularEnv, hindsight_regret
-from crosslearn.harness import run_experiment, run_single, write_csv
+from crosslearn.harness import map_tasks, run_experiment, run_single, write_csv
 from crosslearn.learner import (bernoulli_param, calibrated_params,
                                 select_sampling_distribution)
 from crosslearn.verify import (inverse_moment_tail_sum, lemma_suite,
@@ -190,8 +189,7 @@ def test_criterion_08_auction_scaling():
     from crosslearn.harness import fit_scaling
 
     tasks = [(T, seed) for T in AUCTION_GRID for seed in range(20)]
-    with ProcessPoolExecutor(max_workers=WORKERS) as pool:
-        runs = list(pool.map(_auction_point, tasks, chunksize=1))
+    runs = map_tasks(_auction_point, tasks, WORKERS)
     fit = fit_scaling([(T, regret) for T, regret, _ in runs])
     # reported, not gated: the fallback rate of the calibrated rate
     rates = ", ".join(

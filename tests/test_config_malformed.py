@@ -171,11 +171,29 @@ def _sleeping(availability):
     (_auction(payments={"kind": "iid_uniform", "lo": "a"}), "'lo'"),
     (_auction(payments={"kind": "iid_uniform", "lo": 2, "hi": 1}), "'lo'"),
     (_auction(payments={"kind": "drift", "period": "weekly"}), "'period'"),
+    (_auction(values={"kind": "beta", "a": 0, "b": 1}), "'a'"),
+    (_auction(values={"kind": "beta", "a": 2, "b": -1}), "'b'"),
+    (_auction(values={"kind": "beta", "a": float("inf"), "b": 1}), "'a'"),
+    (_auction(payments={"kind": "iid_beta", "a": -0.5, "b": 1}), "'a'"),
+    (_auction(payments={"kind": "iid_beta", "a": 1, "b": float("nan")}), "'b'"),
+    (_auction(payments={"kind": "drift", "period": 0}), "'period'"),
+    (_auction(payments={"kind": "drift", "period": -8}), "'period'"),
+    (_auction(payments={"kind": "drift", "period": float("inf")}), "'period'"),
+    (_sleeping({"kind": "bernoulli", "probs": [0.5, float("nan"), 0.5]}), "'probs'"),
+    (_sleeping({"kind": "bernoulli", "probs": [0.5, 1.5, 0.5]}), "'probs'"),
+    (_sleeping({"kind": "bernoulli", "probs": [-0.1, 0.5, 0.5]}), "'probs'"),
+    # above K = 16 no subset distribution is enumerated, which caught a NaN
+    ({"kind": "sleeping", "K": 17,
+      "availability": {"kind": "bernoulli", "probs": [0.5] * 16 + [float("nan")]}},
+     "'probs'"),
 ], ids=["gap", "values", "beta_a", "nu_length", "nu_negative", "nu_zero", "nu_text",
         "discrete_atoms", "discrete_probs", "iid_discrete_atoms", "iid_discrete_probs",
         "periodic_pattern", "bernoulli_probs", "categorical_subsets", "categorical_probs",
         "subset_arm_range", "means_length", "amp_text", "uniform_lo_text",
-        "uniform_lo_above_hi", "drift_period_text"])
+        "uniform_lo_above_hi", "drift_period_text", "beta_a_zero", "beta_b_negative",
+        "beta_a_infinite", "iid_beta_a_negative", "iid_beta_b_nan", "drift_period_zero",
+        "drift_period_negative", "drift_period_infinite", "bernoulli_probs_nan",
+        "bernoulli_probs_above_one", "bernoulli_probs_negative", "bernoulli_probs_nan_k17"])
 def test_bad_value_inside_env_spec_named(tmp_path, capsys, env, field):
     with pytest.raises((ConfigError, EnvError), match=re.escape(field)):
         run_experiment(config(env=env))

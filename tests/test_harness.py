@@ -1,12 +1,15 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import crosslearn
+from crosslearn import harness
 from crosslearn.envs import EnvError, TabularEnv
 from crosslearn.harness import (
     ALGO_STREAMS,
@@ -203,6 +206,47 @@ def test_cli_run_and_scaling(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "crosslearn: slope" in out
     assert main(["run", str(tmp_path / "missing.json")]) == 1
+
+
+@pytest.mark.parametrize("output, match", [
+    ("missing/r.csv", "output directory"), (".", "is a directory"), (None, "nonempty"),
+], ids=["missing_directory", "directory", "empty"])
+def test_cli_checks_the_output_path_before_any_run(tmp_path, capsys, monkeypatch,
+                                                   output, match):
+    monkeypatch.setattr(harness, "run_experiment", None)  # any run would crash
+    cfg_path = tmp_path / "config.json"
+    out = "" if output is None else str(tmp_path / output)
+    cfg_path.write_text(json.dumps(small_config(output=out)))
+    assert main(["run", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and match in err
+
+
+def test_cli_reports_a_failed_write(tmp_path, capsys, monkeypatch):
+    def refuse(results, path, timing=False):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(harness, "write_csv", refuse)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(small_config(output=str(tmp_path / "r.csv"))))
+    assert main(["run", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and "Permission denied" in err
+
+
+def test_cold_import_leaves_out_the_pool_and_the_parser():
+    # the process pool and argparse are imported by the first run or CLI
+    # call that needs them; test_parallel_matches_serial covers the pool
+    env = dict(os.environ, PYTHONPATH=str(Path(crosslearn.__file__).parents[1]))
+    probe = ("import sys, crosslearn; print(sorted(m for m in ("
+             "'concurrent.futures.process', 'multiprocessing', 'argparse') "
+             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+    cli = subprocess.run([sys.executable, "-m", "crosslearn", "--help"], env=env,
+                         capture_output=True, text=True)
+    assert cli.returncode == 0 and "usage: crosslearn" in cli.stdout
 
 
 @pytest.mark.parametrize("text, match", [

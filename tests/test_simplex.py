@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from crosslearn.accumulator import TABULAR, make_accumulator
+from crosslearn.baselines import PerContextExp3
+from crosslearn.learner import CrossLearner, tune_parameters
 from crosslearn.simplex import (
     ContextSpace,
     RngStream,
@@ -10,6 +13,7 @@ from crosslearn.simplex import (
     ftrl_weights,
     ftrl_weights_batch,
     sample_index,
+    space_masks,
 )
 
 
@@ -113,3 +117,31 @@ def test_context_space_rejects_weights_that_are_not_a_distribution():
     space = ContextSpace(np.arange(2), weights=[0.25, 0.75])
     assert space.weights.dtype == float and space.weights.tolist() == [0.25, 0.75]
     assert ContextSpace(np.arange(2)).weights is None
+
+
+def test_masks_that_are_not_k_booleans_are_rejected():
+    # a length-1 mask used to broadcast to every arm: uniform over all 3
+    exp3 = PerContextExp3(3, RngStream(0, 0), active=lambda c: np.array([True]))
+    with pytest.raises(SimplexError, match="3 booleans"):
+        exp3.distribution(0)
+    with pytest.raises(SimplexError, match="3 booleans"):
+        ftrl_weights(np.zeros(3), np.ones((3, 1), dtype=bool))
+    for masks in (np.ones(1, dtype=bool), np.ones((1, 3), dtype=bool)):
+        with pytest.raises(SimplexError, match="for 3 arms"):
+            ftrl_weights_batch(np.zeros((2, 3)), 1.0, masks)
+    # a list of K booleans is a mask like any other
+    assert ftrl_weights(np.zeros(3), [True, False, True]).tolist() == [0.5, 0.0, 0.5]
+    space = ContextSpace(np.arange(3))
+    for active, context in ((lambda c: np.array([True]), 0),
+                            (lambda c: None if c < 2 else np.ones(4, dtype=bool), 2),
+                            (lambda c: [1, 0, 2] if c == 1 else None, 1),
+                            (lambda c: [0.5, 1.0, 1.0], 0)):
+        with pytest.raises(SimplexError, match=f"context {context} must be 3 booleans"):
+            space_masks(space, active, 3)
+        # a learner over a tabulated space checks its masks once, when built
+        with pytest.raises(SimplexError, match="3 booleans"):
+            CrossLearner(tune_parameters(3, 64), make_accumulator(TABULAR, 3, 3),
+                         RngStream(0, 1), active=active, space=space)
+    masks = space_masks(space, lambda c: [1, 0, 1] if c == 1 else None, 3)
+    assert masks.dtype == bool and not masks.flags.writeable
+    assert masks.tolist() == [[True] * 3, [True, False, True], [True] * 3]
