@@ -37,27 +37,24 @@ class PerContextExp3:
         self._log_k = math.log(self.n_arms)
         self.fallback_count = 0
 
-    def _state(self, context):
+    def _play(self, context):
+        """The context's state [cumulative estimates, visits] and its
+        distribution, the softmax at the anytime rate."""
         st = self._states.get(context)
         if st is None:
-            st = [np.zeros(self.n_arms), 0]
-            self._states[context] = st
-        return st
+            st = self._states[context] = [np.zeros(self.n_arms), 0]
+        eta = math.sqrt(self._log_k / ((st[1] + 1) * self.n_arms))
+        return st, ftrl_weights(np.multiply(st[0], -eta), self._mask(context))
 
     def distribution(self, context):
-        cum, visits = self._state(context)
-        eta = math.sqrt(self._log_k / ((visits + 1) * self.n_arms))
-        return ftrl_weights(np.multiply(cum, -eta), self._mask(context))
+        return self._play(context)[1]
 
-    def step(self, context, reveal, t=None):
-        st = self._state(context)
-        cum, visits = st
-        eta = math.sqrt(self._log_k / ((visits + 1) * self.n_arms))
-        w = ftrl_weights(np.multiply(cum, -eta), self._mask(context))
+    def step(self, context, reveal):
+        st, w = self._play(context)
         arm = sample_index(w.tolist(), self._gen)
         fn = reveal(arm)
-        cum[arm] += fn.eval(context) / w[arm]
-        st[1] = visits + 1
+        st[0][arm] += fn.eval(context) / w[arm]
+        st[1] += 1
         return arm
 
 
@@ -71,20 +68,19 @@ class KnownNuLearner:
     tiny_denominator_count; FTRL keeps every active arm's probability
     positive, so this flags numerical trouble instead of guessing.
 
-    space: a ContextSpace with weights, the env's known_nu_oracle()
-    (ParamError without weights). active: None (every arm always active) or
-    a callable context -> mask/None, an env's active_mask (ParamError
-    otherwise); the masks of the probe table are read from it once, at
-    construction (simplex.space_masks). Each round computes the probe
-    table, the distributions at every context of the space, once: the
-    denominators are its nu-average, and a context of the space is played
-    from its row, which equals ftrl_weights at the context bit for bit. Any
-    other context (a continuous value between quadrature nodes) is played
-    from ftrl_weights at the context itself.
+    The arms are the accumulator's. space: a ContextSpace with weights, the
+    env's known_nu_oracle() (ParamError without weights). active: None
+    (every arm always active) or a callable context -> mask/None, an env's
+    active_mask (ParamError otherwise); the masks of the probe table are
+    read from it once, at construction (simplex.space_masks). Each round
+    computes the probe table, the distributions at every context of the
+    space, once: the denominators are its nu-average, and a context of the
+    space is played from its row, which equals ftrl_weights at the context
+    bit for bit. Any other context (a continuous value between quadrature
+    nodes) is played from ftrl_weights at the context itself.
     """
 
-    def __init__(self, n_arms, accumulator, space, eta, rng, active=None):
-        self.n_arms = int(n_arms)
+    def __init__(self, accumulator, space, eta, rng, active=None):
         self.acc = accumulator
         self.space = space
         self.eta = float(eta)
@@ -92,7 +88,7 @@ class KnownNuLearner:
         self._mask = mask_function(active)
         if space.weights is None:
             raise ParamError("the context space carries no weights")
-        self._masks = space_masks(space, active, self.n_arms)
+        self._masks = space_masks(space, active, accumulator.n_arms)
         self.tiny_denominator_count = 0
         self.fallback_count = 0
 
@@ -109,7 +105,7 @@ class KnownNuLearner:
             denom = TINY_DENOM
         return denom
 
-    def step(self, context, reveal, t=None):
+    def step(self, context, reveal):
         space = self.space
         table = self.probe_table()
         expected = space.weights @ table

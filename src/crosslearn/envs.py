@@ -117,24 +117,16 @@ def _categorical(probs, n, gen):
 
 def _active_matrix(active, n_contexts, n_arms):
     """The active sets of a finite context space as a read-only (C, K) bool
-    matrix, from a matrix, a list of rows or a dict {context: row}; None
-    stays None (every arm always active)."""
+    matrix, from a matrix or a list of C rows; None stays None (every arm
+    always active)."""
     if active is None:
         return None
-    if isinstance(active, dict):
-        unknown = [c for c in active
-                   if not (isinstance(c, (int, np.integer)) and 0 <= c < n_contexts)]
-        if unknown:
-            raise EnvError(f"active set given for unknown context {unknown[0]!r}")
-        rows = [active.get(c) for c in range(n_contexts)]
-    elif isinstance(active, (list, tuple, np.ndarray)):
-        rows = list(active)
-        if len(rows) != n_contexts:
-            raise EnvError(f"active sets given for {len(rows)} contexts, "
-                           f"expected {n_contexts}")
-    else:
-        raise EnvError("active must be a (C, K) boolean matrix, a list of "
-                       "rows or a dict {context: row}")
+    if not isinstance(active, (list, tuple, np.ndarray)):
+        raise EnvError(f"active must be a (C, K) boolean matrix or a list of C rows, "
+                       f"got a {type(active).__name__}")
+    rows = list(active)
+    if len(rows) != n_contexts:
+        raise EnvError(f"active sets given for {len(rows)} contexts, expected {n_contexts}")
     out = np.zeros((n_contexts, n_arms), dtype=bool)
     for c, row in enumerate(rows):
         if row is None:
@@ -398,7 +390,7 @@ class AuctionEnv:
         self.bids = np.arange(self.n_arms) / self.n_arms
         self._value_cdf = value_cdf
         self.context_space = None if atoms is None else ContextSpace(atoms[0], weights=atoms[1])
-        self.grouping = "value" if atoms is not None else "round"
+        self.grouping = "context" if atoms is not None else "round"
         # the revealed losses: (1 - (v - b)) / 2 on a win at bid b, 1/2 on a loss
         wins = np.stack([(1.0 + self.bids) / 2.0, np.full(self.n_arms, -0.5)], axis=1)
         lose = np.array([0.5, 0.0])
@@ -598,10 +590,11 @@ class SleepingEnv:
 
 class RegretTracker:
     """Hindsight-regret accounting against the best context-to-arm mapping
-    on the realized prefix. Grouping modes: "context" keys rounds by the
-    realized context, "value" by the realized scalar value, and "round"
-    treats every round as its own group (continuous auction values, a.s.
-    unique; every arm is always active there).
+    on the realized prefix. Grouping modes (env.grouping): "context" keys
+    rounds by the realized context (context ids, sleeping subsets, auction
+    value atoms), and "round" treats every round as its own group
+    (continuous auction values, a.s. unique; every arm is always active
+    there).
 
     Rounds are scored in blocks of at most SCORE_BLOCK by score(); update()
     scores a single round. Every sum runs in round order (played loss, per-group loss

@@ -9,8 +9,8 @@ are reproducible and independent of execution order; parallel execution
 
 The results CSV has one row per checkpoint (powers of two and T) with the
 fixed header below. Wall-clock timing breaks byte-level reproducibility, so
-the wall_ms column is written as 0 unless timing is requested explicitly;
-measured times always live in the in-memory RunResult.
+the wall_ms column is written as 0 unless `crosslearn run --timing` asks for
+it; measured times always live in the in-memory RunResult.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ THREADS_VAR = "CROSSLEARN_THREADS"
 
 BOOTSTRAP_RESAMPLES = 10000
 BOOTSTRAP_LEVEL = 0.95
+
+CONFIG_FIELDS = ("env", "algos", "T_grid", "seeds", "overrides", "output", "workers")
 
 # env kind -> (required fields, optional fields) of its spec, besides "kind"
 ENV_FIELDS = {
@@ -161,17 +163,19 @@ def crosslearn_params(n_arms, horizon, overrides):
     raise ConfigError(f"overrides must be a dict, 'tuned', or 'calibrated': {overrides!r}")
 
 
-def build_algo(name, env, horizon, seed, overrides):
+def build_algo(name, env, seed, overrides):
+    """The learner `name` for a run of env over its horizon, from stream
+    (seed, ALGO_STREAMS[name])."""
     rng = RngStream(seed, ALGO_STREAMS[name])
     n_contexts = getattr(env, "n_contexts", None)
     if name == "crosslearn":
-        params = crosslearn_params(env.n_arms, horizon, overrides)
+        params = crosslearn_params(env.n_arms, env.horizon, overrides)
         acc = make_accumulator(env.acc_kind, env.n_arms, n_contexts)
         return CrossLearner(params, acc, rng, active=env.active_mask, space=env.context_space)
     if name == "known_nu":
         acc = make_accumulator(env.acc_kind, env.n_arms, n_contexts)
-        return KnownNuLearner(env.n_arms, acc, env.known_nu_oracle(),
-                              known_nu_rate(env.n_arms, horizon), rng, active=env.active_mask)
+        return KnownNuLearner(acc, env.known_nu_oracle(),
+                              known_nu_rate(env.n_arms, env.horizon), rng, active=env.active_mask)
     if name == "exp3_per_context":
         return PerContextExp3(env.n_arms, rng, active=env.active_mask)
     raise ConfigError(f"unknown algorithm {name!r}")
@@ -181,7 +185,7 @@ def run_single(env_spec, algo_name, horizon, seed, overrides=None):
     """Execute one run and return its RunResult (regret per checkpoint).
     Rounds are scored in blocks of SCORE_BLOCK, and at every checkpoint."""
     env = build_env(env_spec, horizon, RngStream(seed, ENV_STREAM))
-    algo = build_algo(algo_name, env, horizon, seed, overrides)
+    algo = build_algo(algo_name, env, seed, overrides)
     tracker = RegretTracker(env)
     cps = checkpoint_schedule(horizon)
     out = []
@@ -205,13 +209,18 @@ def run_single(env_spec, algo_name, horizon, seed, overrides=None):
     return RunResult(
         run_id=f"{algo_name}-T{horizon}-s{seed}",
         seed=seed, algo=algo_name, env_name=env.kind, horizon=horizon,
-        checkpoints=out, fallback_count=int(getattr(algo, "fallback_count", 0)),
+        checkpoints=out, fallback_count=algo.fallback_count,
         wall_ms=wall_ms)
 
 
 def validate_config(config):
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
+    for key in config:
+        if key not in CONFIG_FIELDS:
+            # an old config may still set timing: name the flag that does it
+            hint = "; use `crosslearn run --timing`" if key == "timing" else ""
+            raise ConfigError(f"unknown config field {key!r}{hint}")
     check_env_spec(config.get("env"))
     algos = config.get("algos")
     if not isinstance(algos, (list, tuple)) or not algos:
@@ -238,12 +247,10 @@ def validate_config(config):
         workers = config["workers"]
         if not _is_int(workers, 1):
             raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
-    if "overrides" in config and config["overrides"] is not None:
-        # validated against a representative horizon so a bad override
-        # fails before any run starts
-        horizon = int(grid[0])
-        crosslearn_params(spec_arms(config["env"], horizon), horizon,
-                          config["overrides"])
+    if config.get("overrides") is not None:
+        # validated at every horizon, so a bad override fails before any run
+        for horizon in map(int, grid):
+            crosslearn_params(spec_arms(config["env"], horizon), horizon, config["overrides"])
 
 
 def _run_task(task):
@@ -388,7 +395,10 @@ def bootstrap_ci(values):
 
 def scaling_report(rows, algo=None):
     """Per-algorithm scaling fits from results CSV rows, with bootstrap CIs
-    on the per-horizon mean regret."""
+    on the per-horizon mean regret. ConfigError when `algo` has no rows."""
+    if algo is not None and not any(row["algo"] == algo for row in rows):
+        present = ", ".join(sorted({row["algo"] for row in rows})) or "none"
+        raise ConfigError(f"no rows for algo {algo!r} (algos present: {present})")
     final = {}
     for row in rows:
         if algo is not None and row["algo"] != algo:
@@ -446,7 +456,7 @@ def _cmd_run(args):
         print(f"error: {err}", file=sys.stderr)
         return 1
     try:
-        write_csv(results, out, timing=args.timing or bool(config.get("timing")))
+        write_csv(results, out, timing=args.timing)
     except OSError as err:
         print(f"error: cannot write {out}: {err}", file=sys.stderr)
         return 1

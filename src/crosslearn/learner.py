@@ -80,6 +80,14 @@ class OutOfOrderError(RuntimeError):
     pass
 
 
+def _check_sizes(K, T):
+    """ParamError unless 2 <= n_arms <= horizon."""
+    if K < 2:
+        raise ParamError(f"n_arms >= 2 violated: n_arms={K}")
+    if T < K:
+        raise ParamError(f"horizon >= n_arms violated: horizon={T}, n_arms={K}")
+
+
 @dataclass(frozen=True)
 class Params:
     """Learner parameters.
@@ -87,7 +95,10 @@ class Params:
     conf is the log-scale confidence parameter (failure probability of the
     concentration events is exp(-conf) up to polynomial factors), epoch_len
     the even epoch length, gamma the frequency floor, eta the FTRL rate.
-    """
+    Construction (each dataclasses.replace too) checks what the learner
+    needs to run at all, raising ParamError naming the first violation:
+    arm and horizon counts, an even epoch length that fits, positive finite
+    rates."""
 
     n_arms: int
     horizon: int
@@ -96,29 +107,22 @@ class Params:
     gamma: float
     eta: float
 
-    def validate_structure(self):
-        """Check what the learner needs to run at all: arm and horizon
-        counts, an even epoch length that fits, positive finite rates."""
-        K, T, L = self.n_arms, self.horizon, self.epoch_len
-        if K < 2:
-            raise ParamError(f"n_arms >= 2 violated: n_arms={K}")
-        if T < K:
-            raise ParamError(f"horizon >= n_arms violated: horizon={T}, n_arms={K}")
+    def __post_init__(self):
+        _check_sizes(self.n_arms, self.horizon)
+        L = self.epoch_len
         if L < 2 or L % 2 != 0:
             raise ParamError(f"epoch_len must be even and >= 2: epoch_len={L}")
-        if L > T:
-            raise ParamError(f"epoch_len <= horizon violated: epoch_len={L}, horizon={T}")
-        if not (self.gamma > 0 and np.isfinite(self.gamma)):
-            raise ParamError(f"gamma > 0 violated: gamma={self.gamma!r}")
-        if not (self.eta > 0 and np.isfinite(self.eta)):
-            raise ParamError(f"eta > 0 violated: eta={self.eta!r}")
-        if not (self.conf > 0 and np.isfinite(self.conf)):
-            raise ParamError(f"conf > 0 violated: conf={self.conf!r}")
+        if L > self.horizon:
+            raise ParamError(f"epoch_len <= horizon violated: epoch_len={L}, "
+                             f"horizon={self.horizon}")
+        for name in ("gamma", "eta", "conf"):
+            value = getattr(self, name)
+            if not (value > 0 and np.isfinite(value)):
+                raise ParamError(f"{name} > 0 violated: {name}={value!r}")
 
     def validate(self):
-        """Structure plus the guarantee-side rate inequalities; raises
-        ParamError naming the first violated invariant."""
-        self.validate_structure()
+        """The guarantee-side rate inequalities; raises ParamError naming
+        the first violated invariant."""
         L, K = self.epoch_len, self.n_arms
         gamma_floor = 16.0 * self.conf / L
         if self.gamma < gamma_floor * (1 - _REL_TOL):
@@ -156,10 +160,7 @@ def tune_parameters(n_arms, horizon):
     keeps the play distribution above half its snapshot.
     """
     K, T = int(n_arms), int(horizon)
-    if K < 2:
-        raise ParamError(f"n_arms >= 2 violated: n_arms={K}")
-    if T < K:
-        raise ParamError(f"horizon >= n_arms violated: horizon={T}, n_arms={K}")
+    _check_sizes(K, T)
     conf = 2.0 * math.log(8.0 * K * T)
     L = _round_even_clamped(math.sqrt(conf * K * T / math.log(K)), T)
     gamma = 16.0 * conf / L
@@ -177,8 +178,8 @@ def calibrated_params(n_arms, horizon, eta_scale=2.0):
     The theorem-faithful constants in `tune_parameters` are so conservative
     that at horizons below ~10^6 the FTRL state barely moves; these values
     trade the worst-case guarantee for visible sqrt(K*T) behavior and sit
-    outside the Params invariants (the learner only checks structure, and
-    `with_overrides` requires unsafe=True to produce them).
+    outside the rate inequalities of Params.validate (the learner does not
+    check them, and `with_overrides` requires unsafe=True to produce them).
     """
     base = tune_parameters(n_arms, horizon)
     L = _round_even_clamped(
@@ -192,8 +193,9 @@ def calibrated_params(n_arms, horizon, eta_scale=2.0):
 def with_overrides(params, eta=None, gamma=None, L=None, unsafe=False):
     """Return params with the given fields replaced.
 
-    Re-validates the result unless unsafe is set; a violated invariant is
-    reported by name.
+    The result is always structurally valid (Params checks itself); unsafe
+    skips only the rate inequalities of Params.validate. A violated
+    invariant is reported by name.
     """
     updates = {}
     if eta is not None:
@@ -354,7 +356,6 @@ class CrossLearner:
     """
 
     def __init__(self, params, accumulator, rng, active=None, space=None):
-        params.validate_structure()
         self.params = params
         self.acc = accumulator
         self._gen = BlockUniforms(rng.gen)
@@ -454,15 +455,10 @@ class CrossLearner:
         self._freq_next = np.zeros(self.params.n_arms)
         self._epoch += 1
 
-    def step(self, context, reveal, t=None):
-        """Play one round and return the chosen arm.
-
-        Must be called exactly once per round in order; the optional t
-        cross-checks the caller's round index (1-based).
-        """
+    def step(self, context, reveal):
+        """Play the next round and return the chosen arm; the learner counts
+        its rounds (t), and OutOfOrderError follows the horizon's last."""
         t_next = self._t + 1
-        if t is not None and t != t_next:
-            raise OutOfOrderError(f"expected round {t_next}, got {t}")
         if t_next > self._horizon:
             raise OutOfOrderError(f"horizon {self._horizon} exhausted")
         self._t = t_next

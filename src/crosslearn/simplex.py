@@ -181,9 +181,10 @@ def ftrl_weights(z, mask=None, top=None):
 def ftrl_weights_batch(cum_loss, eta, masks=None):
     """Row-wise ftrl_weights for an (n, K) array of cumulative losses.
 
-    `masks` may be None (all active), a (K,) mask shared by all rows, or an
-    (n, K) mask matrix; SimplexError for any other shape. Row i equals
-    ftrl_weights(np.multiply(cum_loss[i], -eta), mask_i) bit for bit.
+    `masks` may be None (all active) or an (n, K) mask matrix, the
+    space_masks of the rows' contexts; SimplexError for any other shape.
+    Row i equals ftrl_weights(np.multiply(cum_loss[i], -eta), masks[i])
+    bit for bit.
 
     Without masks the work runs in the accumulator's (K, n) layout: the
     multiply reads cum_loss.T, which is contiguous when cum_loss is the
@@ -202,10 +203,9 @@ def ftrl_weights_batch(cum_loss, eta, masks=None):
     else:
         z = np.multiply(cum_loss, -eta, order="C")
         masks = np.asarray(masks, dtype=bool)
-        if masks.shape not in (z.shape, z.shape[1:]):
-            raise SimplexError(f"masks of shape {masks.shape} for {z.shape[1]} arms")
-        if masks.ndim == 1:
-            masks = np.broadcast_to(masks, z.shape)
+        if masks.shape != z.shape:
+            raise SimplexError(f"masks must have shape {z.shape} for {z.shape[1]} arms, "
+                               f"got {masks.shape}")
         if not np.logical_or.reduce(np.ascontiguousarray(masks.T), axis=0).all():
             raise SimplexError("empty active set in batch")
         neg_inf = np.where(masks, z, -np.inf)

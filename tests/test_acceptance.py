@@ -226,12 +226,12 @@ def test_criterion_10_brute_force_regret_oracle():
         nu = gen.dirichlet(np.ones(n_contexts))
         active = None
         if inst % 3 == 0:
-            active = {}
+            active = []
             for c in range(n_contexts):
                 mask = gen.random(n_arms) < 0.7
                 if not mask.any():
                     mask[int(gen.integers(n_arms))] = True
-                active[c] = mask
+                active.append(mask)
         from crosslearn.simplex import RngStream
         env = TabularEnv.from_tensor(tensor, nu, RngStream(inst, 0), active=active)
         history = []

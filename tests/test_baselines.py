@@ -87,7 +87,7 @@ def test_known_nu_denominator_uniform_state():
     K = 4
     acc = make_accumulator(TABULAR, K, 3)
     space = ContextSpace(np.arange(3), weights=np.array([0.2, 0.3, 0.5]))
-    algo = KnownNuLearner(K, acc, space, eta=0.01, rng=RngStream(0, 2))
+    algo = KnownNuLearner(acc, space, eta=0.01, rng=RngStream(0, 2))
     denoms = algo.space.weights @ algo.probe_table()
     assert np.allclose(denoms, 0.25, atol=1e-12)
 
@@ -98,7 +98,7 @@ def test_known_nu_point_mass_matches_single_context():
     acc = make_accumulator(TABULAR, K, 2)
     acc.add(0, 5.0, LinearLoss(TabularAccumulator, np.array([0.0, 1.0])))
     space = ContextSpace(np.arange(2), weights=np.array([0.0, 1.0]))
-    algo = KnownNuLearner(K, acc, space, eta=0.3, rng=RngStream(1, 2))
+    algo = KnownNuLearner(acc, space, eta=0.3, rng=RngStream(1, 2))
     table = algo.probe_table()
     denoms = algo.space.weights @ table
     assert np.allclose(denoms, table[1], atol=1e-14)
@@ -110,7 +110,7 @@ def test_known_nu_tiny_denominator_flagged():
     # extreme tilt: arm 1's probability underflows to ~0 everywhere
     acc.add(1, 1e9, LinearLoss(ConstantAccumulator, [1.0]))
     space = ContextSpace(np.arange(1), weights=np.array([1.0]))
-    algo = KnownNuLearner(K, acc, space, eta=1.0, rng=RngStream(2, 2))
+    algo = KnownNuLearner(acc, space, eta=1.0, rng=RngStream(2, 2))
     expected = algo.space.weights @ algo.probe_table()
     before = algo.tiny_denominator_count
     assert algo._denominator(1, expected) == 1e-9
@@ -122,7 +122,7 @@ def test_known_nu_tiny_denominator_flagged():
 def test_known_nu_learns():
     acc = make_accumulator(TABULAR, 2, 2)
     space = ContextSpace(np.arange(2), weights=np.array([0.5, 0.5]))
-    algo = KnownNuLearner(2, acc, space, eta=known_nu_rate(2, 4000),
+    algo = KnownNuLearner(acc, space, eta=known_nu_rate(2, 4000),
                           rng=RngStream(3, 2))
     arm_losses = {0: LinearLoss(TabularAccumulator, np.array([0.1, 0.1])),
                   1: LinearLoss(TabularAccumulator, np.array([0.9, 0.9]))}

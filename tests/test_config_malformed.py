@@ -234,6 +234,16 @@ def test_bad_override_fails_before_any_run(monkeypatch):
     for overrides in ({"eta": 5.0}, {"eta": "hot"}, {"L": [2]}):
         with pytest.raises(ConfigError, match="override"):
             run_experiment(config(overrides=overrides))
+    # unsafe skips the rate inequalities, never the structure; the config's
+    # first horizon is 64
+    for overrides, match in (({"L": 7, "unsafe": True}, "epoch_len must be even"),
+                             ({"L": 66, "unsafe": True}, "epoch_len <= horizon"),
+                             ({"eta": -1, "unsafe": True}, "eta > 0")):
+        with pytest.raises(ConfigError, match=f"invalid override: {match}"):
+            run_experiment(config(overrides=overrides))
+    # checked at every horizon: this rate is within the tuned bound at T = 64 only
+    with pytest.raises(ConfigError, match="eta <= gamma"):
+        run_experiment(config(T_grid=[64, 4096], overrides={"eta": 0.002}))
     # the auction's default K = ceil(T^(1/3)) is the one the run would use
     with pytest.raises(ConfigError, match="eta"):
         run_experiment(config(env={"kind": "auction"}, T_grid=[64],

@@ -162,8 +162,7 @@ def _played(env, seed):
 @pytest.mark.parametrize("name", sorted(ENVS))
 def test_block_scorer_matches_per_round_tracker(name):
     env = ENVS[name]()
-    assert env.grouping == {"auction_atoms": "value",
-                            "auction_continuous": "round"}.get(name, "context")
+    assert env.grouping == ("round" if name == "auction_continuous" else "context")
     contexts, arms = _played(env, 11)
     cps = checkpoint_schedule(env.horizon)
     ref = PerRoundRegretTracker(env)
@@ -205,7 +204,7 @@ def test_run_single_matches_per_round_replay(spec, algo_name):
     overrides = "calibrated" if algo_name == "crosslearn" else None
     res = run_single(SPECS[spec], algo_name, HORIZON, 2, overrides)
     env = build_env(SPECS[spec], HORIZON, RngStream(2, ENV_STREAM))
-    algo = build_algo(algo_name, env, HORIZON, 2, overrides)
+    algo = build_algo(algo_name, env, 2, overrides)
     ref = PerRoundRegretTracker(env)
     want = []
     for t in range(HORIZON):
@@ -301,8 +300,6 @@ def _ref_ftrl_weights_batch(cum_loss, eta, masks=None):
         w = np.exp(z)
     else:
         masks = np.asarray(masks, dtype=bool)
-        if masks.ndim == 1:
-            masks = np.broadcast_to(masks, z.shape)
         if not masks.any(axis=1).all():
             raise SimplexError("empty active set in batch")
         neg_inf = np.where(masks, z, -np.inf)
@@ -375,11 +372,9 @@ def test_softmaxes_match_reference_on_every_eval_batch_layout(kind):
                     else gen.random(n_contexts))
         eta = float(gen.uniform(1e-3, 1.5))
         for source in (acc, snapshot(acc, eta)):
-            for masks in (None, _random_masks(gen, (n_arms,)),
-                          _random_masks(gen, (n_contexts, n_arms))):
+            for masks in (None, _random_masks(gen, (n_contexts, n_arms))):
                 cols = [source.eval_column(c) for c in contexts.tolist()]
-                rows = [masks if masks is None or masks.ndim == 1 else masks[i]
-                        for i in range(n_contexts)]
+                rows = [None if masks is None else masks[i] for i in range(n_contexts)]
                 for cum in _batch_layouts(source, contexts):
                     got = ftrl_weights_batch(cum, eta, masks)
                     assert got.flags.c_contiguous
@@ -405,11 +400,11 @@ class _RefKnownNuLearner:
     """KnownNuLearner as it was before the once-per-round probe table: plays
     the softmax at the context, then rebuilds the table for the denominator."""
 
-    def __init__(self, n_arms, accumulator, space, eta, rng, active=None):
+    def __init__(self, accumulator, space, eta, rng, active=None):
         self.acc, self.space, self.eta = accumulator, space, float(eta)
         self._gen = BlockUniforms(rng.gen)
         self._active = active
-        self._masks = _ref_masks(space.contexts.tolist(), active, n_arms)
+        self._masks = _ref_masks(space.contexts.tolist(), active, accumulator.n_arms)
         self.denominators = []
 
     def _mask(self, context):
@@ -455,7 +450,7 @@ def test_known_nu_matches_reference_round_by_round(case):
     def learner(cls):
         acc = make_accumulator(env.acc_kind, env.n_arms, getattr(env, "n_contexts", None))
         # 4x the default rate, so the distributions move far from uniform
-        return cls(env.n_arms, acc, space, 4 * known_nu_rate(env.n_arms, env.horizon),
+        return cls(acc, space, 4 * known_nu_rate(env.n_arms, env.horizon),
                    RngStream(6, ALGO_STREAMS["known_nu"]), active=env.active_mask)
 
     new, ref = learner(KnownNuLearner), learner(_RefKnownNuLearner)
@@ -484,9 +479,9 @@ def test_known_nu_rejects_a_space_without_weights():
     space = env.context_space
     acc = make_accumulator(env.acc_kind, env.n_arms, env.n_contexts)
     with pytest.raises(ParamError, match="weights"):
-        KnownNuLearner(env.n_arms, acc, ContextSpace(space.contexts), 0.1,
-                       RngStream(6, 2), active=env.active_mask)
-    KnownNuLearner(env.n_arms, acc, space, 0.1, RngStream(6, 2), active=env.active_mask)
+        KnownNuLearner(acc, ContextSpace(space.contexts), 0.1, RngStream(6, 2),
+                       active=env.active_mask)
+    KnownNuLearner(acc, space, 0.1, RngStream(6, 2), active=env.active_mask)
 
 
 def _ref_select(p, s, mask):
@@ -788,7 +783,7 @@ def test_linear_losses_and_accumulators_match_reference(kind):
                     for mask in (None, masks[i]):
                         assert np.array_equal(snap.weights(c, mask), ref_snap.weights(c, mask))
                 assert np.array_equal(snap.eval_batch(contexts), ref_snap.eval_batch(contexts))
-                for m in (None, masks[0], masks):
+                for m in (None, masks):
                     assert np.array_equal(snap.weights_batch(contexts, m),
                                           ref_snap.weights_batch(contexts, m))
 
@@ -1075,7 +1070,7 @@ def test_exponent_rows_match_per_round_softmax_after_every_add(name, reference):
 @pytest.mark.parametrize("name", TABLE_ENVS)
 def test_run_from_tables_matches_run_on_per_lookup_rows(name):
     env = ENVS[name]()
-    built = build_algo("crosslearn", env, env.horizon, 3, "calibrated")
+    built = build_algo("crosslearn", env, 3, "calibrated")
     assert built._space is env.context_space
     tabled = _cross_learner(env, built.params, env.context_space)
     per_lookup = _cross_learner(env, built.params, None)
@@ -1095,7 +1090,7 @@ def test_run_from_tables_matches_run_on_per_lookup_rows(name):
 @pytest.mark.parametrize("name", TABLE_ENVS)
 def test_run_without_the_exponent_table_matches_run_with_it(name, monkeypatch):
     env = ENVS[name]()
-    params = build_algo("crosslearn", env, env.horizon, 3, "calibrated").params
+    params = build_algo("crosslearn", env, 3, "calibrated").params
     with_table = _cross_learner(env, params, env.context_space)
     # one context too many for an exponent table; the snapshot tables stay
     monkeypatch.setattr(learner_module, "EXPONENT_TABLE_ROWS", len(env.context_space) - 1)
@@ -1153,7 +1148,7 @@ def test_space_larger_than_the_epoch_allows_serves_per_lookup_rows():
 def test_continuous_values_serve_per_lookup_rows():
     env = ENVS["auction_continuous"]()
     assert env.context_space is None
-    learner = build_algo("crosslearn", env, env.horizon, 3, "calibrated")
+    learner = build_algo("crosslearn", env, 3, "calibrated")
     views = []
     _play(env, learner, lambda lrn: views.extend((lrn._snap_cur, lrn._snap_next)))
     assert len(views) > 10 and all(view.table is None for view in views)
@@ -1170,8 +1165,7 @@ def test_tables_give_inactive_arms_zero_weight():
         params = dataclasses.replace(calibrated_params(env.n_arms, env.horizon), eta=0.5)
         learner = _cross_learner(env, params, space)
         acc = make_accumulator(env.acc_kind, env.n_arms, getattr(env, "n_contexts", None))
-        known = KnownNuLearner(env.n_arms, acc, space, 0.5, RngStream(3, 2),
-                               active=env.active_mask)
+        known = KnownNuLearner(acc, space, 0.5, RngStream(3, 2), active=env.active_mask)
         snapshots = set()
         for t in range(env.horizon):
             context = env.context(t)

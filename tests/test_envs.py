@@ -90,7 +90,7 @@ def test_auction_grouping_modes():
     disc = AuctionEnv.generate(
         64, RngStream(1, 0),
         values={"kind": "discrete", "atoms": atoms, "probs": [1, 1]})
-    assert disc.grouping == "value"
+    assert disc.grouping == "context"
     assert set(np.unique(disc.values)) <= set(atoms)
 
 
@@ -156,7 +156,7 @@ def test_regret_tracker_respects_active_sets():
     tensor = np.zeros((4, 2, 1))
     tensor[:, 0, 0] = 0.0
     tensor[:, 1, 0] = 0.5
-    active = {0: np.array([False, True])}
+    active = [np.array([False, True])]
     env = TabularEnv.from_tensor(tensor, np.ones(1), RngStream(0, 0),
                                  active=active)
     # arm 0 is better but inactive, so playing arm 1 is optimal in hindsight
@@ -202,7 +202,7 @@ def test_from_tensor_normalises_nu_for_known_nu_and_audit():
     oracle = env.known_nu_oracle()
     assert oracle is env.context_space and oracle.weights.tolist() == [0.25] * 4
     acc = make_accumulator(env.acc_kind, env.n_arms, env.n_contexts)
-    learner = KnownNuLearner(env.n_arms, acc, oracle, known_nu_rate(env.n_arms, env.horizon),
+    learner = KnownNuLearner(acc, oracle, known_nu_rate(env.n_arms, env.horizon),
                              RngStream(0, 2), active=env.active_mask)
     for t in range(env.horizon):
         learner.step(env.context(t), lambda a: env.reveal(t, a))

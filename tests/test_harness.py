@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -74,6 +75,24 @@ def test_parallel_matches_serial(tmp_path):
     par = write_csv(run_experiment(small_config(seeds=[0, 1, 2], workers=4)),
                     tmp_path / "par.csv")
     assert serial == par
+
+
+@pytest.mark.parametrize("field, match", [
+    ("timing", "unknown config field 'timing'; use `crosslearn run --timing`"),
+    ("overide", "unknown config field 'overide'"),
+], ids=["timing", "misspelt_overrides"])
+def test_unknown_config_field_fails_before_any_run(tmp_path, capsys, monkeypatch,
+                                                   field, match):
+    # a misspelt "overrides" must not run tuned parameters without a word
+    monkeypatch.setattr(harness, "build_env", None)  # any run would crash
+    config = small_config(**{field: "calibrated" if field == "overide" else True})
+    with pytest.raises(ConfigError, match=re.escape(match)):
+        run_experiment(config)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(dict(config, output=str(tmp_path / "r.csv"))))
+    assert main(["run", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == f"error: {match}\n"
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_wall_ms_zero_unless_timed(tmp_path):
@@ -208,6 +227,18 @@ def test_cli_run_and_scaling(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.json")]) == 1
 
 
+def test_cli_scaling_names_an_algo_without_rows(tmp_path, capsys):
+    path = tmp_path / "r.csv"
+    path.write_text(",".join(CSV_HEADER) + "\n"
+                    + "".join(f"{algo}-T64-s0,0,{algo},tabular,64,64,1.5,0,0\n"
+                              for algo in ("exp3_per_context", "crosslearn")))
+    assert main(["scaling", str(path), "--algo", "nope"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: no rows for algo 'nope' "
+                            "(algos present: crosslearn, exp3_per_context)\n")
+
+
 @pytest.mark.parametrize("output, match", [
     ("missing/r.csv", "output directory"), (".", "is a directory"), (None, "nonempty"),
 ], ids=["missing_directory", "directory", "empty"])
@@ -288,16 +319,16 @@ def test_synthetic_quick_reproduces_golden_csv(tmp_path):
     assert (tmp_path / "results.csv").read_bytes() == golden
 
 
-def test_every_algo_runs_on_dict_active_sets():
+def test_every_algo_runs_on_matrix_active_sets():
     gen = np.random.default_rng(0)
     tensor = gen.random((96, 3, 2))
     mask0 = np.array([True, False, True])
     mask1 = np.array([False, True, True])
     env = TabularEnv.from_tensor(tensor, np.ones(2) / 2, RngStream(0, 0),
-                                 active={0: mask0, 1: mask1})
+                                 active=np.array([mask0, mask1]))
     assert env.active.tolist() == [mask0.tolist(), mask1.tolist()]
     for name in ALGO_STREAMS:
-        algo = build_algo(name, env, 96, 0, "calibrated")
+        algo = build_algo(name, env, 0, "calibrated")
         for t in range(96):
             context = env.context(t)
             arm = algo.step(context, lambda a: env.reveal(t, a))
@@ -314,11 +345,11 @@ def test_env_spec_active_rows_from_json():
 
 
 @pytest.mark.parametrize("active, match", [
-    ({0: [True, True, False]}, "context 1"),
-    ({0: [True, True, False], 1: [True, False]}, "context 1"),
-    ({0: [True, True, False], 1: [False, False, False]}, "context 1 is empty"),
-    ({0: [True, True, True], 1: [True, True, True], 2: [True, True, True]},
-     "unknown context 2"),
+    ([[True, True, False], None], "context 1"),
+    ([[True, True, False], [True, False]], "context 1"),
+    ([[True, True, False], [False, False, False]], "context 1 is empty"),
+    # JSON cannot write integer keys: a dict {context: row} is no form
+    ({0: [True, True, True], 1: [True, True, True]}, "got a dict"),
     ([[True, True, True]], "1 contexts"),
     ([[True, True, True], [1, 2, 0]], "context 1"),
     (lambda c: None, "matrix"),

@@ -110,18 +110,22 @@ def test_roles_partition_rounds(monkeypatch):
 
 
 def test_out_of_order_and_horizon_exhaustion():
+    # every learner counts its own rounds: a round index is not an argument
     params = _small_params(horizon=40, L=20)
     acc = make_accumulator(TABULAR, 3, 1)
     learner = CrossLearner(params, acc, RngStream(0, 1))
     reveal = _const_env_step([0.5])
-    learner.step(0, reveal, t=1)
-    with pytest.raises(OutOfOrderError):
-        learner.step(0, reveal, t=1)
-    with pytest.raises(OutOfOrderError):
-        learner.step(0, reveal, t=5)
-    for t in range(2, 41):
-        learner.step(0, reveal, t=t)
-    with pytest.raises(OutOfOrderError):
+    space = ContextSpace(np.arange(1), weights=[1.0])
+    for algo in (learner, KnownNuLearner(make_accumulator(TABULAR, 3, 1), space, 0.1,
+                                         RngStream(0, 2)),
+                 PerContextExp3(3, RngStream(0, 3))):
+        with pytest.raises(TypeError):
+            algo.step(0, reveal, t=1)
+    assert learner.t == 0
+    for t in range(1, 41):
+        learner.step(0, reveal)
+        assert learner.t == t
+    with pytest.raises(OutOfOrderError, match="horizon 40 exhausted"):
         learner.step(0, reveal)
 
 
@@ -141,7 +145,7 @@ def test_empty_active_set_rejected():
     for build in (
             lambda: CrossLearner(params, make_accumulator(TABULAR, 3, 2), RngStream(0, 1),
                                  active=matrix),
-            lambda: KnownNuLearner(3, make_accumulator(TABULAR, 3, 2), space, 0.1,
+            lambda: KnownNuLearner(make_accumulator(TABULAR, 3, 2), space, 0.1,
                                    RngStream(0, 2), active=matrix),
             lambda: PerContextExp3(3, RngStream(0, 3), active=matrix)):
         with pytest.raises(ParamError, match="callable"):

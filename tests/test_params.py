@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -72,16 +73,23 @@ def test_validate_names_violated_invariant():
 
 
 def test_validate_structure_basics():
+    # the structure is checked when a Params is built, a replace() included
     with pytest.raises(ParamError, match="n_arms >= 2"):
-        Params(1, 100, 1.0, 2, 0.1, 0.1).validate_structure()
+        Params(1, 100, 1.0, 2, 0.1, 0.1)
     with pytest.raises(ParamError, match="horizon >= n_arms"):
-        Params(8, 4, 1.0, 2, 0.1, 0.1).validate_structure()
+        Params(8, 4, 1.0, 2, 0.1, 0.1)
+    with pytest.raises(ParamError, match="epoch_len must be even"):
+        Params(2, 10, 1.0, 3, 0.1, 0.1)
     with pytest.raises(ParamError, match="epoch_len <= horizon"):
-        Params(2, 10, 1.0, 12, 0.1, 0.1).validate_structure()
+        Params(2, 10, 1.0, 12, 0.1, 0.1)
     with pytest.raises(ParamError, match="gamma > 0"):
-        Params(2, 10, 1.0, 2, 0.0, 0.1).validate_structure()
+        Params(2, 10, 1.0, 2, 0.0, 0.1)
     with pytest.raises(ParamError, match="eta > 0"):
-        Params(2, 10, 1.0, 2, 0.1, float("nan")).validate_structure()
+        Params(2, 10, 1.0, 2, 0.1, float("nan"))
+    with pytest.raises(ParamError, match="conf > 0"):
+        Params(2, 10, float("inf"), 2, 0.1, 0.1)
+    with pytest.raises(ParamError, match="epoch_len must be even"):
+        dataclasses.replace(Params(2, 10, 1.0, 2, 0.1, 0.1), epoch_len=7)
 
 
 def test_unsafe_override_skips_rate_checks():
@@ -90,6 +98,11 @@ def test_unsafe_override_skips_rate_checks():
     assert loose.gamma == 1e-4 and loose.eta == 0.01
     with pytest.raises(ParamError):
         with_overrides(base, gamma=1e-4, eta=0.01)
+    # the rate inequalities only: the structure holds for every Params
+    for bad, match in (({"L": 7}, "even"), ({"eta": -1.0}, "eta > 0"),
+                       ({"L": 8192}, "epoch_len <= horizon")):
+        with pytest.raises(ParamError, match=match):
+            with_overrides(base, unsafe=True, **bad)
 
 
 def test_safe_override_roundtrip():
@@ -103,7 +116,6 @@ def test_safe_override_roundtrip():
 
 def test_calibrated_params_structure():
     p = calibrated_params(8, 2**17)
-    p.validate_structure()
     assert p.epoch_len % 2 == 0
     # calibrated values intentionally sit outside the tuned-rate invariants
     with pytest.raises(ParamError):

@@ -18,8 +18,8 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
-from crosslearn.accumulator import LinearLoss, make_accumulator, snapshot
-from crosslearn.envs import SleepingEnv
+from crosslearn.accumulator import AFFINE, LinearLoss, make_accumulator, snapshot
+from crosslearn.envs import AuctionEnv, SleepingEnv
 from crosslearn.harness import ALGO_STREAMS, ENV_STREAM, build_env
 from crosslearn.learner import (CrossLearner, Params, _sum_rows, bernoulli_param,
                                 calibrated_params, estimate_weight)
@@ -90,7 +90,7 @@ class _RefCrossLearner(CrossLearner):
         self._freq_next = np.zeros(self.params.n_arms)
         self._epoch += 1
 
-    def step(self, context, reveal, t=None):
+    def step(self, context, reveal):
         t_next = self._t + 1
         self._t = t_next
         L = self.params.epoch_len
@@ -237,18 +237,21 @@ class _Script:
 PAIR_L = 4
 
 
-def _drive(n_arms, space, active, seed, last):
+def _drive(n_arms, space, active, kind, seed, last):
     """A learner after four epochs of random play on fixed loss rows, one
     round before the fifth epoch's last pair if `last`, else before its
-    first; its nu and loss rows. Over context ids the accumulator is
-    tabular, over the subsets of a sleeping env it is constant."""
+    first; its nu and loss rows. The accumulator is of the given kind:
+    tabular over context ids, constant over the subsets of a sleeping env,
+    affine over auction value atoms."""
     contexts = space.contexts.tolist()
     n_contexts = len(contexts)
     gen = np.random.default_rng(seed)
     nu = gen.random(n_contexts) + 0.2
     nu /= nu.sum()
-    acc = make_accumulator("tabular" if space.ids else "constant", n_arms, n_contexts)
+    acc = make_accumulator(kind, n_arms, n_contexts)
     ell = gen.random(acc.coef.shape)
+    if kind == AFFINE:
+        ell[:, 1] -= ell[:, 0]  # lines a + b v = a (1 - v) + (a + b) v inside [0, 1]
     params = Params(n_arms=n_arms, horizon=10 * PAIR_L, conf=1.0, epoch_len=PAIR_L,
                     gamma=0.1, eta=0.3)
     # over a tabulated space, so that the frequency samples are table rows
@@ -277,13 +280,23 @@ def _set_state(learner, fallback):
     where fallback[c] (so q = s), else by 0.3 at its last active arm (so
     q = p, not s). Over context ids each context has its own column of the
     state; a constant accumulator shares one column, so the contexts'
-    changes add up."""
+    changes add up. An affine state has no column per value either: its
+    last context's likeliest arm gets the loss line 20 (v - v0), v0 = 0.02
+    above the first value, so that only the first context plays q = p
+    (its logit rises by 0.4, every other one falls by 5 or more)."""
     snap = learner.snapshot_current
     coef = snap.coef.copy()
-    for i, (c, fb) in enumerate(zip(learner.context_space.contexts.tolist(), fallback)):
+    eta = learner.params.eta
+    contexts = learner.context_space.contexts.tolist()
+    if learner.acc.kind == AFFINE:
+        assert fallback == [False] + [True] * (len(contexts) - 1)
+        arm = int(np.argmax(snap.weights(contexts[-1])))
+        coef[arm] += np.array([-20.0 * (contexts[0] + 0.02), 20.0]) / eta
+        fallback = []
+    for i, (c, fb) in enumerate(zip(contexts, fallback)):
         s = snap.weights(c, learner._mask(c))
         arm = int(np.argmax(s)) if fb else int(np.flatnonzero(s)[-1])
-        coef[arm, i if coef.shape[1] > 1 else 0] += (20.0 if fb else 0.3) / learner.params.eta
+        coef[arm, i if learner.context_space.ids else 0] += (20.0 if fb else 0.3) / eta
     learner.acc.coef[...] = coef
     learner.acc.version += 1  # the state moved, as an add would move it
 
@@ -334,15 +347,22 @@ def _mid(q, k):
 
 
 def _ids(n_contexts, active=None):
-    return ContextSpace(np.arange(n_contexts)), active
+    return ContextSpace(np.arange(n_contexts)), active, "tabular"
 
 
 def _subsets(subsets, n_arms):
-    """The context space and active_mask of a sleeping env whose
-    availability draws one of the listed subsets."""
+    """The context space, active_mask and accumulator kind of a sleeping
+    env whose availability draws one of the listed subsets."""
     env = SleepingEnv.generate(PAIR_L, n_arms, RngStream(0, 0), availability={
         "kind": "categorical", "subsets": subsets, "probs": [1.0] * len(subsets)})
-    return env.context_space, env.active_mask
+    return env.context_space, env.active_mask, env.acc_kind
+
+
+def _atoms(atoms, n_arms):
+    """The same of an auction on the given value atoms."""
+    env = AuctionEnv.generate(PAIR_L, RngStream(0, 0), n_arms=n_arms, values={
+        "kind": "discrete", "atoms": atoms, "probs": [1.0] * len(atoms)})
+    return env.context_space, env.active_mask, env.acc_kind
 
 
 MASKS = np.array([[1, 1, 0], [0, 1, 1], [1, 1, 1]], dtype=bool)
@@ -354,16 +374,17 @@ PAIR_CASES = {
     "no_fallback": (2, lambda: _ids(2), [False, False], True),
     "not_last": (3, lambda: _ids(3), [True, False, False], False),
     "sleeping": (3, lambda: _subsets([[0, 1], [2], [1, 2]], 3), [True, False, False], True),
+    "auction": (3, lambda: _atoms([0.1, 0.35, 0.6, 0.9], 3), [False, True, True, True], True),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PAIR_CASES))
 def test_one_pair_matches_the_estimator_laws_exactly(case):
     n_arms, make_space, want_fallback, last = PAIR_CASES[case]
-    space, active = make_space()
+    space, active, kind = make_space()
     contexts = space.contexts.tolist()
     n_contexts = len(contexts)
-    learner, nu, ell, losses = _drive(n_arms, space, active, len(case), last)
+    learner, nu, ell, losses = _drive(n_arms, space, active, kind, len(case), last)
     # the epoch's estimate so far, its recorded rows summed
     before = copy.deepcopy(learner)
     before._flush_freq()

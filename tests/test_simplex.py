@@ -126,7 +126,8 @@ def test_masks_that_are_not_k_booleans_are_rejected():
         exp3.distribution(0)
     with pytest.raises(SimplexError, match="3 booleans"):
         ftrl_weights(np.zeros(3), np.ones((3, 1), dtype=bool))
-    for masks in (np.ones(1, dtype=bool), np.ones((1, 3), dtype=bool)):
+    # the (n, K) matrix is the one form: a (K,) row shared by all rows is none
+    for masks in (np.ones(1, dtype=bool), np.ones((1, 3), dtype=bool), np.ones(3, dtype=bool)):
         with pytest.raises(SimplexError, match="for 3 arms"):
             ftrl_weights_batch(np.zeros((2, 3)), 1.0, masks)
     # a list of K booleans is a mask like any other
