@@ -41,6 +41,9 @@ AVAILABILITY_BLOCK = 1 << 14
 SCORE_BLOCK = 256
 # equal cells of the quadrature space of continuous auction values
 QUADRATURE_NODES = 512
+# largest K whose Bernoulli availability gets a context space: its 2^K - 1
+# subsets with their probabilities, which known_nu needs
+SUBSET_SPACE_MAX_ARMS = 16
 
 
 class EnvError(ValueError):
@@ -512,7 +515,7 @@ class SleepingEnv:
                 subsets[done:done + len(kept)] = kept @ bits
                 done += len(kept)
             subset_probs = None
-            if n_arms <= 16:
+            if n_arms <= SUBSET_SPACE_MAX_ARMS:
                 subset_probs = cls._bernoulli_subset_probs(probs)
         elif akind == "categorical":
             subsets = _field(availability, "subsets", "availability")

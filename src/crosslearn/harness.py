@@ -27,8 +27,8 @@ import numpy as np
 
 from .accumulator import make_accumulator
 from .baselines import KnownNuLearner, PerContextExp3, known_nu_rate
-from .envs import (SCORE_BLOCK, AuctionEnv, EnvError, RegretTracker, SleepingEnv,
-                   TabularEnv, default_auction_arms)
+from .envs import (SCORE_BLOCK, SUBSET_SPACE_MAX_ARMS, AuctionEnv, EnvError, RegretTracker,
+                   SleepingEnv, TabularEnv, default_auction_arms)
 from .learner import (CrossLearner, ParamError, calibrated_params,
                       tune_parameters, with_overrides)
 from .simplex import RngStream
@@ -221,13 +221,24 @@ def validate_config(config):
             # an old config may still set timing: name the flag that does it
             hint = "; use `crosslearn run --timing`" if key == "timing" else ""
             raise ConfigError(f"unknown config field {key!r}{hint}")
-    check_env_spec(config.get("env"))
+    env_spec = config.get("env")
+    kind = check_env_spec(env_spec)
     algos = config.get("algos")
     if not isinstance(algos, (list, tuple)) or not algos:
         raise ConfigError(f"config needs a nonempty algos list, got {algos!r}")
     for a in algos:
         if not isinstance(a, str) or a not in ALGO_STREAMS:
             raise ConfigError(f"unknown algorithm {a!r}")
+    if "known_nu" in algos and kind == "sleeping":
+        # known_nu reads the env's subset distribution, which Bernoulli
+        # availability enumerates only up to a size; fail before any run
+        n_arms, availability = int(env_spec["K"]), env_spec.get("availability")
+        bernoulli = not availability or (isinstance(availability, dict)
+                                         and availability.get("kind", "bernoulli") == "bernoulli")
+        if bernoulli and n_arms > SUBSET_SPACE_MAX_ARMS:
+            raise ConfigError(
+                f"known_nu needs the subset distribution of a Bernoulli sleeping env, "
+                f"enumerated only for K <= {SUBSET_SPACE_MAX_ARMS}; got K={n_arms}")
     grid = config.get("T_grid")
     if (not isinstance(grid, (list, tuple)) or not grid
             or not all(_is_whole(t, 1) for t in grid)):
@@ -468,6 +479,8 @@ def _cmd_run(args):
 def _cmd_scaling(args):
     try:
         rows = load_results_csv(args.results)
+        if not rows:
+            raise ConfigError(f"no result rows in {args.results}")
         report = scaling_report(rows, algo=args.algo)
     except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

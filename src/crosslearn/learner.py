@@ -57,18 +57,22 @@ _REL_TOL = 1e-9
 TABLE_ROWS_PER_ROUND = 4
 
 # Largest tabulated space over which the learner keeps its exponent table
-# (_Exponents). A rebuild follows each kept loss sample and costs 3 to 6 us
-# plus 25 to 75 ns per context; a round that reads the table instead of
-# evaluating the accumulator saves 2 us (context ids) to 3.5 us (masked
-# subsets, affine atoms), whatever the number of contexts. Measured per
-# rebuild and per round (numpy 2.4.6, Python 3.11, 2-vCPU x86_64, K = 6 to
-# 21), a rebuild repays itself in 2 to 4 rounds at 63 to 128 contexts (one
-# reading of 6), 4.5 to 6.3 at 255 and 256, 9 to 24 at 1 023 and 1 024,
-# and 50 to 74 at 4 096. Kept samples came every 4.1 to 4.8 rounds on every
-# run measured (tuned tabular C = 64 to 4 096, tuned and calibrated auction
-# atoms and sleeping subsets), and at most one comes per pair of rounds.
-# The bound is on the number of contexts only: the epoch length does not
-# set how often the table is rebuilt, and K moves the rebuild cost little.
+# (_Exponents). Each kept loss sample is followed by a one-arm update (one
+# arm's exponents at every context, then every context's maximum); a round
+# that reads the table instead of evaluating the accumulator saves 1.5 to
+# 4.5 us, whatever the number of contexts. Measured per update and per
+# round (numpy 2.4.6, Python 3.11, 2-vCPU x86_64, K = 6 to 21, scaled to
+# the reference speed of perfbench/hostspeed.py on a host whose speed
+# drifted by up to 2x), an update costs 4 to 12 us at 63 to 128 contexts,
+# 8 at 256 and 20 to 30 at 1 023 and 1 024 (a full rebuild: 4 to 12, 8.5
+# and 22 to 61), so it repays itself in 1 to 8 rounds at up to 128
+# contexts and in 5 to 20 at 1 023 and 1 024. Kept samples came every 4.1
+# to 4.8 rounds on every run measured (tuned tabular C = 64 to 4 096,
+# tuned and calibrated auction atoms and sleeping subsets), and at most
+# one comes per pair of rounds. The bound is on the number of contexts
+# only: the epoch length does not set how often the table is updated, and
+# K moves the update cost little. Checking it again end to end waits on a
+# benchmark workload above 64 contexts; every workload has 63 or 64.
 EXPONENT_TABLE_ROWS = 128
 
 
@@ -266,64 +270,103 @@ class _SnapView:
     distributions at every context of the space (masks: the space_masks of
     its active sets), computed in one batch, so a lookup reads a row.
     Without a space, or at a context outside it, the row is computed per
-    lookup. `row` serves a row as a list of floats (a table row is
-    converted when first read)."""
+    lookup. Rows are served as lists of floats: `lists[i]` is table row i
+    as a list once it has been read, else None, so a reader takes
+    `lists[i] or fill(i)`."""
 
-    __slots__ = ("handle", "table", "_lists")
+    __slots__ = ("handle", "table", "lists")
 
     def __init__(self, handle, space=None, masks=None):
         self.handle = handle
         if space is None:
-            self.table = self._lists = None
+            self.table = self.lists = None
         else:
             self.table = handle.weights_batch(space.index, masks)
             self.table.flags.writeable = False
-            self._lists = [None] * len(space)
+            self.lists = [None] * len(space)
+
+    def fill(self, i):
+        """Table row i as a list, kept in `lists`."""
+        row = self.lists[i] = self.table[i].tolist()
+        return row
 
     def row(self, i, context, mask=None):
         """The distribution at `context`, whose table row is i (None: the
         table lacks it)."""
         if i is None:
             return self.handle.weights(context, mask).tolist()
-        lists = self._lists
-        row = lists[i]
-        if row is None:
-            row = lists[i] = self.table[i].tolist()
-        return row
+        return self.lists[i] or self.fill(i)
 
 
 class _Exponents:
     """The FTRL exponents -eta * L(c, .) of the accumulator's sum L at every
     context c of a finite space, -inf off c's active set (masks: the
-    space_masks of the space), as the rows of `table`, and each row's
-    maximum in the list `tops`. The sum changes only when a loss sample is
-    kept, so both are recomputed from acc.eval_batch only when acc.version
-    has moved since they were built. They are built in the accumulator's
-    (K, n) layout, where the row maxima are one reduction over axis 0 (a
-    max is exact, so the layout cannot change it); `table` is its
-    transposed view."""
+    space_masks of the space), and each context's maximum in the list
+    `tops`. The exponents live in the accumulator's (K, n) layout, where
+    the maxima are one reduction over axis 0 (a max is exact, so the layout
+    cannot change it); `table` is its transposed (n, K) view and `rows` the
+    list of the view's rows, all fixed at construction (and remade by a
+    copy) and rewritten in place.
 
-    __slots__ = ("_acc", "_index", "_masks", "_neg_eta", "_version", "table", "tops")
+    `version` is the acc.version they are current with (None before the
+    first build). The sum changes only when a loss sample is kept. Right
+    after one add at `arm`, added(arm) recomputes that arm's exponents,
+    from the accumulator class's batch over coef[arm], and the maxima; any
+    other move of acc.version is left to rebuild(), which recomputes all of
+    them from acc.eval_batch. Both give the same bits: the arm's row of
+    eval_batch is that batch, and the multiply and the mask are
+    elementwise."""
+
+    __slots__ = ("_acc", "_index", "_inactive", "_neg_eta", "_z", "table", "rows", "tops",
+                 "version")
 
     def __init__(self, acc, space, masks, eta):
         self._acc = acc
         self._index = space.index
-        self._masks = None if masks is None else np.ascontiguousarray(masks.T)
+        self._inactive = None if masks is None else ~np.ascontiguousarray(masks.T)
         self._neg_eta = -eta
-        self._version = None
+        self._z = np.empty((acc.n_arms, len(space)))
+        self._views()
+        self.tops = None
+        self.version = None
 
-    def row(self, i):
-        """Row i of the table and its maximum, current with the
-        accumulator."""
+    def _views(self):
+        self.table = self._z.T
+        self.rows = list(self.table)
+
+    def __getstate__(self):
+        # a copied view is no view: copies and pickles make them again
+        return {name: getattr(self, name) for name in self.__slots__
+                if name not in ("table", "rows")}
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._views()
+
+    def rebuild(self):
+        """Recompute every exponent and maximum from the accumulator."""
+        acc, z = self._acc, self._z
+        np.multiply(acc.eval_batch(self._index).T, self._neg_eta, out=z)
+        if self._inactive is not None:
+            np.copyto(z, -np.inf, where=self._inactive)
+        self.tops = np.maximum.reduce(z, axis=0).tolist()
+        self.version = acc.version
+
+    def added(self, arm):
+        """Follow one acc.add at `arm`: recompute that arm's exponents and
+        the maxima if the table was current before the add, else leave it
+        stale for rebuild()."""
         acc = self._acc
-        if acc.version != self._version:
-            z = np.multiply(acc.eval_batch(self._index).T, self._neg_eta, order="C")
-            if self._masks is not None:
-                z = np.where(self._masks, z, -np.inf)
-            self.tops = np.maximum.reduce(z, axis=0).tolist()
-            self.table = z.T
-            self._version = acc.version
-        return self.table[i], self.tops[i]
+        if self.version != acc.version - 1:
+            return
+        z = self._z
+        row = z[arm]
+        np.multiply(acc.batch(acc.coef[arm], self._index), self._neg_eta, out=row)
+        if self._inactive is not None:
+            np.copyto(row, -np.inf, where=self._inactive[arm])
+        self.tops = np.maximum.reduce(z, axis=0).tolist()
+        self.version = acc.version
 
 
 class CrossLearner:
@@ -337,10 +380,12 @@ class CrossLearner:
     space, masked by the active sets read from `active` once, at
     construction (simplex.space_masks). A tabulated space of at most
     EXPONENT_TABLE_ROWS contexts also gets the FTRL exponents of the live
-    accumulator (_Exponents, recomputed when a kept loss sample has changed
-    the accumulator), so a round at one of its contexts reads its rows and
-    calls ftrl_weights only to subtract, exponentiate and normalise.
-    Elsewhere a round evaluates the accumulator at its context.
+    accumulator (_Exponents: after each of the learner's own kept loss
+    samples it recomputes the one arm's exponents; any other change of the
+    accumulator makes the next round rebuild it), so a round at one of its
+    contexts reads its rows in place and calls ftrl_weights only to
+    subtract, exponentiate and normalise. Elsewhere a round evaluates the
+    accumulator at its context.
     reveal passed to step: callable arm -> LinearLoss of the played arm.
 
     A run is watched by reading the learner between steps: t, epoch,
@@ -425,15 +470,12 @@ class CrossLearner:
     def _freq_div(self):
         return 2.0 * self._L if self._epoch == 1 else float(self._L)
 
-    def _add_freq(self, i, context, mask):
-        """Add the next snapshot's row at context (table row i, or None),
-        over _freq_div, to the next epoch's frequency estimate; a table row
-        is only recorded."""
-        if i is None:
-            self._flush_freq()
-            self._freq_next += self._snap_next.handle.weights(context, mask) / self._freq_div()
-        else:
-            self._freq_rows.append(i)
+    def _add_freq(self, context, mask):
+        """Add the next snapshot's row at a context that has no table row,
+        over _freq_div, to the next epoch's frequency estimate (a table row
+        is only recorded in _freq_rows)."""
+        self._flush_freq()
+        self._freq_next += self._snap_next.handle.weights(context, mask) / self._freq_div()
 
     def _flush_freq(self):
         """Add the recorded table rows to the next epoch's estimate."""
@@ -474,17 +516,26 @@ class CrossLearner:
             # warm-up epoch: uniform play, frequency accumulation for epoch 2
             arm = sample_index(self._snap_cur.row(i, context, mask), gen)
             reveal(arm)
-            self._add_freq(i, context, mask)
+            if i is None:
+                self._add_freq(context, mask)
+            else:
+                self._freq_rows.append(i)
             if t_next == L:
                 self._end_epoch()
             return arm
 
-        s = self._snap_cur.row(i, context, mask)
-        if i is None or ex is None:
-            p = ftrl_weights(np.multiply(self.acc.eval_column(context), -self._eta), mask)
+        acc = self.acc
+        if i is None:
+            s = self._snap_cur.row(None, context, mask)
         else:
-            z, top = ex.row(i)
-            p = ftrl_weights(z, None, top)
+            view = self._snap_cur
+            s = view.lists[i] or view.fill(i)
+        if i is None or ex is None:
+            p = ftrl_weights(np.multiply(acc.eval_column(context), -self._eta), mask)
+        else:
+            if ex.version != acc.version:
+                ex.rebuild()
+            p = ftrl_weights(ex.rows[i], None, ex.tops[i])
         q, fb = select_sampling_distribution(p.tolist(), s)
         arm = sample_index(q, gen)
         fn = reveal(arm)
@@ -498,20 +549,26 @@ class CrossLearner:
             if pos == L - 2:
                 # the pair playing this state is the epoch's last: its
                 # distribution becomes the snapshot two epochs ahead
-                self._snap_pending = self._view(snapshot(self.acc, self._eta))
+                self._snap_pending = self._view(snapshot(acc, self._eta))
             self._pending = (i, context, mask, arm, q[arm], s[arm], fn)
             return arm
         i1, c1, m1, a1, q1, s1, fn1 = self._pending
         self._pending = None
         if gen.random() < 0.5:  # the first round takes the frequency sample
-            self._add_freq(i1, c1, m1)
+            i, context, mask = i1, c1, m1
             al, ql, sl, fnl = arm, q[arm], s[arm], fn
         else:
-            self._add_freq(i, context, mask)
             al, ql, sl, fnl = a1, q1, s1, fn1
+        # i, context and mask are now the frequency round's
+        if i is None:
+            self._add_freq(context, mask)
+        else:
+            self._freq_rows.append(i)
         if gen.random() < bernoulli_param(sl, ql):
-            self.acc.add(al, estimate_weight(self._freq[al], self._gamma), fnl)
+            acc.add(al, estimate_weight(self._freq[al], self._gamma), fnl)
             self.last_kept = (al, fnl)
+            if ex is not None:
+                ex.added(al)
         if pos == L - 1:
             self._end_epoch()
         return arm

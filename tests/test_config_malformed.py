@@ -12,8 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from crosslearn import harness
-from crosslearn.envs import EnvError
-from crosslearn.harness import ENV_FIELDS, ConfigError, main, run_experiment
+from crosslearn.envs import SUBSET_SPACE_MAX_ARMS, EnvError
+from crosslearn.harness import ENV_FIELDS, ConfigError, main, run_experiment, validate_config
 
 NOT_A_LIST = st.one_of(st.none(), st.integers(), st.text(), st.floats(allow_nan=False),
                        st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
@@ -195,11 +195,14 @@ def _sleeping(availability):
         "drift_period_negative", "drift_period_infinite", "bernoulli_probs_nan",
         "bernoulli_probs_above_one", "bernoulli_probs_negative", "bernoulli_probs_nan_k17"])
 def test_bad_value_inside_env_spec_named(tmp_path, capsys, env, field):
+    # no known_nu: above K = 16 it would stop a sleeping config before its
+    # env is built (test_known_nu_needs_enumerated_subsets)
+    algos = ["crosslearn", "exp3_per_context"]
     with pytest.raises((ConfigError, EnvError), match=re.escape(field)):
-        run_experiment(config(env=env))
+        run_experiment(config(env=env, algos=algos))
     out = tmp_path / "r.csv"
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config(env=env, output=str(out))))
+    path.write_text(json.dumps(config(env=env, algos=algos, output=str(out))))
     capsys.readouterr()
     assert main(["run", str(path), "--workers", "2"]) == 1
     err = capsys.readouterr().err
@@ -248,3 +251,20 @@ def test_bad_override_fails_before_any_run(monkeypatch):
     with pytest.raises(ConfigError, match="eta"):
         run_experiment(config(env={"kind": "auction"}, T_grid=[64],
                               overrides={"eta": 5.0}))
+
+
+def test_known_nu_needs_enumerated_subsets(monkeypatch):
+    monkeypatch.setattr(harness, "build_env", None)  # any run would crash
+    limit = SUBSET_SPACE_MAX_ARMS
+    bernoulli = {"kind": "bernoulli", "probs": [0.5] * (limit + 1)}
+    for availability in (None, {}, {"probs": bernoulli["probs"]}, bernoulli):
+        env = {"kind": "sleeping", "K": limit + 1}
+        if availability is not None:
+            env["availability"] = availability
+        with pytest.raises(ConfigError, match=f"known_nu .* K <= {limit}; got K={limit + 1}$"):
+            run_experiment(config(env=env))
+    # at the limit, without known_nu, or with listed subsets the config is valid
+    validate_config(config(env={"kind": "sleeping", "K": limit}))
+    validate_config(config(env={"kind": "sleeping", "K": limit + 1}, algos=["crosslearn"]))
+    validate_config(config(env={"kind": "sleeping", "K": limit + 1, "availability": {
+        "kind": "categorical", "subsets": [[0], [1, limit]], "probs": [1, 1]}}))

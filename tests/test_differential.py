@@ -1027,7 +1027,11 @@ def test_snapshot_table_rows_match_per_lookup_rows(name):
 # The learner's exponent table against the softmax each round computed
 # before it: _ref_ftrl_weights(acc.eval_column(c), eta, mask) at every
 # context c of the space, after every add, on the real accumulators and on
-# the reference ones above.
+# the reference ones above. "acc" and "ref_acc" leave every add to the full
+# rebuild. "one_arm" follows each add with the learner's one-arm update
+# (_Exponents.added) and checks it against a freshly built table, except
+# every fifth add, which nothing follows: the next update must then leave
+# the table stale, and the next read rebuild it.
 EXPONENT_SPECS = {
     "tabular": {"kind": "tabular_synthetic", "C": 64, "K": 8},
     "tabular_active": {"kind": "tabular_synthetic", "C": 4, "K": 3, "active": [
@@ -1040,31 +1044,63 @@ EXPONENT_SPECS = {
 }
 
 
-@pytest.mark.parametrize("reference", [False, True], ids=["acc", "ref_acc"])
+def _current_exponents(table, acc):
+    """The rows and maxima of an exponent table as a round reads them."""
+    if table.version != acc.version:
+        table.rebuild()
+    return table.rows, table.tops
+
+
+@pytest.mark.parametrize("reference, one_arm", [(False, False), (True, False), (False, True)],
+                         ids=["acc", "ref_acc", "one_arm"])
 @pytest.mark.parametrize("name", sorted(EXPONENT_SPECS))
-def test_exponent_rows_match_per_round_softmax_after_every_add(name, reference):
+def test_exponent_rows_match_per_round_softmax_after_every_add(name, reference, one_arm,
+                                                               monkeypatch):
     env = build_env(EXPONENT_SPECS[name], 64, RngStream(8, ENV_STREAM))
     space, kind, K = env.context_space, env.acc_kind, env.n_arms
     n_contexts = getattr(env, "n_contexts", None)
     acc = (_ref_accumulator if reference else make_accumulator)(kind, K, n_contexts)
     gen = np.random.default_rng(sorted(EXPONENT_SPECS).index(name) + 40 * reference)
     eta = float(gen.uniform(0.05, 2.0))
-    table = learner_module._Exponents(acc, space, space_masks(space, env.active_mask, K), eta)
+    masks = space_masks(space, env.active_mask, K)
+    table = learner_module._Exponents(acc, space, masks, eta)
+    rebuilt = []  # acc.version at each full rebuild
+    rebuild = learner_module._Exponents.rebuild
+    monkeypatch.setattr(learner_module._Exponents, "rebuild",
+                        lambda self: rebuilt.append(self._acc.version) or rebuild(self))
     contexts = space.contexts.tolist()
     rows = [c if space.rows is None else space.rows[c] for c in contexts]
-    masks = [env.active_mask(c) for c in contexts]
+    context_masks = [env.active_mask(c) for c in contexts]
+    want_rebuilt = []
     for step in range(60):
         numbers = _random_numbers(kind, gen, n_contexts)
         loss = (_ref_loss(kind, numbers, validate=False) if reference
                 else LinearLoss(PHI[kind], numbers, validate=False))
-        acc.add(int(gen.integers(K)), float(10.0 ** gen.uniform(-2, 2)), loss)
-        for i, c, mask in zip(rows, contexts, masks):
-            z, top = table.row(i)
+        arm = int(gen.integers(K))
+        acc.add(arm, float(10.0 ** gen.uniform(-2, 2)), loss)
+        if one_arm:
+            if step % 5 == 4:
+                continue  # an add that no update follows
+            stale = table.version != acc.version - 1
+            table.added(arm)
+            assert (table.version == acc.version) is not stale
+            if not stale:
+                fresh = learner_module._Exponents(acc, space, masks, eta)
+                fresh.rebuild()
+                assert table.table.tobytes() == fresh.table.tobytes(), step
+                assert np.array(table.tops).tobytes() == np.array(fresh.tops).tobytes()
+                rebuilt.pop()  # the fresh table's
+        if table.version != acc.version:
+            want_rebuilt.append(acc.version)
+        z_rows, tops = _current_exponents(table, acc)
+        for i, c, mask in zip(rows, contexts, context_masks):
             want = _ref_ftrl_weights(acc.eval_column(c), eta, mask)
-            assert ftrl_weights(z, None, top).tobytes() == want.tobytes(), (step, c)
-        built = table.table
-        table.row(rows[0])
-        assert table.table is built  # no add, no rebuild
+            assert ftrl_weights(z_rows[i], None, tops[i]).tobytes() == want.tobytes(), (step, c)
+        _current_exponents(table, acc)  # no add, no rebuild
+    assert rebuilt == want_rebuilt
+    # the first read builds the table; with one-arm updates, only a read
+    # after an add that no update followed rebuilds it
+    assert len(rebuilt) == (1 + 11 if one_arm else 60)
 
 
 @pytest.mark.parametrize("name", TABLE_ENVS)
@@ -1172,7 +1208,7 @@ def test_tables_give_inactive_arms_zero_weight():
             learner.step(context, lambda a: env.reveal(t, a))
             known.step(context, lambda a: env.reveal(t, a))
             ex = learner._exponents
-            ex.row(0)
+            _current_exponents(ex, learner.acc)
             for table in (learner.snapshot_table, known.probe_table()):
                 assert (table[inactive] == 0.0).all() and (table[~inactive] > 0.0).all()
             assert (ex.table[inactive] == -np.inf).all()

@@ -239,6 +239,15 @@ def test_cli_scaling_names_an_algo_without_rows(tmp_path, capsys):
                             "(algos present: crosslearn, exp3_per_context)\n")
 
 
+def test_cli_scaling_reports_a_csv_without_rows(tmp_path, capsys):
+    path = tmp_path / "r.csv"
+    path.write_text(",".join(CSV_HEADER) + "\n")
+    assert main(["scaling", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no result rows in {path}\n"
+
+
 @pytest.mark.parametrize("output, match", [
     ("missing/r.csv", "output directory"), (".", "is a directory"), (None, "nonempty"),
 ], ids=["missing_directory", "directory", "empty"])
