@@ -141,6 +141,8 @@ class SnapshotHandle:
         return self.phi.batch(self.coef, contexts)
 
     def weights(self, context, mask=None):
+        """The FTRL distribution at `context`, a list of floats
+        (simplex.ftrl_weights); a row of weights_batch holds its bits."""
         return ftrl_weights(np.multiply(self.eval_column(context), -self.eta), mask)
 
     def weights_batch(self, contexts, masks=None):

@@ -24,9 +24,15 @@ class PerContextExp3:
     Uses only the realized scalar loss of the played arm with standard
     importance weighting, at the anytime rate sqrt(log K / (t_c * K)) where
     t_c counts visits to that context. A context never seen before starts
-    from the uniform state, so fresh contexts are played uniformly.
-    active: None (every arm always active) or a callable context ->
-    mask/None, an env's active_mask (ParamError otherwise).
+    from the uniform state, so fresh contexts are played uniformly; a
+    context gets a state of its own when it is first played, not when its
+    distribution is read. active: None (every arm always active) or a
+    callable context -> mask/None, an env's active_mask (ParamError
+    otherwise); SimplexError when a mask is not K booleans or is empty.
+
+    A state is [estimates, visits] with the estimates a list of floats;
+    their exponents are taken on Python floats, the same IEEE multiply as
+    numpy's, and ftrl_weights does the rest.
     """
 
     def __init__(self, n_arms, rng, active=None):
@@ -34,24 +40,25 @@ class PerContextExp3:
         self._gen = BlockUniforms(rng.gen)
         self._mask = mask_function(active)
         self._states = {}
+        self._fresh = ([0.0] * self.n_arms, 0)
         self._log_k = math.log(self.n_arms)
         self.fallback_count = 0
 
-    def _play(self, context):
-        """The context's state [cumulative estimates, visits] and its
-        distribution, the softmax at the anytime rate."""
-        st = self._states.get(context)
-        if st is None:
-            st = self._states[context] = [np.zeros(self.n_arms), 0]
-        eta = math.sqrt(self._log_k / ((st[1] + 1) * self.n_arms))
-        return st, ftrl_weights(np.multiply(st[0], -eta), self._mask(context))
+    def _weights(self, state, context):
+        """The distribution of a state at `context`: the softmax of its
+        estimates at the anytime rate over the context's active set."""
+        neg_eta = -math.sqrt(self._log_k / ((state[1] + 1) * self.n_arms))
+        return ftrl_weights([x * neg_eta for x in state[0]], self._mask(context))
 
     def distribution(self, context):
-        return self._play(context)[1]
+        return self._weights(self._states.get(context, self._fresh), context)
 
     def step(self, context, reveal):
-        st, w = self._play(context)
-        arm = sample_index(w.tolist(), self._gen)
+        st = self._states.get(context)
+        if st is None:
+            st = self._states[context] = [[0.0] * self.n_arms, 0]
+        w = self._weights(st, context)
+        arm = sample_index(w, self._gen)
         fn = reveal(arm)
         st[0][arm] += fn.eval(context) / w[arm]
         st[1] += 1
@@ -115,8 +122,8 @@ class KnownNuLearner:
             w = ftrl_weights(np.multiply(self.acc.eval_column(context), -self.eta),
                              self._mask(context))
         else:
-            w = table[row]
-        arm = sample_index(w.tolist(), self._gen)
+            w = table[row].tolist()
+        arm = sample_index(w, self._gen)
         fn = reveal(arm)
         self.acc.add(arm, 1.0 / self._denominator(arm, expected), fn)
         return arm

@@ -37,7 +37,7 @@ from operator import ge, mul
 
 import numpy as np
 
-from .accumulator import snapshot
+from .accumulator import AFFINE, snapshot
 from .simplex import BlockUniforms, ftrl_weights, sample_index, space_masks
 
 BERN_TOL = 1e-12
@@ -294,7 +294,7 @@ class _SnapView:
         """The distribution at `context`, whose table row is i (None: the
         table lacks it)."""
         if i is None:
-            return self.handle.weights(context, mask).tolist()
+            return self.handle.weights(context, mask)
         return self.lists[i] or self.fill(i)
 
 
@@ -310,19 +310,23 @@ class _Exponents:
 
     `version` is the acc.version they are current with (None before the
     first build). The sum changes only when a loss sample is kept. Right
-    after one add at `arm`, added(arm) recomputes that arm's exponents,
-    from the accumulator class's batch over coef[arm], and the maxima; any
-    other move of acc.version is left to rebuild(), which recomputes all of
-    them from acc.eval_batch. Both give the same bits: the arm's row of
-    eval_batch is that batch, and the multiply and the mask are
-    elementwise."""
+    after one add at `arm`, added(arm) recomputes that arm's exponents and
+    the maxima; any other move of acc.version is left to rebuild(), which
+    recomputes all of them from acc.eval_batch. On an affine space the
+    arm's loss at the points v (the contexts as floats, held from
+    construction) is a + b * v from its two coefficients as Python floats;
+    on any other, the accumulator class's batch over coef[arm]. Both give
+    the bits of the arm's row of eval_batch: that row is a + b * v with
+    the same two IEEE operations, which commute, and the multiply by -eta
+    and the mask are elementwise."""
 
-    __slots__ = ("_acc", "_index", "_inactive", "_neg_eta", "_z", "table", "rows", "tops",
-                 "version")
+    __slots__ = ("_acc", "_index", "_points", "_inactive", "_neg_eta", "_z", "table", "rows",
+                 "tops", "version")
 
     def __init__(self, acc, space, masks, eta):
         self._acc = acc
         self._index = space.index
+        self._points = np.array(space.contexts, dtype=float) if acc.kind == AFFINE else None
         self._inactive = None if masks is None else ~np.ascontiguousarray(masks.T)
         self._neg_eta = -eta
         self._z = np.empty((acc.n_arms, len(space)))
@@ -362,7 +366,14 @@ class _Exponents:
             return
         z = self._z
         row = z[arm]
-        np.multiply(acc.batch(acc.coef[arm], self._index), self._neg_eta, out=row)
+        points = self._points
+        if points is None:
+            np.multiply(acc.batch(acc.coef[arm], self._index), self._neg_eta, out=row)
+        else:
+            a, b = acc.coef[arm].tolist()
+            np.multiply(points, b, out=row)
+            np.add(row, a, out=row)
+            np.multiply(row, self._neg_eta, out=row)
         if self._inactive is not None:
             np.copyto(row, -np.inf, where=self._inactive[arm])
         self.tops = np.maximum.reduce(z, axis=0).tolist()
@@ -383,9 +394,9 @@ class CrossLearner:
     accumulator (_Exponents: after each of the learner's own kept loss
     samples it recomputes the one arm's exponents; any other change of the
     accumulator makes the next round rebuild it), so a round at one of its
-    contexts reads its rows in place and calls ftrl_weights only to
-    subtract, exponentiate and normalise. Elsewhere a round evaluates the
-    accumulator at its context.
+    contexts reads its exponent row and maximum in place and hands them to
+    ftrl_weights, whose only numpy calls are then one subtract and one
+    exp. Elsewhere a round evaluates the accumulator at its context.
     reveal passed to step: callable arm -> LinearLoss of the played arm.
 
     A run is watched by reading the learner between steps: t, epoch,
@@ -393,11 +404,13 @@ class CrossLearner:
     last_kept, the (arm, loss_fn) of the latest loss sample added to the
     accumulator (None before the first); acc.version counts those samples.
 
-    After the FTRL softmax a round works on Python floats: the play and
-    snapshot distributions are lists. A frequency sample read from the
-    next snapshot's table is recorded by row number and summed when the
-    epoch ends (_flush_freq). The epoch length, horizon, eta and gamma are
-    read from params once, at construction.
+    From the FTRL softmax's sum on, a round works on Python floats: the
+    play distribution is the list ftrl_weights returns, and a snapshot
+    distribution is a table row read as a list or, off the table,
+    ftrl_weights' list. A frequency sample read from the next snapshot's
+    table is recorded by row number and summed when the epoch ends
+    (_flush_freq). The epoch length, horizon, eta and gamma are read from
+    params once, at construction.
     """
 
     def __init__(self, params, accumulator, rng, active=None, space=None):
@@ -475,7 +488,8 @@ class CrossLearner:
         over _freq_div, to the next epoch's frequency estimate (a table row
         is only recorded in _freq_rows)."""
         self._flush_freq()
-        self._freq_next += self._snap_next.handle.weights(context, mask) / self._freq_div()
+        self._freq_next += np.divide(self._snap_next.handle.weights(context, mask),
+                                     self._freq_div())
 
     def _flush_freq(self):
         """Add the recorded table rows to the next epoch's estimate."""
@@ -536,7 +550,7 @@ class CrossLearner:
             if ex.version != acc.version:
                 ex.rebuild()
             p = ftrl_weights(ex.rows[i], None, ex.tops[i])
-        q, fb = select_sampling_distribution(p.tolist(), s)
+        q, fb = select_sampling_distribution(p, s)
         arm = sample_index(q, gen)
         fn = reveal(arm)
         self.fallback_count += fb

@@ -1,6 +1,7 @@
 """Probability-simplex primitives shared by every learner.
 
-Arms are indexed 0..K-1. Distributions are dense length-K vectors that are
+Arms are indexed 0..K-1. Distributions are dense length-K vectors (lists
+of floats from ftrl_weights, array rows from ftrl_weights_batch) that are
 exactly zero outside the active set. Entropy-regularized FTRL over the
 restricted simplex has the closed form softmax(-eta * cum_loss) on the
 active arms; it is computed with a max shift so any finite input is safe.
@@ -140,42 +141,82 @@ class BlockUniforms:
 
 # module-level names of the ufuncs ftrl_weights calls, read without an
 # attribute lookup on numpy
-_exp, _subtract, _divide, _where = np.exp, np.subtract, np.divide, np.where
-_max, _sum = np.maximum.reduce, np.add.reduce
+_exp, _subtract = np.exp, np.subtract
 _NEG_INF = -np.inf
 
 
+def pairwise_sum(w):
+    """The sum of the floats in the list `w`, bit for bit the sum numpy
+    makes along a contiguous float64 axis (np.add.reduce, and each row sum
+    of ftrl_weights_batch): from 0.0, in order below 8 terms; from 8 to 128
+    terms as eight running sums of every eighth term, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest in order; above 128
+    the sum of the halves split at n//2 rounded down to a multiple of 8.
+    That order is numpy's, not its API: tests/test_simplex.py and
+    tests/test_differential.py pin it."""
+    n = len(w)
+    if n < 8:
+        s = 0.0
+        for x in w:
+            s += x
+        return s
+    if n > 128:
+        h = n // 2 - n // 2 % 8
+        return pairwise_sum(w[:h]) + pairwise_sum(w[h:])
+    r0, r1, r2, r3, r4, r5, r6, r7 = w[:8]
+    m = n - n % 8
+    i = 8
+    while i < m:
+        a0, a1, a2, a3, a4, a5, a6, a7 = w[i:i + 8]
+        r0 += a0
+        r1 += a1
+        r2 += a2
+        r3 += a3
+        r4 += a4
+        r5 += a5
+        r6 += a6
+        r7 += a7
+        i += 8
+    # numpy adds the whole sum to a 0.0 start; adding the 0.0 before the
+    # tail instead can change only the sign of a zero, and neither order
+    # ends in -0.0
+    s = 0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+    if m < n:
+        for x in w[m:]:
+            s += x
+    return s
+
+
 def ftrl_weights(z, mask=None, top=None):
-    """Softmax of the exponents `z` restricted to `mask` (None means all
-    arms): the entropy-FTRL distribution at a context when z is -eta times
-    its cumulative losses, np.multiply(cum_loss, -eta).
+    """Softmax of the exponents `z` (a length-K array or list of floats)
+    restricted to `mask` (None means all arms), as a list of floats: the
+    entropy-FTRL distribution at a context when z is -eta times its
+    cumulative losses, np.multiply(cum_loss, -eta).
 
     `top` is the maximum of z over the mask when the caller knows it (the
     learner's exponent table keeps one per context). Hot-path core without
-    finiteness checks; z is not modified and a fresh length-K array is
-    returned. A mask whose shape is not z's raises SimplexError, rather
-    than broadcast. The masked branch works on the full row with -inf off
-    the mask, whose exp is 0, so the row sum adds the same zeros as a scatter
-    into a zero row would. The ufuncs are called directly, with their
-    outputs passed positionally: they run the loops of .max() and .sum()
-    without those methods' Python wrappers.
+    finiteness checks; z is not modified. A mask whose shape is not (K,)
+    raises SimplexError, rather than broadcast. The mask (-inf off it,
+    whose exp is 0) and the maximum are taken on Python floats, numpy
+    subtracts and exponentiates, and the sum (pairwise_sum) and the
+    division run on Python floats, so the list holds the bits of the array
+    softmax and of each row of ftrl_weights_batch.
     """
     if mask is not None:
-        try:
-            shape = mask.shape
-        except AttributeError:  # a list of booleans
-            shape = np.shape(mask)
-        if shape != z.shape:
-            raise SimplexError(f"active mask must be {z.size} booleans, got shape {shape}")
-        z = _where(mask, z, _NEG_INF)
+        mask = np.asarray(mask)
+        if mask.shape != (len(z),):
+            raise SimplexError(f"active mask must be {len(z)} booleans, got shape {mask.shape}")
+        z = [x if m else _NEG_INF for x, m in zip(z if type(z) is list else z.tolist(),
+                                                  mask.tolist())]
     if top is None:
-        top = _max(z)
+        top = max(z if type(z) is list else z.tolist())
         if top == _NEG_INF:
             raise SimplexError("active set is empty")
     w = _subtract(z, top)
     _exp(w, w)
-    _divide(w, _sum(w), w)
-    return w
+    w = w.tolist()
+    s = pairwise_sum(w)
+    return [x / s for x in w]
 
 
 def ftrl_weights_batch(cum_loss, eta, masks=None):
@@ -183,8 +224,8 @@ def ftrl_weights_batch(cum_loss, eta, masks=None):
 
     `masks` may be None (all active) or an (n, K) mask matrix, the
     space_masks of the rows' contexts; SimplexError for any other shape.
-    Row i equals ftrl_weights(np.multiply(cum_loss[i], -eta), masks[i])
-    bit for bit.
+    Row i holds the floats of ftrl_weights(np.multiply(cum_loss[i], -eta),
+    masks[i]) bit for bit.
 
     Without masks the work runs in the accumulator's (K, n) layout: the
     multiply reads cum_loss.T, which is contiguous when cum_loss is the
@@ -192,7 +233,7 @@ def ftrl_weights_batch(cum_loss, eta, masks=None):
     reduction over axis 0 (a max is exact, so the layout cannot change
     it), and one transposed copy precedes the row sums. The sums must run
     along the contiguous K-rows of an (n, K) array, where they add in the
-    order of the one-row sum; a column-wise sum adds in another order and,
+    order of pairwise_sum; a column-wise sum adds in another order and,
     from K = 8 up, gives other bits. With masks the work stays in the (n, K)
     layout, which measured faster there.
     """

@@ -4,6 +4,7 @@ import pytest
 from crosslearn.accumulator import (
     CONSTANT,
     TABULAR,
+    AffineAccumulator,
     ConstantAccumulator,
     LinearLoss,
     TabularAccumulator,
@@ -36,6 +37,25 @@ def test_exp3_converges_per_context():
 def test_exp3_fresh_context_uniform():
     algo = PerContextExp3(4, RngStream(0, 3))
     assert np.allclose(algo.distribution("never-seen"), 0.25)
+
+
+def test_exp3_reading_a_distribution_stores_no_state():
+    # on continuous auction values nearly every probe is a context never
+    # played: reading its distribution must not grow the learner
+    algo = PerContextExp3(4, RngStream(0, 3))
+    for v in np.linspace(0.0, 1.0, 101).tolist():
+        assert algo.distribution(v) == [0.25] * 4
+    assert algo._states == {}
+    fn = LinearLoss(AffineAccumulator, [0.2, 0.5])
+    algo.step(0.5, lambda arm: fn)
+    assert list(algo._states) == [0.5]
+    played = algo.distribution(0.5)
+    assert played != [0.25] * 4
+    # the lists handed out are the caller's: writing one moves no state
+    played[0] = 9.0
+    algo.distribution(0.7)[0] = 9.0
+    assert algo.distribution(0.5) != played and algo.distribution(0.7) == [0.25] * 4
+    assert list(algo._states) == [0.5]
 
 
 def test_exp3_state_isolation():

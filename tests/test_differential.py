@@ -8,6 +8,7 @@ context spaces against rows computed per lookup. Every comparison is exact
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from crosslearn.accumulator import (
     make_accumulator,
     snapshot,
 )
-from crosslearn.baselines import KnownNuLearner, known_nu_rate
+from crosslearn.baselines import KnownNuLearner, PerContextExp3, known_nu_rate
 from crosslearn.envs import (
     AVAILABILITY_BLOCK,
     SCORE_BLOCK,
@@ -396,6 +397,32 @@ def test_batch_rows_match_one_row_softmax_on_a_transposed_input():
         assert np.array_equal(got[i], ftrl_weights(np.multiply(cum[:, i], -eta)))
 
 
+@pytest.mark.parametrize("n_arms", [2, 7, 8, 9, 16, 17, 64, 127, 128, 129, 300])
+def test_one_row_list_has_the_bits_of_the_batch_row(n_arms):
+    """ftrl_weights sums its list on Python floats in numpy's pairwise
+    order: each branch of that order, and each edge between them, gives
+    the bits of the row sums of ftrl_weights_batch, masked or not, in the
+    (n, K) layout and in the accumulator's transposed (K, n) one."""
+    gen = np.random.default_rng(n_arms)
+    n_rows = 12
+    # losses spread wide enough that many terms are far below the maximum
+    coef = gen.exponential(1.0, (n_arms, n_rows)) * gen.uniform(0.1, 40.0, (n_arms, 1))
+    eta = 0.83
+    masks = _random_masks(gen, (n_rows, n_arms))
+    for cum in (coef.T, np.ascontiguousarray(coef.T)):
+        for rows_masks in (None, masks):
+            got = ftrl_weights_batch(cum, eta, rows_masks)
+            for i in range(n_rows):
+                mask = None if rows_masks is None else rows_masks[i]
+                z = np.multiply(cum[i], -eta)
+                row = ftrl_weights(z, mask)
+                assert type(row) is list and len(row) == n_arms
+                assert np.asarray(row).tobytes() == got[i].tobytes(), (i, mask is None)
+                if mask is None:
+                    top = float(z.max())
+                    assert np.asarray(ftrl_weights(z, None, top)).tobytes() == got[i].tobytes()
+
+
 class _RefKnownNuLearner:
     """KnownNuLearner as it was before the once-per-round probe table: plays
     the softmax at the context, then rebuilds the table for the denominator."""
@@ -482,6 +509,81 @@ def test_known_nu_rejects_a_space_without_weights():
         KnownNuLearner(acc, ContextSpace(space.contexts), 0.1, RngStream(6, 2),
                        active=env.active_mask)
     KnownNuLearner(acc, space, 0.1, RngStream(6, 2), active=env.active_mask)
+
+
+class _RefPerContextExp3:
+    """PerContextExp3 as it was: each context's estimates a numpy vector,
+    its distribution the array softmax, and a state stored for every
+    context whose distribution is read."""
+
+    def __init__(self, n_arms, rng, active=None):
+        self.n_arms = int(n_arms)
+        self._gen = BlockUniforms(rng.gen)
+        self._active = active
+        self._states = {}
+        self._log_k = math.log(self.n_arms)
+
+    def _play(self, context):
+        st = self._states.get(context)
+        if st is None:
+            st = self._states[context] = [np.zeros(self.n_arms), 0]
+        eta = math.sqrt(self._log_k / ((st[1] + 1) * self.n_arms))
+        mask = None if self._active is None else self._active(context)
+        return st, _ref_ftrl_weights(st[0], eta, mask)
+
+    def distribution(self, context):
+        return self._play(context)[1]
+
+    def step(self, context, reveal):
+        st, w = self._play(context)
+        arm = sample_index(w.tolist(), self._gen)
+        fn = reveal(arm)
+        st[0][arm] += fn.eval(context) / w[arm]
+        st[1] += 1
+        return arm
+
+
+EXP3_HORIZON = 1500
+
+EXP3_CASES = {
+    "tabular": ("tabular_synthetic", {"C": 6, "K": 4}),
+    "tabular_active": ("tabular_synthetic", {"C": 4, "K": 3, "active": [
+        [1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]]}),
+    "sleeping_bernoulli": ("sleeping", {"K": 6, "availability": {
+        "kind": "bernoulli", "probs": [0.2, 0.5, 0.3, 0.7, 0.4, 0.6]}}),
+    "auction_64_atoms": ("auction", {"values": {
+        "kind": "discrete", "atoms": [i / 64 for i in range(64)], "probs": [1] * 64}}),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("case", sorted(EXP3_CASES))
+def test_exp3_matches_array_reference(case, seed):
+    """Arms, regret checkpoints and distribution bytes of per-context EXP3
+    on float lists equal those of the array reference."""
+    kind, fields = EXP3_CASES[case]
+    spec = dict(fields, kind=kind)
+    env = build_env(spec, EXP3_HORIZON, RngStream(seed, ENV_STREAM))
+    new = build_algo("exp3_per_context", env, seed, None)
+    assert isinstance(new, PerContextExp3)
+    ref = _RefPerContextExp3(env.n_arms, RngStream(seed, ALGO_STREAMS["exp3_per_context"]),
+                             active=env.active_mask)
+    # contexts from the whole run: early checkpoints probe unplayed ones too
+    probes = [env.context(t) for t in range(0, EXP3_HORIZON, 37)]
+    cps = checkpoint_schedule(EXP3_HORIZON)
+    tracker = PerRoundRegretTracker(env)
+    want = []
+    for t in range(EXP3_HORIZON):
+        context = env.context(t)
+        arm = new.step(context, lambda a: env.reveal(t, a))
+        assert arm == ref.step(context, lambda a: env.reveal(t, a)), t
+        tracker.update(t, context, arm)
+        if t + 1 in cps:
+            want.append((t + 1, tracker.regret() * env.regret_scale))
+            for c in probes:
+                got = np.asarray(new.distribution(c))
+                assert got.tobytes() == ref.distribution(c).tobytes(), (t, c)
+    assert run_single(spec, "exp3_per_context", EXP3_HORIZON, seed).checkpoints == want
 
 
 def _ref_select(p, s, mask):
@@ -1013,9 +1115,9 @@ def test_snapshot_table_rows_match_per_lookup_rows(name):
             assert view.table.shape == (len(space), env.n_arms)
             for row, context in enumerate(space.contexts.tolist()):
                 mask = env.active_mask(context)
-                want = view.handle.weights(context, mask).tobytes()
+                want = np.asarray(view.handle.weights(context, mask)).tobytes()
                 assert view.table[row].tobytes() == want, (row, context)
-                assert view.row(row, context, mask) == view.handle.weights(context, mask).tolist()
+                assert view.row(row, context, mask) == view.handle.weights(context, mask)
         versions.append(learner._snap_cur.handle.version)
 
     params = dataclasses.replace(calibrated_params(env.n_arms, env.horizon), eta=0.5)
@@ -1095,7 +1197,8 @@ def test_exponent_rows_match_per_round_softmax_after_every_add(name, reference, 
         z_rows, tops = _current_exponents(table, acc)
         for i, c, mask in zip(rows, contexts, context_masks):
             want = _ref_ftrl_weights(acc.eval_column(c), eta, mask)
-            assert ftrl_weights(z_rows[i], None, tops[i]).tobytes() == want.tobytes(), (step, c)
+            got = np.asarray(ftrl_weights(z_rows[i], None, tops[i]))
+            assert got.tobytes() == want.tobytes(), (step, c)
         _current_exponents(table, acc)  # no add, no rebuild
     assert rebuilt == want_rebuilt
     # the first read builds the table; with one-arm updates, only a read
@@ -1177,7 +1280,7 @@ def test_space_larger_than_the_epoch_allows_serves_per_lookup_rows():
         view = learner._snap_cur
         mask = env.active_mask(context)
         assert view.table is None
-        assert view.row(None, context, mask) == view.handle.weights(context, mask).tolist()
+        assert view.row(None, context, mask) == view.handle.weights(context, mask)
         learner.step(context, lambda a: env.reveal(t, a))
 
 

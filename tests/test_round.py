@@ -60,11 +60,11 @@ class _RefSnapView:
 
     def weights(self, context, mask=None):
         if self.table is None:
-            return self.handle.weights(context, mask)
+            return np.asarray(self.handle.weights(context, mask))
         if self._rows is None:
             return self.table[context]
         row = self._rows.get(context)
-        return self.handle.weights(context, mask) if row is None else self.table[row]
+        return np.asarray(self.handle.weights(context, mask)) if row is None else self.table[row]
 
 
 class _RefCrossLearner(CrossLearner):
@@ -311,7 +311,7 @@ def _pair_outcomes(learner, nu, losses):
     q, s, fallback = [], [], []
     for c in contexts:
         mask = learner._mask(c)
-        sc = learner.snapshot_current.weights(c, mask)
+        sc = np.asarray(learner.snapshot_current.weights(c, mask))
         pc = _ref_ftrl_weights(acc.eval_column(c), eta, mask)
         fb = not bool((pc >= 0.5 * sc).all())
         q.append(sc if fb else pc)

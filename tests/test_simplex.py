@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from crosslearn.accumulator import TABULAR, make_accumulator
 from crosslearn.baselines import PerContextExp3
@@ -12,6 +15,7 @@ from crosslearn.simplex import (
     SimplexError,
     ftrl_weights,
     ftrl_weights_batch,
+    pairwise_sum,
     sample_index,
     space_masks,
 )
@@ -33,8 +37,8 @@ def test_ftrl_shift_invariance():
     gen = np.random.default_rng(7)
     for _ in range(50):
         z = gen.normal(size=8) * gen.uniform(1, 100)
-        w1 = ftrl_weights(np.multiply(z, -0.17))
-        w2 = ftrl_weights(np.multiply(z + gen.uniform(-1e4, 1e4), -0.17))
+        w1 = np.asarray(ftrl_weights(np.multiply(z, -0.17)))
+        w2 = np.asarray(ftrl_weights(np.multiply(z + gen.uniform(-1e4, 1e4), -0.17)))
         assert np.max(np.abs(w1 - w2)) < 1e-12
 
 
@@ -44,7 +48,7 @@ def test_ftrl_sums_to_one_fuzz():
         n = int(gen.integers(2, 50))
         z = gen.uniform(-1e6, 1e6, n)
         eta = float(gen.uniform(1e-6, 2.0))
-        w = ftrl_weights(np.multiply(z, -eta))
+        w = np.asarray(ftrl_weights(np.multiply(z, -eta)))
         assert abs(w.sum() - 1.0) < 1e-12
         assert w.min() >= 0.0
 
@@ -54,18 +58,51 @@ def test_ftrl_monotone_in_loss():
     gen = np.random.default_rng(3)
     for _ in range(100):
         z = gen.uniform(0, 30, 6)
-        w = ftrl_weights(np.multiply(z, -0.4))
+        w = np.asarray(ftrl_weights(np.multiply(z, -0.4)))
         order = np.argsort(z)
         assert np.all(np.diff(w[order]) <= 1e-15)
 
 
 def test_ftrl_mask_zeroes_inactive():
     mask = np.array([True, False, True, False])
-    w = ftrl_weights(np.multiply([1.0, 0.0, 2.0, 0.0], -0.5), mask)
+    w = np.asarray(ftrl_weights(np.multiply([1.0, 0.0, 2.0, 0.0], -0.5), mask))
     assert w[1] == 0.0 and w[3] == 0.0
     assert abs(w.sum() - 1.0) < 1e-12
     with pytest.raises(SimplexError):
         ftrl_weights(np.zeros(4), np.zeros(4, dtype=bool))
+
+
+# Terms of every kind a softmax row sum meets and then some: zeros of
+# both signs, subnormals, exact 1.0 and finite values of any magnitude
+# whose sum cannot overflow at 1 100 terms.
+_TERMS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e-310, -2.5e-320]),
+                   st.floats(-1e300, 1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.integers(1, 1100), elements=_TERMS))
+# the edges of the three branches: in order below 8 terms, eight running
+# sums from 8 to 128, split in halves above
+@example(np.ones(7)).via("below 8")
+@example(np.ones(8)).via("8")
+@example(np.full(128, 0.1)).via("128")
+@example(np.full(129, 0.1)).via("129")
+@example(np.full(1100, 1 / 3)).via("1100")
+@example(np.full(16, -0.0)).via("a zero sum's sign")
+def test_pairwise_sum_adds_in_numpys_order(a):
+    """pairwise_sum of a contiguous float64 array's floats has the bits of
+    np.add.reduce, the order the one-row softmax relies on."""
+    assert a.flags.c_contiguous
+    assert pairwise_sum(a.tolist()).hex() == float(np.add.reduce(a)).hex()
+
+
+def test_pairwise_sum_matches_on_every_length_up_to_1100():
+    gen = np.random.default_rng(17)
+    for n in range(1, 1101):
+        a = np.exp(gen.normal(0, 20, n))
+        a[gen.random(n) < 0.1] = 0.0
+        a[gen.random(n) < 0.05] = 1.0
+        assert pairwise_sum(a.tolist()) == np.add.reduce(a), n
 
 
 def test_ftrl_batch_matches_single():
@@ -131,7 +168,7 @@ def test_masks_that_are_not_k_booleans_are_rejected():
         with pytest.raises(SimplexError, match="for 3 arms"):
             ftrl_weights_batch(np.zeros((2, 3)), 1.0, masks)
     # a list of K booleans is a mask like any other
-    assert ftrl_weights(np.zeros(3), [True, False, True]).tolist() == [0.5, 0.0, 0.5]
+    assert ftrl_weights(np.zeros(3), [True, False, True]) == [0.5, 0.0, 0.5]
     space = ContextSpace(np.arange(3))
     for active, context in ((lambda c: np.array([True]), 0),
                             (lambda c: None if c < 2 else np.ones(4, dtype=bool), 2),
