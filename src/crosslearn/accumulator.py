@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .simplex import ftrl_weights, ftrl_weights_batch
+from .simplex import ftrl_weights
 
 TABULAR, AFFINE, CONSTANT = "tabular", "affine", "constant"
 RANGE_TOL = 1e-9
@@ -100,7 +100,7 @@ class AffineAccumulator(_Linear):
     dim = 2
     column = staticmethod(lambda coef, v: coef[..., 0] + coef[..., 1] * float(v))
     # built in the matrix's (K, n) layout and returned transposed, the
-    # layout that the unmasked batch softmax reads contiguously
+    # layout a learner.SpaceTable holds its exponents in
     batch = staticmethod(lambda coef, vs: (
         coef[..., :1] + coef[..., 1:] * np.asarray(_points(vs), dtype=float)).T)
     # a line peaks at an endpoint of [0, 1]
@@ -125,7 +125,8 @@ def make_accumulator(kind, n_arms, n_contexts=None):
 
 
 class SnapshotHandle:
-    """Read-only copy of an accumulator's sum plus an FTRL rate."""
+    """Read-only copy of an accumulator's sum plus an FTRL rate; kind,
+    n_arms and version read as the accumulator's."""
 
     __slots__ = ("phi", "coef", "eta", "version")
 
@@ -133,6 +134,9 @@ class SnapshotHandle:
         self.phi, self.coef, self.version = type(acc), acc.coef.copy(), acc.version
         self.coef.flags.writeable = False
         self.eta = float(eta)
+
+    kind = property(lambda self: self.phi.kind)
+    n_arms = property(lambda self: len(self.coef))
 
     def eval_column(self, context):
         return self.phi.column(self.coef, context)
@@ -142,11 +146,8 @@ class SnapshotHandle:
 
     def weights(self, context, mask=None):
         """The FTRL distribution at `context`, a list of floats
-        (simplex.ftrl_weights); a row of weights_batch holds its bits."""
+        (simplex.ftrl_weights); a SpaceTable's row holds its bits."""
         return ftrl_weights(np.multiply(self.eval_column(context), -self.eta), mask)
-
-    def weights_batch(self, contexts, masks=None):
-        return ftrl_weights_batch(self.eval_batch(contexts), self.eta, masks)
 
 
 def snapshot(acc, eta):

@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .learner import ParamError, mask_function
-from .simplex import BlockUniforms, ftrl_weights, ftrl_weights_batch, sample_index, space_masks
+from .learner import ParamError, SpaceTable, mask_function
+from .simplex import BlockUniforms, ftrl_weights, sample_index, space_masks
 
 TINY_DENOM = 1e-9
 
@@ -79,12 +79,13 @@ class KnownNuLearner:
     env's known_nu_oracle() (ParamError without weights). active: None
     (every arm always active) or a callable context -> mask/None, an env's
     active_mask (ParamError otherwise); the masks of the probe table are
-    read from it once, at construction (simplex.space_masks). Each round
-    computes the probe table, the distributions at every context of the
-    space, once: the denominators are its nu-average, and a context of the
-    space is played from its row, which equals ftrl_weights at the context
-    bit for bit. Any other context (a continuous value between quadrature
-    nodes) is played from ftrl_weights at the context itself.
+    read from it once, at construction (simplex.space_masks), into one
+    SpaceTable over the space that follows the learner's own adds. Each
+    round reads the probe table, its distributions at every context, once:
+    the denominators are its nu-average, and a context of the space is
+    played from its row, which equals ftrl_weights at the context bit for
+    bit. Any other context (a continuous value between quadrature nodes)
+    is played from ftrl_weights at the context itself.
     """
 
     def __init__(self, accumulator, space, eta, rng, active=None):
@@ -95,14 +96,14 @@ class KnownNuLearner:
         self._mask = mask_function(active)
         if space.weights is None:
             raise ParamError("the context space carries no weights")
-        self._masks = space_masks(space, active, accumulator.n_arms)
+        self._table = SpaceTable(accumulator, space,
+                                 space_masks(space, active, accumulator.n_arms), self.eta)
         self.tiny_denominator_count = 0
         self.fallback_count = 0
 
     def probe_table(self):
         """Current play distributions at every context of the space."""
-        space = self.space
-        return ftrl_weights_batch(self.acc.eval_batch(space.index), self.eta, self._masks)
+        return self._table.weights()
 
     def _denominator(self, arm, expected):
         """Floored E[p(., arm)], from `expected`, E[p] of the current state."""
@@ -126,6 +127,7 @@ class KnownNuLearner:
         arm = sample_index(w, self._gen)
         fn = reveal(arm)
         self.acc.add(arm, 1.0 / self._denominator(arm, expected), fn)
+        self._table.added(arm)
         return arm
 
 

@@ -145,8 +145,12 @@ def build_env(env_spec, horizon, rng):
 
 
 def crosslearn_params(n_arms, horizon, overrides):
+    try:
+        base = tune_parameters(n_arms, horizon)
+    except ParamError as err:
+        raise ConfigError(f"crosslearn at horizon {horizon}: {err}") from err
     if overrides in (None, "tuned"):
-        return tune_parameters(n_arms, horizon)
+        return base
     if overrides == "calibrated":
         return calibrated_params(n_arms, horizon)
     if isinstance(overrides, dict):
@@ -155,7 +159,6 @@ def crosslearn_params(n_arms, horizon, overrides):
         unknown = set(ov) - {"eta", "gamma", "L"}
         if unknown:
             raise ConfigError(f"unknown override fields {sorted(unknown)}")
-        base = tune_parameters(n_arms, horizon)
         try:
             return with_overrides(base, unsafe=unsafe, **ov)
         except (TypeError, ValueError) as err:  # ParamError is a ValueError
@@ -258,10 +261,10 @@ def validate_config(config):
         workers = config["workers"]
         if not _is_int(workers, 1):
             raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
-    if config.get("overrides") is not None:
-        # validated at every horizon, so a bad override fails before any run
+    if "crosslearn" in algos or config.get("overrides") is not None:
+        # built at every horizon, so bad parameters fail before any run
         for horizon in map(int, grid):
-            crosslearn_params(spec_arms(config["env"], horizon), horizon, config["overrides"])
+            crosslearn_params(spec_arms(env_spec, horizon), horizon, config.get("overrides"))
 
 
 def _run_task(task):

@@ -38,7 +38,8 @@ from operator import ge, mul
 import numpy as np
 
 from .accumulator import AFFINE, snapshot
-from .simplex import BlockUniforms, ftrl_weights, sample_index, space_masks
+from .simplex import (BlockUniforms, SimplexError, ftrl_weights, ftrl_weights_batch,
+                      sample_index, space_masks)
 
 BERN_TOL = 1e-12
 _REL_TOL = 1e-9
@@ -56,11 +57,11 @@ _REL_TOL = 1e-9
 # softmax call. Raise it towards the break-even when that test changes.
 TABLE_ROWS_PER_ROUND = 4
 
-# Largest tabulated space over which the learner keeps its exponent table
-# (_Exponents). Each kept loss sample is followed by a one-arm update (one
-# arm's exponents at every context, then every context's maximum); a round
-# that reads the table instead of evaluating the accumulator saves 1.5 to
-# 4.5 us, whatever the number of contexts. Measured per update and per
+# Largest tabulated space over which the learner keeps a SpaceTable that
+# follows its accumulator. Each kept loss sample is followed by a one-arm
+# update (one arm's exponents at every context, then every context's
+# maximum); a round that reads the table instead of evaluating the
+# accumulator saves 1.5 to 4.5 us, whatever the number of contexts. Measured per update and per
 # round (numpy 2.4.6, Python 3.11, 2-vCPU x86_64, K = 6 to 21, scaled to
 # the reference speed of perfbench/hostspeed.py on a host whose speed
 # drifted by up to 2x), an update costs 4 to 12 us at 63 to 128 contexts,
@@ -265,10 +266,98 @@ def _sum_rows(total, table, rows, div):
     return np.add.reduce(np.vstack((total, table[rows] / div)), axis=0)
 
 
+class SpaceTable:
+    """The FTRL table of a source, a live accumulator or a SnapshotHandle,
+    over a finite context space: the exponents -eta * L(c, .) of its sum L
+    at every context c, -inf off c's active set (masks: the space_masks of
+    the space; SimplexError if one is empty), in the accumulator's (K, n)
+    layout, and the array `tops` of their maxima at each context, one
+    reduction over axis 0 (a max is exact, so the layout cannot change
+    it). `exponents` is their transposed (n, K) view and `rows` the list
+    of its rows, made when first read; the array is rewritten in place.
+    weights() is the (n, K) distributions, one ftrl_weights_batch call.
+
+    `version` is the source.version they are current with (None before the
+    first build). Right after one add at `arm` to a live source, added(arm)
+    recomputes that arm's exponents and the maxima; any other move of
+    source.version is left to rebuild(), from source.eval_batch. On an
+    affine space the arm's row is a + b * v from its two coefficients as
+    Python floats against the points v, the contexts as floats; on any
+    other, the accumulator class's batch over coef[arm]. Both give the
+    bits of the row of eval_batch: the same two IEEE operations, which
+    commute, and the multiply by -eta and the mask are elementwise."""
+
+    __slots__ = ("_source", "_index", "_points", "_inactive", "_neg_eta", "_z", "_rows", "tops",
+                 "version")
+
+    def __init__(self, source, space, masks, eta):
+        if masks is not None and not masks.any(axis=1).all():
+            context = space.contexts.tolist()[np.argmin(masks.any(axis=1))]
+            raise SimplexError(f"active set of context {context!r} is empty")
+        self._source = source
+        self._index = space.index
+        self._points = np.asarray(space.contexts, dtype=float) if source.kind == AFFINE else None
+        self._inactive = None if masks is None else ~np.ascontiguousarray(masks.T)
+        self._neg_eta = -eta
+        self._z = np.empty((source.n_arms, len(space)))
+        self._rows = self.tops = self.version = None
+
+    exponents = property(lambda self: self._z.T)
+
+    @property
+    def rows(self):
+        """The list of the rows of `exponents`, made when first read: only
+        a table that follows a live accumulator reads it."""
+        if self._rows is None:
+            self._rows = list(self._z.T)
+        return self._rows
+
+    def __getstate__(self):
+        # a copied view is no view: a copy makes its row list again
+        return None, {name: getattr(self, name) for name in self.__slots__} | {"_rows": None}
+
+    def rebuild(self):
+        """Recompute every exponent and maximum from the source."""
+        source, z = self._source, self._z
+        np.multiply(source.eval_batch(self._index).T, self._neg_eta, out=z)
+        if self._inactive is not None:
+            np.copyto(z, -np.inf, where=self._inactive)
+        self.tops = np.maximum.reduce(z, axis=0)
+        self.version = source.version
+
+    def added(self, arm):
+        """Follow one add at `arm`: recompute that arm's exponents and the
+        maxima if the table was current before the add, else leave it stale
+        for rebuild()."""
+        acc = self._source
+        if self.version != acc.version - 1:
+            return
+        z = self._z
+        row = z[arm]
+        points = self._points
+        if points is None:
+            np.multiply(acc.batch(acc.coef[arm], self._index), self._neg_eta, out=row)
+        else:
+            a, b = acc.coef[arm].tolist()
+            np.multiply(points, b, out=row)
+            np.add(row, a, out=row)
+            np.multiply(row, self._neg_eta, out=row)
+        if self._inactive is not None:
+            np.copyto(row, -np.inf, where=self._inactive[arm])
+        self.tops = np.maximum.reduce(z, axis=0)
+        self.version = acc.version
+
+    def weights(self):
+        """The distributions at every context, current with the source."""
+        if self.version != self._source.version:
+            self.rebuild()
+        return ftrl_weights_batch(self._z.T, self.tops)
+
+
 class _SnapView:
     """Snapshot plus, over a finite context space, the table of its
-    distributions at every context of the space (masks: the space_masks of
-    its active sets), computed in one batch, so a lookup reads a row.
+    distributions at every context (masks: the space_masks of the space),
+    frozen from one SpaceTable over the handle, so a lookup reads a row.
     Without a space, or at a context outside it, the row is computed per
     lookup. Rows are served as lists of floats: `lists[i]` is table row i
     as a list once it has been read, else None, so a reader takes
@@ -281,7 +370,7 @@ class _SnapView:
         if space is None:
             self.table = self.lists = None
         else:
-            self.table = handle.weights_batch(space.index, masks)
+            self.table = SpaceTable(handle, space, masks, handle.eta).weights()
             self.table.flags.writeable = False
             self.lists = [None] * len(space)
 
@@ -298,103 +387,19 @@ class _SnapView:
         return self.lists[i] or self.fill(i)
 
 
-class _Exponents:
-    """The FTRL exponents -eta * L(c, .) of the accumulator's sum L at every
-    context c of a finite space, -inf off c's active set (masks: the
-    space_masks of the space), and each context's maximum in the list
-    `tops`. The exponents live in the accumulator's (K, n) layout, where
-    the maxima are one reduction over axis 0 (a max is exact, so the layout
-    cannot change it); `table` is its transposed (n, K) view and `rows` the
-    list of the view's rows, all fixed at construction (and remade by a
-    copy) and rewritten in place.
-
-    `version` is the acc.version they are current with (None before the
-    first build). The sum changes only when a loss sample is kept. Right
-    after one add at `arm`, added(arm) recomputes that arm's exponents and
-    the maxima; any other move of acc.version is left to rebuild(), which
-    recomputes all of them from acc.eval_batch. On an affine space the
-    arm's loss at the points v (the contexts as floats, held from
-    construction) is a + b * v from its two coefficients as Python floats;
-    on any other, the accumulator class's batch over coef[arm]. Both give
-    the bits of the arm's row of eval_batch: that row is a + b * v with
-    the same two IEEE operations, which commute, and the multiply by -eta
-    and the mask are elementwise."""
-
-    __slots__ = ("_acc", "_index", "_points", "_inactive", "_neg_eta", "_z", "table", "rows",
-                 "tops", "version")
-
-    def __init__(self, acc, space, masks, eta):
-        self._acc = acc
-        self._index = space.index
-        self._points = np.array(space.contexts, dtype=float) if acc.kind == AFFINE else None
-        self._inactive = None if masks is None else ~np.ascontiguousarray(masks.T)
-        self._neg_eta = -eta
-        self._z = np.empty((acc.n_arms, len(space)))
-        self._views()
-        self.tops = None
-        self.version = None
-
-    def _views(self):
-        self.table = self._z.T
-        self.rows = list(self.table)
-
-    def __getstate__(self):
-        # a copied view is no view: copies and pickles make them again
-        return {name: getattr(self, name) for name in self.__slots__
-                if name not in ("table", "rows")}
-
-    def __setstate__(self, state):
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._views()
-
-    def rebuild(self):
-        """Recompute every exponent and maximum from the accumulator."""
-        acc, z = self._acc, self._z
-        np.multiply(acc.eval_batch(self._index).T, self._neg_eta, out=z)
-        if self._inactive is not None:
-            np.copyto(z, -np.inf, where=self._inactive)
-        self.tops = np.maximum.reduce(z, axis=0).tolist()
-        self.version = acc.version
-
-    def added(self, arm):
-        """Follow one acc.add at `arm`: recompute that arm's exponents and
-        the maxima if the table was current before the add, else leave it
-        stale for rebuild()."""
-        acc = self._acc
-        if self.version != acc.version - 1:
-            return
-        z = self._z
-        row = z[arm]
-        points = self._points
-        if points is None:
-            np.multiply(acc.batch(acc.coef[arm], self._index), self._neg_eta, out=row)
-        else:
-            a, b = acc.coef[arm].tolist()
-            np.multiply(points, b, out=row)
-            np.add(row, a, out=row)
-            np.multiply(row, self._neg_eta, out=row)
-        if self._inactive is not None:
-            np.copyto(row, -np.inf, where=self._inactive[arm])
-        self.tops = np.maximum.reduce(z, axis=0).tolist()
-        self.version = acc.version
-
-
 class CrossLearner:
     """Plays the paired-epoch cross-learning strategy over one accumulator.
 
     active: None (every arm always active) or a callable context ->
     mask/None, an env's active_mask (ParamError otherwise).
     space: the env's finite ContextSpace, or None. It is tabulated when its
-    contexts are ids or number at most TABLE_ROWS_PER_ROUND * epoch_len:
-    each snapshot then holds its distributions at every context of the
-    space, masked by the active sets read from `active` once, at
-    construction (simplex.space_masks). A tabulated space of at most
-    EXPONENT_TABLE_ROWS contexts also gets the FTRL exponents of the live
-    accumulator (_Exponents: after each of the learner's own kept loss
-    samples it recomputes the one arm's exponents; any other change of the
-    accumulator makes the next round rebuild it), so a round at one of its
-    contexts reads its exponent row and maximum in place and hands them to
+    contexts are ids or number at most TABLE_ROWS_PER_ROUND * epoch_len,
+    with the masks read from `active` once, at construction
+    (simplex.space_masks): each snapshot then freezes one SpaceTable over
+    it, and a space of at most EXPONENT_TABLE_ROWS contexts also gets one
+    that follows the accumulator (added() after each of the learner's own
+    kept loss samples, a rebuild after any other change), so a round at
+    one of its contexts hands its exponent row and maximum to
     ftrl_weights, whose only numpy calls are then one subtract and one
     exp. Elsewhere a round evaluates the accumulator at its context.
     reveal passed to step: callable arm -> LinearLoss of the played arm.
@@ -431,7 +436,7 @@ class CrossLearner:
         # None when the contexts are the row numbers
         self._rows = {} if space is None else space.rows
         self._exponents = None if space is None or len(space) > EXPONENT_TABLE_ROWS \
-            else _Exponents(accumulator, space, self._masks, self._eta)
+            else SpaceTable(accumulator, space, self._masks, self._eta)
         self.fallback_count = 0
         self.last_kept = None
         self._t = 0

@@ -74,8 +74,8 @@ def space_masks(space, active, n_arms):
     """The read-only (n, K) boolean matrix whose row i is the active set
     active(contexts[i]) of a context of the space, a None mask standing for
     every arm; None when active is None or gives None at every context, so
-    that an unmasked space keeps the unmasked batch softmax. SimplexError
-    names the first context whose mask is not n_arms booleans."""
+    that a table over an unmasked space writes no -inf. SimplexError names
+    the first context whose mask is not n_arms booleans."""
     if active is None:
         return None
     contexts = space.contexts.tolist()
@@ -193,8 +193,8 @@ def ftrl_weights(z, mask=None, top=None):
     entropy-FTRL distribution at a context when z is -eta times its
     cumulative losses, np.multiply(cum_loss, -eta).
 
-    `top` is the maximum of z over the mask when the caller knows it (the
-    learner's exponent table keeps one per context). Hot-path core without
+    `top` is the maximum of z over the mask when the caller knows it (a
+    learner.SpaceTable keeps one per context). Hot-path core without
     finiteness checks; z is not modified. A mask whose shape is not (K,)
     raises SimplexError, rather than broadcast. The mask (-inf off it,
     whose exp is 0) and the maximum are taken on Python floats, numpy
@@ -219,39 +219,25 @@ def ftrl_weights(z, mask=None, top=None):
     return [x / s for x in w]
 
 
-def ftrl_weights_batch(cum_loss, eta, masks=None):
-    """Row-wise ftrl_weights for an (n, K) array of cumulative losses.
+def ftrl_weights_batch(z, tops=None):
+    """Row-wise ftrl_weights(z[i], None, tops[i]) for an (n, K) array of
+    exponents, -inf off each row's active set (a row with none is the
+    caller's to refuse), as a C-ordered (n, K) array of the same bits;
+    `tops` is the array of the row maxima when the caller knows them.
 
-    `masks` may be None (all active) or an (n, K) mask matrix, the
-    space_masks of the rows' contexts; SimplexError for any other shape.
-    Row i holds the floats of ftrl_weights(np.multiply(cum_loss[i], -eta),
-    masks[i]) bit for bit.
-
-    Without masks the work runs in the accumulator's (K, n) layout: the
-    multiply reads cum_loss.T, which is contiguous when cum_loss is the
-    transposed view of a (K, n) coefficient matrix, the row maxima are a
-    reduction over axis 0 (a max is exact, so the layout cannot change
-    it), and one transposed copy precedes the row sums. The sums must run
+    The work runs on z.T, contiguous when z is the transposed view of a
+    (K, n) learner.SpaceTable: the maxima are a reduction over axis 0 (a
+    max is exact, so the layout cannot change them), then one subtract,
+    one exp and one transposed copy precede the row sums. Those must run
     along the contiguous K-rows of an (n, K) array, where they add in the
     order of pairwise_sum; a column-wise sum adds in another order and,
-    from K = 8 up, gives other bits. With masks the work stays in the (n, K)
-    layout, which measured faster there.
+    from K = 8 up, gives other bits.
     """
-    if masks is None:
-        z = np.multiply(cum_loss.T, -eta, order="C")
-        z -= np.maximum.reduce(z, axis=0)
-        w = np.ascontiguousarray(np.exp(z, out=z).T)
-    else:
-        z = np.multiply(cum_loss, -eta, order="C")
-        masks = np.asarray(masks, dtype=bool)
-        if masks.shape != z.shape:
-            raise SimplexError(f"masks must have shape {z.shape} for {z.shape[1]} arms, "
-                               f"got {masks.shape}")
-        if not np.logical_or.reduce(np.ascontiguousarray(masks.T), axis=0).all():
-            raise SimplexError("empty active set in batch")
-        neg_inf = np.where(masks, z, -np.inf)
-        neg_inf -= np.maximum.reduce(np.ascontiguousarray(neg_inf.T), axis=0)[:, None]
-        w = np.exp(neg_inf, where=masks, out=np.zeros_like(z))
+    zt = z.T
+    if tops is None:
+        tops = np.maximum.reduce(zt, axis=0)
+    w = _subtract(zt, tops)
+    w = np.ascontiguousarray(_exp(w, w).T)
     w /= np.add.reduce(w, axis=1, keepdims=True)
     return w
 

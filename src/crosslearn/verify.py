@@ -30,7 +30,7 @@ import numpy as np
 from .accumulator import make_accumulator
 from .envs import TabularEnv
 from .harness import ENV_STREAM, ALGO_STREAMS, map_tasks
-from .learner import CrossLearner, tune_parameters
+from .learner import CrossLearner, _SnapView, tune_parameters
 from .simplex import RngStream, space_masks
 
 # samples of t draws averaged at once by inverse_mean_bound_check
@@ -133,6 +133,8 @@ class _AuditObserver:
     kept (acc.version moved) to estimate_recorded, then an epoch the round
     started to epoch_started. An epoch's rounds and fallback rounds are how
     far learner.t and learner.fallback_count moved while it was open.
+    The exact frequencies read the learner's snapshot table when it
+    tabulates the oracle space, else that of a _SnapView over the space.
     The class and method names stay because perfbench/layers.py wraps
     them by name."""
 
@@ -151,7 +153,7 @@ class _AuditObserver:
         if learner.context_space is space:
             table = learner.snapshot_table  # the learner tabulated this space
         else:
-            table = learner.snapshot_current.weights_batch(space.index, self._masks)
+            table = _SnapView(learner.snapshot_current, space, self._masks).table
         return 0.5 * (space.weights @ table)
 
     def round_played(self, learner):

@@ -251,6 +251,16 @@ def test_bad_override_fails_before_any_run(monkeypatch):
     with pytest.raises(ConfigError, match="eta"):
         run_experiment(config(env={"kind": "auction"}, T_grid=[64],
                               overrides={"eta": 5.0}))
+    # crosslearn's parameters are built at every horizon whatever the
+    # overrides: a horizon below the number of arms fails before any run,
+    # also when another algorithm's runs come first
+    for overrides in (None, "tuned", "calibrated"):
+        bad = config(env={"kind": "tabular_synthetic", "C": 4, "K": 6}, T_grid=[4, 20000],
+                     algos=["exp3_per_context", "crosslearn"], overrides=overrides)
+        if overrides is None:
+            del bad["overrides"]
+        with pytest.raises(ConfigError, match="crosslearn at horizon 4: horizon >= n_arms"):
+            run_experiment(bad)
 
 
 def test_known_nu_needs_enumerated_subsets(monkeypatch):

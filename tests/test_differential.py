@@ -1,10 +1,10 @@
 """Differential tests: the block-drawn and block-scored code paths, the
-softmax reductions, the once-per-round known-nu probe table, the unmasked
-s/2 fallback test, the lazily built tabular loss rows, the linear loss
-rows over a feature map (accumulators, snapshots, losses and the audit)
-against reference copies kept here, and the snapshot tables over finite
-context spaces against rows computed per lookup. Every comparison is exact
-(==): the new paths do the same float operations in the same order."""
+softmax reductions, the known-nu probe table, the unmasked s/2 fallback
+test, the lazily built tabular loss rows, the linear loss rows over a
+feature map (accumulators, snapshots, losses and the audit) against
+reference copies kept here, and the snapshot tables over finite context
+spaces against rows computed per lookup. Every comparison is exact (==):
+the new paths do the same float operations in the same order."""
 
 import dataclasses
 import itertools
@@ -310,6 +310,15 @@ def _ref_ftrl_weights_batch(cum_loss, eta, masks=None):
     return w
 
 
+def _exponents(cum_loss, eta, masks=None):
+    """The exponents -eta * cum_loss in cum_loss's own layout, -inf off
+    the masks: what ftrl_weights_batch takes."""
+    z = np.multiply(cum_loss, -eta)
+    if masks is not None:
+        np.copyto(z, -np.inf, where=~np.asarray(masks, dtype=bool))
+    return z
+
+
 def _ref_masks(contexts, active, n_arms):
     """The (n, K) active-set rows active(c) at the contexts, every arm for
     a None mask; None when there is no active function or it gives None
@@ -377,10 +386,14 @@ def test_softmaxes_match_reference_on_every_eval_batch_layout(kind):
                 cols = [source.eval_column(c) for c in contexts.tolist()]
                 rows = [None if masks is None else masks[i] for i in range(n_contexts)]
                 for cum in _batch_layouts(source, contexts):
-                    got = ftrl_weights_batch(cum, eta, masks)
+                    z = _exponents(cum, eta, masks)
+                    got = ftrl_weights_batch(z)
                     assert got.flags.c_contiguous
                     assert np.array_equal(got, _ref_ftrl_weights_batch(
                         np.ascontiguousarray(cum), eta, masks))
+                    # the maxima a table keeps change nothing
+                    with_tops = ftrl_weights_batch(z, np.max(z, axis=1))
+                    assert with_tops.tobytes() == got.tobytes()
                     for i, (col, mask) in enumerate(zip(cols, rows)):
                         row = ftrl_weights(np.multiply(col, -eta), mask)
                         assert np.array_equal(row, _ref_ftrl_weights(col, eta, mask))
@@ -392,7 +405,7 @@ def test_softmaxes_match_reference_on_every_eval_batch_layout(kind):
 def test_batch_rows_match_one_row_softmax_on_a_transposed_input():
     cum = np.random.default_rng(4).random((8, 64)) * 30
     eta = 0.37
-    got = ftrl_weights_batch(cum.T, eta)
+    got = ftrl_weights_batch(np.multiply(cum, -eta).T)
     for i in range(64):
         assert np.array_equal(got[i], ftrl_weights(np.multiply(cum[:, i], -eta)))
 
@@ -411,7 +424,7 @@ def test_one_row_list_has_the_bits_of_the_batch_row(n_arms):
     masks = _random_masks(gen, (n_rows, n_arms))
     for cum in (coef.T, np.ascontiguousarray(coef.T)):
         for rows_masks in (None, masks):
-            got = ftrl_weights_batch(cum, eta, rows_masks)
+            got = ftrl_weights_batch(_exponents(cum, eta, rows_masks))
             for i in range(n_rows):
                 mask = None if rows_masks is None else rows_masks[i]
                 z = np.multiply(cum[i], -eta)
@@ -484,6 +497,10 @@ def test_known_nu_matches_reference_round_by_round(case):
     weights = []
     add = new.acc.add
     new.acc.add = lambda arm, weight, fn: (weights.append(weight), add(arm, weight, fn))
+    # the probe table follows the learner's own adds: one full evaluation per run
+    batches = []
+    eval_batch = new.acc.eval_batch
+    new.acc.eval_batch = lambda contexts: batches.append(1) or eval_batch(contexts)
     arms = set()
     contexts = set()
     for t in range(env.horizon):
@@ -495,6 +512,7 @@ def test_known_nu_matches_reference_round_by_round(case):
         contexts.add(context)
     assert len(arms) == env.n_arms
     assert np.array_equal(new.acc.coef, ref.acc.coef)
+    assert len(batches) == 1
     # which contexts were played from a probe-table row
     from_table = {c for c in contexts if space.ids or c in space.rows}
     assert from_table == (set() if case == "auction_continuous" else contexts)
@@ -812,7 +830,8 @@ class _RefSnapshotHandle:
         return _ref_ftrl_weights(self.eval_column(context), self.eta, mask)
 
     def weights_batch(self, contexts, masks=None):
-        return ftrl_weights_batch(self.eval_batch(contexts), self.eta, masks)
+        cum = np.ascontiguousarray(self.eval_batch(contexts))
+        return _ref_ftrl_weights_batch(cum, self.eta, masks)
 
 
 def _ref_snapshot(acc, eta):
@@ -886,8 +905,8 @@ def test_linear_losses_and_accumulators_match_reference(kind):
                         assert np.array_equal(snap.weights(c, mask), ref_snap.weights(c, mask))
                 assert np.array_equal(snap.eval_batch(contexts), ref_snap.eval_batch(contexts))
                 for m in (None, masks):
-                    assert np.array_equal(snap.weights_batch(contexts, m),
-                                          ref_snap.weights_batch(contexts, m))
+                    view = learner_module._SnapView(snap, ContextSpace(contexts), m)
+                    assert view.table.tobytes() == ref_snap.weights_batch(contexts, m).tobytes()
 
 
 def _expression_add(coef, comp, arm, weight, loss):
@@ -957,7 +976,9 @@ class _RefAudit:
         if epoch < 2:
             return
         params = self.params
-        table = learner.snapshot_current.weights_batch(self._probes, self._masks)
+        snap = learner.snapshot_current
+        table = _ref_ftrl_weights_batch(np.ascontiguousarray(snap.eval_batch(self._probes)),
+                                        snap.eta, self._masks)
         f = 0.5 * (self._probe_weights @ table)
         fhat = learner.freq_estimate
         beta = (f + params.gamma) / (fhat + 1.5 * params.gamma)
@@ -1126,14 +1147,16 @@ def test_snapshot_table_rows_match_per_lookup_rows(name):
     assert versions[0] == 0 and len(set(versions)) > 5
 
 
-# The learner's exponent table against the softmax each round computed
-# before it: _ref_ftrl_weights(acc.eval_column(c), eta, mask) at every
-# context c of the space, after every add, on the real accumulators and on
-# the reference ones above. "acc" and "ref_acc" leave every add to the full
-# rebuild. "one_arm" follows each add with the learner's one-arm update
-# (_Exponents.added) and checks it against a freshly built table, except
-# every fifth add, which nothing follows: the next update must then leave
-# the table stale, and the next read rebuild it.
+# The live table (learner.SpaceTable) against the softmaxes each round
+# computed before it: its exponent rows against
+# _ref_ftrl_weights(acc.eval_column(c), eta, mask) at every context c of
+# the space and its distributions against _ref_ftrl_weights_batch, after
+# every add, on the real accumulators and on the reference ones above.
+# "acc" and "ref_acc" leave every add to the full rebuild. "one_arm"
+# follows each add with the one-arm update (SpaceTable.added) and checks
+# it against a freshly built table, except every fifth add, which nothing
+# follows: the next update must then leave the table stale, and the next
+# read rebuild it.
 EXPONENT_SPECS = {
     "tabular": {"kind": "tabular_synthetic", "C": 64, "K": 8},
     "tabular_active": {"kind": "tabular_synthetic", "C": 4, "K": 3, "active": [
@@ -1165,12 +1188,13 @@ def test_exponent_rows_match_per_round_softmax_after_every_add(name, reference, 
     gen = np.random.default_rng(sorted(EXPONENT_SPECS).index(name) + 40 * reference)
     eta = float(gen.uniform(0.05, 2.0))
     masks = space_masks(space, env.active_mask, K)
-    table = learner_module._Exponents(acc, space, masks, eta)
+    table = learner_module.SpaceTable(acc, space, masks, eta)
     rebuilt = []  # acc.version at each full rebuild
-    rebuild = learner_module._Exponents.rebuild
-    monkeypatch.setattr(learner_module._Exponents, "rebuild",
-                        lambda self: rebuilt.append(self._acc.version) or rebuild(self))
+    rebuild = learner_module.SpaceTable.rebuild
+    monkeypatch.setattr(learner_module.SpaceTable, "rebuild",
+                        lambda self: rebuilt.append(self._source.version) or rebuild(self))
     contexts = space.contexts.tolist()
+    ref_masks = _ref_masks(contexts, env.active_mask, K)
     rows = [c if space.rows is None else space.rows[c] for c in contexts]
     context_masks = [env.active_mask(c) for c in contexts]
     want_rebuilt = []
@@ -1187,9 +1211,9 @@ def test_exponent_rows_match_per_round_softmax_after_every_add(name, reference, 
             table.added(arm)
             assert (table.version == acc.version) is not stale
             if not stale:
-                fresh = learner_module._Exponents(acc, space, masks, eta)
+                fresh = learner_module.SpaceTable(acc, space, masks, eta)
                 fresh.rebuild()
-                assert table.table.tobytes() == fresh.table.tobytes(), step
+                assert table.exponents.tobytes() == fresh.exponents.tobytes(), step
                 assert np.array(table.tops).tobytes() == np.array(fresh.tops).tobytes()
                 rebuilt.pop()  # the fresh table's
         if table.version != acc.version:
@@ -1199,6 +1223,9 @@ def test_exponent_rows_match_per_round_softmax_after_every_add(name, reference, 
             want = _ref_ftrl_weights(acc.eval_column(c), eta, mask)
             got = np.asarray(ftrl_weights(z_rows[i], None, tops[i]))
             assert got.tobytes() == want.tobytes(), (step, c)
+        want = _ref_ftrl_weights_batch(np.ascontiguousarray(acc.eval_batch(space.contexts)),
+                                       eta, ref_masks)
+        assert table.weights().tobytes() == want.tobytes(), step
         _current_exponents(table, acc)  # no add, no rebuild
     assert rebuilt == want_rebuilt
     # the first read builds the table; with one-arm updates, only a read
@@ -1314,8 +1341,8 @@ def test_tables_give_inactive_arms_zero_weight():
             _current_exponents(ex, learner.acc)
             for table in (learner.snapshot_table, known.probe_table()):
                 assert (table[inactive] == 0.0).all() and (table[~inactive] > 0.0).all()
-            assert (ex.table[inactive] == -np.inf).all()
-            assert np.isfinite(ex.table[~inactive]).all()
+            assert (ex.exponents[inactive] == -np.inf).all()
+            assert np.isfinite(ex.exponents[~inactive]).all()
             snapshots.add(learner.snapshot_table.tobytes())
         assert len(snapshots) > 3, name  # the tables moved
     # no masks stand for every arm

@@ -25,7 +25,7 @@ from crosslearn.learner import (CrossLearner, Params, _sum_rows, bernoulli_param
                                 calibrated_params, estimate_weight)
 from crosslearn.simplex import BlockUniforms, ContextSpace, RngStream, sample_index
 
-from test_differential import _ref_ftrl_weights, _ref_masks
+from test_differential import _ref_ftrl_weights, _ref_ftrl_weights_batch, _ref_masks
 
 
 def _ref_select(p, s):
@@ -55,7 +55,8 @@ class _RefSnapView:
         if space is None:
             self.table = self._rows = None
         else:
-            self.table = handle.weights_batch(space.index, masks)
+            cum = np.ascontiguousarray(handle.eval_batch(space.index))
+            self.table = _ref_ftrl_weights_batch(cum, handle.eta, masks)
             self._rows = space.rows
 
     def weights(self, context, mask=None):

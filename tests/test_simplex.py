@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from crosslearn.accumulator import TABULAR, make_accumulator
-from crosslearn.baselines import PerContextExp3
-from crosslearn.learner import CrossLearner, tune_parameters
+from crosslearn.baselines import KnownNuLearner, PerContextExp3
+from crosslearn.learner import CrossLearner, SpaceTable, tune_parameters
 from crosslearn.simplex import (
     ContextSpace,
     RngStream,
@@ -110,9 +110,12 @@ def test_ftrl_batch_matches_single():
     z = gen.uniform(0, 50, size=(40, 6))
     masks = gen.random((40, 6)) < 0.7
     masks[np.arange(40), gen.integers(0, 6, 40)] = True  # keep rows nonempty
-    out = ftrl_weights_batch(z, 0.21, masks)
+    exponents = np.where(masks, np.multiply(z, -0.21), -np.inf)
+    out = ftrl_weights_batch(exponents)
+    assert ftrl_weights_batch(exponents, exponents.max(axis=1)).tobytes() == out.tobytes()
     for i in range(40):
-        assert np.allclose(out[i], ftrl_weights(np.multiply(z[i], -0.21), masks[i]), atol=1e-14)
+        row = ftrl_weights(np.multiply(z[i], -0.21), masks[i])
+        assert np.asarray(row).tobytes() == out[i].tobytes(), i
 
 
 def test_sample_index_frequencies():
@@ -163,17 +166,15 @@ def test_masks_that_are_not_k_booleans_are_rejected():
         exp3.distribution(0)
     with pytest.raises(SimplexError, match="3 booleans"):
         ftrl_weights(np.zeros(3), np.ones((3, 1), dtype=bool))
-    # the (n, K) matrix is the one form: a (K,) row shared by all rows is none
-    for masks in (np.ones(1, dtype=bool), np.ones((1, 3), dtype=bool), np.ones(3, dtype=bool)):
-        with pytest.raises(SimplexError, match="for 3 arms"):
-            ftrl_weights_batch(np.zeros((2, 3)), 1.0, masks)
     # a list of K booleans is a mask like any other
     assert ftrl_weights(np.zeros(3), [True, False, True]) == [0.5, 0.0, 0.5]
     space = ContextSpace(np.arange(3))
     for active, context in ((lambda c: np.array([True]), 0),
                             (lambda c: None if c < 2 else np.ones(4, dtype=bool), 2),
                             (lambda c: [1, 0, 2] if c == 1 else None, 1),
-                            (lambda c: [0.5, 1.0, 1.0], 0)):
+                            (lambda c: [0.5, 1.0, 1.0], 0),
+                            (lambda c: np.ones((3, 1), dtype=bool), 0),
+                            (lambda c: np.ones((1, 3), dtype=bool), 0)):
         with pytest.raises(SimplexError, match=f"context {context} must be 3 booleans"):
             space_masks(space, active, 3)
         # a learner over a tabulated space checks its masks once, when built
@@ -183,3 +184,21 @@ def test_masks_that_are_not_k_booleans_are_rejected():
     masks = space_masks(space, lambda c: [1, 0, 1] if c == 1 else None, 3)
     assert masks.dtype == bool and not masks.flags.writeable
     assert masks.tolist() == [[True] * 3, [True, False, True], [True] * 3]
+
+
+def test_a_table_refuses_an_empty_active_set():
+    # context 1 has no active arm; masks are checked where they enter a table
+    space = ContextSpace(np.arange(3), weights=[0.5, 0.25, 0.25])
+    active = lambda c: np.array([c != 1] * 3)  # noqa: E731
+    masks = space_masks(space, active, 3)
+    acc = make_accumulator(TABULAR, 3, 3)
+    with pytest.raises(SimplexError, match="active set of context 1 is empty"):
+        SpaceTable(acc, space, masks, 0.5)
+    with pytest.raises(SimplexError, match="context 1 is empty"):
+        CrossLearner(tune_parameters(3, 64), acc, RngStream(0, 1), active=active, space=space)
+    with pytest.raises(SimplexError, match="context 1 is empty"):
+        KnownNuLearner(acc, space, 0.5, RngStream(0, 2), active=active)
+    # a context with one active arm plays it with probability 1
+    masks = space_masks(space, lambda c: np.array([c != 1, True, c != 1]), 3)
+    table = SpaceTable(acc, space, masks, 0.5)
+    assert table.weights().tolist() == [[1 / 3] * 3, [0.0, 1.0, 0.0], [1 / 3] * 3]

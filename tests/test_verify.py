@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from crosslearn import accumulator as accumulator_module
 from crosslearn import learner as learner_module
 from crosslearn import verify as verify_module
 from crosslearn.envs import AuctionEnv, SleepingEnv, TabularEnv
@@ -115,17 +114,22 @@ def test_audit_affine_and_constant_paths():
 ], ids=["tabular", "sleeping", "continuous_auction"])
 def test_audit_reads_the_snapshot_table_the_learner_holds(monkeypatch, make_env, tables):
     # over a finite space the true frequencies come from each snapshot's
-    # table, so every batched softmax is a snapshot rebuild; without a
-    # space the audit tabulates its probes once per audited epoch
+    # table, so every snapshot view is the learner's and every batched
+    # softmax a snapshot rebuild; without a space the audit builds one view
+    # over its probes per audited epoch, and only those views are tabled
     env = make_env()
-    batches, views = [], []
-    batch, view = accumulator_module.ftrl_weights_batch, learner_module._SnapView.__init__
-    monkeypatch.setattr(accumulator_module, "ftrl_weights_batch",
+    batches, views, snapshots = [], [], []
+    batch, view = learner_module.ftrl_weights_batch, learner_module._SnapView.__init__
+    snap = learner_module.snapshot
+    monkeypatch.setattr(learner_module, "ftrl_weights_batch",
                         lambda *a: batches.append(1) or batch(*a))
     monkeypatch.setattr(learner_module._SnapView, "__init__",
                         lambda self, *a: views.append(1) or view(self, *a))
+    monkeypatch.setattr(learner_module, "snapshot",
+                        lambda *a: snapshots.append(1) or snap(*a))
     records = audit_run(env, tune_parameters(env.n_arms, 4096), seed=2)
     assert len(records) >= 2
+    assert len(views) == len(snapshots) + (0 if tables else len(records))
     assert len(batches) == (len(views) if tables else len(records))
 
 
