@@ -58,17 +58,22 @@ def auction_loss(value, bid, payment):
 
 
 def _number(value, name):
-    """value as a float; EnvError naming the field if it is not a number."""
+    """value as a finite float; EnvError naming the field if it is not a
+    number, or is NaN or infinite (JSON configs can carry NaN, which
+    passes every range check)."""
     try:
-        return float(value)
+        x = float(value)
     except (TypeError, ValueError):
         raise EnvError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise EnvError(f"{name} must be a finite number, got {value!r}")
+    return x
 
 
 def _positive(value, name):
     """value as a finite float > 0; EnvError naming the field otherwise."""
     x = _number(value, name)
-    if not (math.isfinite(x) and x > 0):
+    if not x > 0:
         raise EnvError(f"{name} must be a finite number > 0, got {value!r}")
     return x
 
@@ -82,13 +87,13 @@ def _field(spec, key, name):
 
 def _numbers(values, name):
     """values as a 1-D float array; EnvError naming the field if it is not
-    a nonempty list of numbers."""
+    a nonempty list of finite numbers."""
     try:
         out = np.asarray(values, dtype=float)
     except (TypeError, ValueError):
         out = None
-    if out is None or out.ndim != 1 or out.size == 0:
-        raise EnvError(f"{name} must be a nonempty list of numbers, got {values!r}")
+    if out is None or out.ndim != 1 or out.size == 0 or not np.isfinite(out).all():
+        raise EnvError(f"{name} must be a nonempty list of finite numbers, got {values!r}")
     return out
 
 
@@ -98,19 +103,43 @@ def _weights(values, n, name):
     w = _numbers(values, name)
     if w.size != n:
         raise EnvError(f"{name} must have {n} entries, got {w.size}")
-    if not (np.isfinite(w).all() and (w >= 0).all() and w.sum() > 0):
+    if not ((w >= 0).all() and w.sum() > 0):
         raise EnvError(f"{name} must be nonnegative with a positive sum, got {values!r}")
     return w
 
 
+# the fields each kind of a nested spec object reads besides its kind
+SPEC_FIELDS = {
+    "values": {"uniform": (), "beta": ("a", "b"), "discrete": ("atoms", "probs")},
+    "payments": {"iid_uniform": ("lo", "hi"), "iid_beta": ("a", "b"),
+                 "iid_discrete": ("atoms", "probs"), "periodic": ("pattern",),
+                 "drift": ("base", "amplitude", "period", "noise")},
+    "availability": {"bernoulli": ("probs",), "categorical": ("subsets", "probs")},
+    "losses": {"iid_uniform": (), "means_noise": ("means", "amp")},
+}
+
+
 def _spec(spec, name, default):
     """A nested spec object of an env (values, payments, availability,
-    losses): the default when empty, else a dict, or EnvError naming it."""
+    losses) and its kind, default["kind"] when it names none: the default
+    when empty, else a dict of a kind in SPEC_FIELDS[name] holding only
+    fields that kind reads; EnvError naming the object, the kind or the
+    first other field otherwise, so that a misspelt field does not run
+    on its default."""
     if not spec:
-        return default
+        return default["kind"], default
     if not isinstance(spec, dict):
         raise EnvError(f"{name} must be an object with a kind, got {spec!r}")
-    return spec
+    kind = spec.get("kind", default["kind"])
+    fields = SPEC_FIELDS[name].get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise EnvError(f"unknown {name} kind {kind!r}, expected one of "
+                       f"{sorted(SPEC_FIELDS[name])}")
+    for key in spec:
+        if key != "kind" and key not in fields:
+            raise EnvError(f"{name} field {key!r} is not read by kind {kind!r}, "
+                           f"which reads {list(fields)}")
+    return kind, spec
 
 
 def _categorical(probs, n, gen):
@@ -317,8 +346,7 @@ class _StructuredLoss(LinearLoss):
         return self._env.loss_scalar(self._t, context, self._arm)
 
 
-def _value_sampler(spec, n, gen):
-    kind = spec.get("kind", "uniform")
+def _value_sampler(kind, spec, n, gen):
     if kind == "uniform":
         return gen.random(n), (lambda x: np.clip(x, 0.0, 1.0)), None
     if kind == "beta":
@@ -327,24 +355,22 @@ def _value_sampler(spec, n, gen):
         from scipy.stats import beta as beta_dist
 
         return gen.beta(a, b, n), (lambda x: beta_dist.cdf(x, a, b)), None
-    if kind == "discrete":
-        atoms = _numbers(_field(spec, "atoms", "values"), "values field 'atoms'")
-        if not ((atoms >= 0) & (atoms <= 1)).all():
-            raise EnvError(f"values field 'atoms' must lie in [0, 1], got {spec['atoms']!r}")
-        probs = _weights(_field(spec, "probs", "values"), atoms.size, "values field 'probs'")
-        probs = probs / probs.sum()
-        idx = _categorical(probs, n, gen)
-        return atoms[idx], None, (atoms, probs)
-    raise EnvError(f"unknown value distribution {kind!r}")
+    # discrete
+    atoms = _numbers(_field(spec, "atoms", "values"), "values field 'atoms'")
+    if not ((atoms >= 0) & (atoms <= 1)).all():
+        raise EnvError(f"values field 'atoms' must lie in [0, 1], got {spec['atoms']!r}")
+    probs = _weights(_field(spec, "probs", "values"), atoms.size, "values field 'probs'")
+    probs = probs / probs.sum()
+    idx = _categorical(probs, n, gen)
+    return atoms[idx], None, (atoms, probs)
 
 
-def _payment_sequence(spec, n, gen):
-    kind = spec.get("kind", "iid_uniform")
+def _payment_sequence(kind, spec, n, gen):
     if kind == "iid_uniform":
         lo = _number(spec.get("lo", 0.0), "payments field 'lo'")
         hi = _number(spec.get("hi", 1.0), "payments field 'hi'")
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-            raise EnvError(f"payments fields 'lo' and 'hi' must be finite with lo <= hi, "
+        if not lo <= hi:
+            raise EnvError(f"payments fields 'lo' and 'hi' must have lo <= hi, "
                            f"got lo={lo!r}, hi={hi!r}")
         return lo + (hi - lo) * gen.random(n)
     if kind == "iid_beta":
@@ -358,16 +384,15 @@ def _payment_sequence(spec, n, gen):
     if kind == "periodic":
         pattern = _numbers(_field(spec, "pattern", "payments"), "payments field 'pattern'")
         return np.tile(pattern, n // pattern.size + 1)[:n]
-    if kind == "drift":
-        base = _number(spec.get("base", 0.5), "payments field 'base'")
-        amplitude = _number(spec.get("amplitude", 0.3), "payments field 'amplitude'")
-        period = _positive(spec.get("period", max(n // 4, 1)), "payments field 'period'")
-        noise = _number(spec.get("noise", 0.02), "payments field 'noise'")
-        t = np.arange(n)
-        m = base + amplitude * np.sin(2.0 * math.pi * t / period)
-        m = m + noise * gen.standard_normal(n)
-        return np.clip(m, 0.0, 1.0)
-    raise EnvError(f"unknown payment process {kind!r}")
+    # drift
+    base = _number(spec.get("base", 0.5), "payments field 'base'")
+    amplitude = _number(spec.get("amplitude", 0.3), "payments field 'amplitude'")
+    period = _positive(spec.get("period", max(n // 4, 1)), "payments field 'period'")
+    noise = _number(spec.get("noise", 0.02), "payments field 'noise'")
+    t = np.arange(n)
+    m = base + amplitude * np.sin(2.0 * math.pi * t / period)
+    m = m + noise * gen.standard_normal(n)
+    return np.clip(m, 0.0, 1.0)
 
 
 def default_auction_arms(horizon):
@@ -409,8 +434,8 @@ class AuctionEnv:
         payments = _spec(payments, "payments", {"kind": "iid_uniform"})
         if n_arms is None:
             n_arms = default_auction_arms(horizon)
-        v, cdf, atoms = _value_sampler(values, horizon, gen)
-        m = _payment_sequence(payments, horizon, gen)
+        v, cdf, atoms = _value_sampler(*values, horizon, gen)
+        m = _payment_sequence(*payments, horizon, gen)
         return cls(v, m, n_arms, value_cdf=cdf, atoms=atoms)
 
     def context(self, t):
@@ -487,10 +512,9 @@ class SleepingEnv:
     @classmethod
     def generate(cls, horizon, n_arms, rng, availability=None, losses=None):
         gen = rng.gen
-        availability = _spec(availability, "availability",
-                             {"kind": "bernoulli", "probs": [0.5] * n_arms})
-        losses = _spec(losses, "losses", {"kind": "means_noise"})
-        akind = availability.get("kind", "bernoulli")
+        akind, availability = _spec(availability, "availability",
+                                    {"kind": "bernoulli", "probs": [0.5] * n_arms})
+        lkind, losses = _spec(losses, "losses", {"kind": "means_noise"})
         if akind == "bernoulli":
             probs = _numbers(_field(availability, "probs", "availability"),
                              "availability field 'probs'")
@@ -517,7 +541,7 @@ class SleepingEnv:
             subset_probs = None
             if n_arms <= SUBSET_SPACE_MAX_ARMS:
                 subset_probs = cls._bernoulli_subset_probs(probs)
-        elif akind == "categorical":
+        else:  # categorical
             subsets = _field(availability, "subsets", "availability")
             if not (isinstance(subsets, (list, tuple)) and subsets):
                 raise EnvError(f"availability field 'subsets' must be a nonempty list, "
@@ -528,12 +552,9 @@ class SleepingEnv:
             idx = _categorical(probs, horizon, gen)
             subsets = np.asarray(masks, dtype=np.int64)[idx]
             subset_probs = (np.asarray(masks, dtype=np.int64), probs / probs.sum())
-        else:
-            raise EnvError(f"unknown availability {akind!r}")
-        lkind = losses.get("kind", "means_noise")
         if lkind == "iid_uniform":
             table = gen.random((horizon, n_arms))
-        elif lkind == "means_noise":
+        else:  # means_noise
             means = losses.get("means")
             means = (np.linspace(0.15, 0.85, n_arms) if means is None
                      else _numbers(means, "losses field 'means'"))
@@ -543,8 +564,6 @@ class SleepingEnv:
             amp = _number(losses.get("amp", 0.1), "losses field 'amp'")
             table = np.clip(means[None, :] + amp * gen.uniform(-1, 1, (horizon, n_arms)),
                             0.0, 1.0)
-        else:
-            raise EnvError(f"unknown loss model {lkind!r}")
         return cls(table, subsets, subset_probs=subset_probs)
 
     @staticmethod

@@ -259,11 +259,12 @@ def mask_function(active):
     return _every_arm if active is None else active
 
 
-def _sum_rows(total, table, rows, div):
-    """total + table[rows[0]]/div + table[rows[1]]/div + ... as one reduction
-    over axis 0 with `total` as its first row. It adds the rows one at a
-    time, in order, as a `+=` per row would, so the sum has the same bits."""
-    return np.add.reduce(np.vstack((total, table[rows] / div)), axis=0)
+def _sum_rows(rows, div):
+    """rows[0]/div + rows[1]/div + ... (rows: one or more equal-length
+    sequences of floats) as one reduction over axis 0. It adds the rows one
+    at a time, in order, as a `+=` per row into zeros would (0.0 + x is x
+    for the nonnegative x here), so the sum has the same bits."""
+    return np.add.reduce(np.divide(rows, div), axis=0)
 
 
 class SpaceTable:
@@ -412,10 +413,13 @@ class CrossLearner:
     From the FTRL softmax's sum on, a round works on Python floats: the
     play distribution is the list ftrl_weights returns, and a snapshot
     distribution is a table row read as a list or, off the table,
-    ftrl_weights' list. A frequency sample read from the next snapshot's
-    table is recorded by row number and summed when the epoch ends
-    (_flush_freq). The epoch length, horizon, eta and gamma are read from
-    params once, at construction.
+    ftrl_weights' list. Every frequency sample is the next snapshot's row
+    at the frequency round's context, table row or not, kept in a list and
+    summed in one reduction when the epoch ends (_sum_rows). The learner
+    starts with one view of its initial state as both snapshots, and the
+    warm-up's end keeps it as the next one, so a warm-up round reads one
+    row to play and to record. The epoch length, horizon, eta and gamma
+    are read from params once, at construction.
     """
 
     def __init__(self, params, accumulator, rng, active=None, space=None):
@@ -442,12 +446,10 @@ class CrossLearner:
         self._t = 0
         self._epoch = 1
         self._paired_end = params.horizon - params.horizon % params.epoch_len
-        K = params.n_arms
-        self._freq = [0.0] * K
-        self._freq_next = np.zeros(K)
-        self._freq_rows = []  # next-snapshot table rows not yet in _freq_next
-        self._snap_cur = self._view(snapshot(accumulator, self._eta))
-        self._snap_next = self._view(snapshot(accumulator, self._eta))
+        self._freq = [0.0] * params.n_arms
+        self._freq_rows = []  # this epoch's frequency samples, next-snapshot rows
+        # the views are read-only, so one serves as both snapshots
+        self._snap_cur = self._snap_next = self._view(snapshot(accumulator, self._eta))
         self._snap_pending = None
         self._pending = None
 
@@ -485,35 +487,16 @@ class CrossLearner:
         context_space (read-only), or None without a space."""
         return self._snap_cur.table
 
-    def _freq_div(self):
-        return 2.0 * self._L if self._epoch == 1 else float(self._L)
-
-    def _add_freq(self, context, mask):
-        """Add the next snapshot's row at a context that has no table row,
-        over _freq_div, to the next epoch's frequency estimate (a table row
-        is only recorded in _freq_rows)."""
-        self._flush_freq()
-        self._freq_next += np.divide(self._snap_next.handle.weights(context, mask),
-                                     self._freq_div())
-
-    def _flush_freq(self):
-        """Add the recorded table rows to the next epoch's estimate."""
-        rows = self._freq_rows
-        if rows:
-            self._freq_next = _sum_rows(self._freq_next, self._snap_next.table, rows,
-                                       self._freq_div())
-            rows.clear()
-
     def _end_epoch(self):
-        self._flush_freq()
-        if self._snap_pending is None:
-            # warm-up boundary: the FTRL state is still the initial one
-            self._snap_pending = self._view(snapshot(self.acc, self._eta))
+        # every warm-up round is a frequency round, one in a pair later on
+        div = 2.0 * self._L if self._epoch == 1 else float(self._L)
+        self._freq = _sum_rows(self._freq_rows, div).tolist()
+        self._freq_rows.clear()
         self._snap_cur = self._snap_next
-        self._snap_next = self._snap_pending
-        self._snap_pending = None
-        self._freq = self._freq_next.tolist()
-        self._freq_next = np.zeros(self.params.n_arms)
+        # None at the warm-up's end: the FTRL state is still the initial
+        # one, whose view stays the next snapshot
+        if self._snap_pending is not None:
+            self._snap_next, self._snap_pending = self._snap_pending, None
         self._epoch += 1
 
     def step(self, context, reveal):
@@ -532,13 +515,12 @@ class CrossLearner:
         gen = self._gen
 
         if t_next <= L:
-            # warm-up epoch: uniform play, frequency accumulation for epoch 2
-            arm = sample_index(self._snap_cur.row(i, context, mask), gen)
+            # warm-up epoch: uniform play from the initial state, also the
+            # next snapshot, whose row is the frequency sample for epoch 2
+            s = self._snap_cur.row(i, context, mask)
+            arm = sample_index(s, gen)
             reveal(arm)
-            if i is None:
-                self._add_freq(context, mask)
-            else:
-                self._freq_rows.append(i)
+            self._freq_rows.append(s)
             if t_next == L:
                 self._end_epoch()
             return arm
@@ -579,10 +561,7 @@ class CrossLearner:
         else:
             al, ql, sl, fnl = a1, q1, s1, fn1
         # i, context and mask are now the frequency round's
-        if i is None:
-            self._add_freq(context, mask)
-        else:
-            self._freq_rows.append(i)
+        self._freq_rows.append(self._snap_next.row(i, context, mask))
         if gen.random() < bernoulli_param(sl, ql):
             acc.add(al, estimate_weight(self._freq[al], self._gamma), fnl)
             self.last_kept = (al, fnl)

@@ -186,6 +186,22 @@ def _sleeping(availability):
     ({"kind": "sleeping", "K": 17,
       "availability": {"kind": "bernoulli", "probs": [0.5] * 16 + [float("nan")]}},
      "'probs'"),
+    # a field the object's kind does not read would run on the default
+    (_auction(values={"kind": "uniform", "a": 2}), "'a'"),
+    (_auction(payments={"kind": "iid_uniform", "low": 0.9}), "'low'"),
+    (_sleeping({"kind": "bernoulli", "probs": [0.5] * 3, "subsets": [[0]]}), "'subsets'"),
+    (dict(_sleeping({}), losses={"kind": "means_noise", "ampl": 0.5}), "'ampl'"),
+    (dict(_sleeping({}), losses={"kind": "iid_uniform", "amp": 0.5}), "'amp'"),
+    (_auction(payments={"kind": "iid_normal"}), "'iid_normal'"),
+    # NaN passes every range check; JSON configs can carry it
+    (dict(TABULAR, gap=float("nan")), "gap"),
+    (dict(TABULAR, noise=float("nan")), "noise"),
+    (dict(_sleeping({}), losses={"amp": float("nan")}), "'amp'"),
+    (dict(_sleeping({}), losses={"means": [0.2, float("nan"), 0.8]}), "'means'"),
+    (_auction(payments={"kind": "drift", "base": float("nan")}), "'base'"),
+    (_auction(payments={"kind": "periodic", "pattern": [0.5, float("nan")]}), "'pattern'"),
+    (_auction(payments={"kind": "iid_discrete", "atoms": [float("inf")], "probs": [1]}),
+     "'atoms'"),
 ], ids=["gap", "values", "beta_a", "nu_length", "nu_negative", "nu_zero", "nu_text",
         "discrete_atoms", "discrete_probs", "iid_discrete_atoms", "iid_discrete_probs",
         "periodic_pattern", "bernoulli_probs", "categorical_subsets", "categorical_probs",
@@ -193,7 +209,10 @@ def _sleeping(availability):
         "uniform_lo_above_hi", "drift_period_text", "beta_a_zero", "beta_b_negative",
         "beta_a_infinite", "iid_beta_a_negative", "iid_beta_b_nan", "drift_period_zero",
         "drift_period_negative", "drift_period_infinite", "bernoulli_probs_nan",
-        "bernoulli_probs_above_one", "bernoulli_probs_negative", "bernoulli_probs_nan_k17"])
+        "bernoulli_probs_above_one", "bernoulli_probs_negative", "bernoulli_probs_nan_k17",
+        "values_unread", "payments_unread", "availability_unread", "losses_unread",
+        "losses_unread_by_kind", "payments_unknown_kind", "gap_nan", "noise_nan", "amp_nan", "means_nan",
+        "drift_base_nan", "periodic_pattern_nan", "iid_discrete_atoms_infinite"])
 def test_bad_value_inside_env_spec_named(tmp_path, capsys, env, field):
     # no known_nu: above K = 16 it would stop a sleeping config before its
     # env is built (test_known_nu_needs_enumerated_subsets)

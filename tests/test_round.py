@@ -18,6 +18,7 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
+import crosslearn.learner as learner_module
 from crosslearn.accumulator import AFFINE, LinearLoss, make_accumulator, snapshot
 from crosslearn.envs import AuctionEnv, SleepingEnv
 from crosslearn.harness import ALGO_STREAMS, ENV_STREAM, build_env
@@ -77,6 +78,7 @@ class _RefCrossLearner(CrossLearner):
         self._ref_masks = None if space is None else _ref_masks(
             space.contexts.tolist(), active, params.n_arms)
         super().__init__(params, accumulator, rng, active, space)
+        self._freq_next = np.zeros(params.n_arms)
 
     def _view(self, handle):
         return _RefSnapView(handle, self._space, self._ref_masks)
@@ -135,20 +137,26 @@ class _RefCrossLearner(CrossLearner):
         return arm
 
 
-# (spec, horizon); no horizon is a multiple of its epoch length
+TABULAR = {"kind": "tabular_synthetic", "C": 6, "K": 4}
+TABULAR_ACTIVE = {"kind": "tabular_synthetic", "C": 4, "K": 3, "active": [
+    [1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]]}
+# (spec, horizon, the contexts the learner tabulates: None for the env's
+# context_space); no horizon is a multiple of its epoch length
 ROUND_SPECS = {
-    "tabular": ({"kind": "tabular_synthetic", "C": 6, "K": 4}, 2501),
-    "tabular_active": ({"kind": "tabular_synthetic", "C": 4, "K": 3, "active": [
-        [1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]]}, 2501),
-    "sleeping_bernoulli": ({"kind": "sleeping", "K": 6}, 3001),
+    "tabular": (TABULAR, 2501, None),
+    "tabular_part": (TABULAR, 2501, [0, 2, 4]),
+    "tabular_active": (TABULAR_ACTIVE, 2501, None),
+    "tabular_active_part": (TABULAR_ACTIVE, 2501, [0, 2]),
+    "sleeping_bernoulli": ({"kind": "sleeping", "K": 6}, 3001, None),
     "sleeping_skewed": ({"kind": "sleeping", "K": 10, "availability": {
-        "kind": "bernoulli", "probs": [0.95] * 5 + [0.05] * 5}}, 3001),
+        "kind": "bernoulli", "probs": [0.95] * 5 + [0.05] * 5}}, 3001, None),
     "sleeping_categorical": ({"kind": "sleeping", "K": 4, "availability": {
         "kind": "categorical", "subsets": [[0, 1], [2], [1, 2, 3], [0, 1]],
-        "probs": [0.3, 0.2, 0.4, 0.1]}}, 2501),
+        "probs": [0.3, 0.2, 0.4, 0.1]}}, 2501, None),
     "auction_atoms": ({"kind": "auction", "values": {
-        "kind": "discrete", "atoms": [0.1, 0.35, 0.6, 0.9], "probs": [1, 2, 3, 4]}}, 2501),
-    "auction_continuous": ({"kind": "auction"}, 2501),
+        "kind": "discrete", "atoms": [0.1, 0.35, 0.6, 0.9], "probs": [1, 2, 3, 4]}}, 2501,
+        None),
+    "auction_continuous": ({"kind": "auction"}, 2501, None),
 }
 # specs whose snapshots compute their rows per lookup: no space, or a
 # space too large for a table (1 023 subsets)
@@ -156,18 +164,23 @@ PER_LOOKUP = {"sleeping_skewed", "auction_continuous"}
 
 
 @pytest.mark.parametrize("name", sorted(ROUND_SPECS))
-def test_round_on_floats_matches_round_on_arrays(name):
-    spec, horizon = ROUND_SPECS[name]
+def test_round_on_floats_matches_round_on_arrays(monkeypatch, name):
+    spec, horizon, tabulated = ROUND_SPECS[name]
     env = build_env(spec, horizon, RngStream(4, ENV_STREAM))
+    space = env.context_space if tabulated is None else ContextSpace(np.array(tabulated))
     base = calibrated_params(env.n_arms, horizon)
     # a hot rate, so that rounds both fall back and play p
     params = dataclasses.replace(base, eta=4 * base.eta)
     assert horizon % params.epoch_len > 0
+    views = []  # the CrossLearner's; the reference builds _RefSnapViews
+    init = learner_module._SnapView.__init__
+    monkeypatch.setattr(learner_module._SnapView, "__init__",
+                        lambda self, *a: views.append(1) or init(self, *a))
 
     def learner(cls):
         acc = make_accumulator(env.acc_kind, env.n_arms, getattr(env, "n_contexts", None))
         return cls(params, acc, RngStream(4, ALGO_STREAMS["crosslearn"]),
-                   active=env.active_mask, space=env.context_space)
+                   active=env.active_mask, space=space)
 
     new, ref = learner(CrossLearner), learner(_RefCrossLearner)
     assert (new._snap_cur.table is None) == (name in PER_LOOKUP)
@@ -191,22 +204,32 @@ def test_round_on_floats_matches_round_on_arrays(name):
     assert new.acc.coef.tobytes() == ref.acc.coef.tobytes()
     assert new.acc._comp.tobytes() == ref.acc._comp.tobytes()
     assert new.acc.version == ref.acc.version
+    # one view per full epoch: the initial state's serves the warm-up and
+    # epoch 2, then each epoch's last pair freezes one
+    assert len(views) == horizon // params.epoch_len
+    if tabulated is not None:
+        # the env draws contexts off the table too: an epoch's frequency
+        # samples mix table rows and rows computed per lookup
+        assert {env.context(t) for t in range(horizon)} > set(tabulated)
+        assert new._exponents is not None
 
 
 def test_deferred_frequency_sum_matches_per_row_adds():
+    # up to 1 400 rows: a tuned warm-up epoch at K = 8, T = 16 384 has 1 322
     gen = np.random.default_rng(11)
     for trial in range(300):
         K, n_rows, n = int(gen.integers(2, 25)), int(gen.integers(1, 200)), \
-            int(gen.integers(1, 801))
+            int(gen.integers(1, 1401))
         table = gen.random((n_rows, K)) ** 3
         table /= table.sum(axis=1, keepdims=True)
-        rows = gen.integers(n_rows, size=n).tolist()
+        # the rows as the learner keeps them: lists, a table row's repeated
+        lists = table.tolist()
+        rows = [lists[i] for i in gen.integers(n_rows, size=n).tolist()]
         div = float(gen.integers(2, 400))
-        total = gen.random(K) if trial % 2 else np.zeros(K)
-        want = total.copy()
-        for i in rows:
-            want += table[i] / div
-        assert _sum_rows(total, table, rows, div).tobytes() == want.tobytes(), trial
+        want = np.zeros(K)
+        for row in rows:
+            want += np.divide(row, div)
+        assert _sum_rows(rows, div).tobytes() == want.tobytes(), trial
 
 
 def test_sample_index_same_on_list_and_array():
@@ -387,9 +410,8 @@ def test_one_pair_matches_the_estimator_laws_exactly(case):
     n_contexts = len(contexts)
     learner, nu, ell, losses = _drive(n_arms, space, active, kind, len(case), last)
     # the epoch's estimate so far, its recorded rows summed
-    before = copy.deepcopy(learner)
-    before._flush_freq()
-    freq0 = before._freq_next.copy()
+    L = learner.params.epoch_len
+    freq0 = _sum_rows(learner._freq_rows, L) if last else np.zeros(n_arms)
     _set_state(learner, want_fallback)
     coef0, freq_hat = learner.acc.coef.copy(), learner.freq_estimate
     outcomes, s, fallback = _pair_outcomes(learner, nu, losses)
@@ -398,7 +420,7 @@ def test_one_pair_matches_the_estimator_laws_exactly(case):
     s_next = np.array([learner._snap_next.handle.weights(c, learner._mask(c))
                        for c in contexts])
     assert np.abs(s_next - s).max() > 1e-3  # the two snapshots differ
-    L, gamma = learner.params.epoch_len, learner.params.gamma
+    gamma = learner.params.gamma
     probs = np.array([o[0] for o in outcomes])
     assert abs(probs.sum() - 1.0) < 1e-12
 
@@ -415,8 +437,7 @@ def test_one_pair_matches_the_estimator_laws_exactly(case):
             delta = np.array(after.freq_estimate) - freq0
         else:
             assert after.epoch == 5 and after._freq_rows  # the sample waits
-            after._flush_freq()
-            delta = after._freq_next - freq0
+            delta = _sum_rows(after._freq_rows, L) - freq0
         d_freq += prob * delta
         cf = c1 if coin else c2
         by_coin[int(coin), c1] += prob * delta
