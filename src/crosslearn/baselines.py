@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .learner import ParamError, SpaceTable, mask_function
-from .simplex import BlockUniforms, ftrl_weights, sample_index, space_masks
+from .simplex import BlockUniforms, ftrl_weights, ftrl_weights_batch, sample_index, space_masks
 
 TINY_DENOM = 1e-9
 
@@ -79,31 +79,78 @@ class KnownNuLearner:
     env's known_nu_oracle() (ParamError without weights). active: None
     (every arm always active) or a callable context -> mask/None, an env's
     active_mask (ParamError otherwise); the masks of the probe table are
-    read from it once, at construction (simplex.space_masks), into one
-    SpaceTable over the space that follows the learner's own adds. Each
-    round reads the probe table, its distributions at every context, once:
-    the denominators are its nu-average, and a context of the space is
-    played from its row, which equals ftrl_weights at the context bit for
-    bit. Any other context (a continuous value between quadrature nodes)
-    is played from ftrl_weights at the context itself.
+    read from it once, at construction (simplex.space_masks), into a
+    SpaceTable over the space that follows the learner's own adds.
+
+    A seed axis: accumulator, space and rng may instead be lists of R, one
+    per seed, and active None or a list of R, for R runs of one env spec
+    stepped in lockstep. The seeds must agree on the space (contexts and
+    weights), the masks and the number of arms (ParamError otherwise);
+    `space` and `acc` are then the first seed's. Without lists the learner
+    is one run, R = 1, and probe_table() drops the seed axis. Each seed's table
+    holds its exponents in its slice of one stacked (R, K, n) array.
+
+    step(context, reveal) plays one seed's round: the seeds take turns, 0
+    to R-1 in every round. The first turn of a round reads probe_table(),
+    one softmax over the stack, and every seed's denominators, one
+    nu-average of the stacked tables; a turn then plays a context of the
+    space from its seed's table row, which equals ftrl_weights at the
+    context bit for bit, and any other context (a continuous value between
+    quadrature nodes) from ftrl_weights at the context itself. The turn's
+    loss goes to its seed's accumulator, and its seed's table updates the
+    played arm's exponents. A lockstep round holds the same bits as a
+    round of each seed alone.
     """
 
+    fallback_count = 0  # the known-nu learner never falls back
+
     def __init__(self, accumulator, space, eta, rng, active=None):
-        self.acc = accumulator
-        self.space = space
-        self.eta = float(eta)
-        self._gen = BlockUniforms(rng.gen)
-        self._mask = mask_function(active)
+        self._seeded = isinstance(accumulator, list)
+        if self._seeded:
+            accs, spaces, rngs = accumulator, space, rng
+            actives = [None] * len(accs) if active is None else active
+            if not (len(accs) == len(spaces) == len(rngs) == len(actives) >= 1):
+                raise ParamError("a seed axis needs one accumulator, space, stream and "
+                                 "active set per seed")
+        else:
+            accs, spaces, rngs, actives = [accumulator], [space], [rng], [active]
+        space = spaces[0]
         if space.weights is None:
             raise ParamError("the context space carries no weights")
-        self._table = SpaceTable(accumulator, space,
-                                 space_masks(space, active, accumulator.n_arms), self.eta)
+        n_arms = accs[0].n_arms
+        if any(acc.n_arms != n_arms for acc in accs):
+            raise ParamError("the seeds' accumulators differ in their number of arms")
+        self._mask = mask_function(actives[0])
+        masks = space_masks(space, actives[0], n_arms)
+        for other, act in zip(spaces[1:], actives[1:]):
+            if not (np.array_equal(other.contexts, space.contexts)
+                    and other.weights is not None
+                    and np.array_equal(other.weights, space.weights)):
+                raise ParamError("the seeds' context spaces differ")
+            theirs = space_masks(space, mask_function(act), n_arms)
+            if (theirs is None) != (masks is None) or (
+                    masks is not None and not np.array_equal(theirs, masks)):
+                raise ParamError("the seeds' active sets differ")
+        self.acc = accs[0]
+        self.space = space
+        self.eta = float(eta)
+        self._rows = space.rows
+        self._z = np.empty((len(accs), n_arms, len(space)))
+        # what a turn reads of its seed, in seed order
+        self._seeds = [(acc, BlockUniforms(r.gen), SpaceTable(acc, space, masks, self.eta, z))
+                       for acc, r, z in zip(accs, rngs, self._z)]
+        self._turn = 0
+        self._w = self._expected = None
         self.tiny_denominator_count = 0
-        self.fallback_count = 0
 
     def probe_table(self):
-        """Current play distributions at every context of the space."""
-        return self._table.weights()
+        """Current play distributions at every context of the space, an
+        (R, n, K) array with a seed axis, else the one run's (n, K)."""
+        for acc, _, table in self._seeds:
+            if table.version != acc.version:
+                table.rebuild()
+        w = ftrl_weights_batch(self._z.swapaxes(1, 2))
+        return w if self._seeded else w[0]
 
     def _denominator(self, arm, expected):
         """Floored E[p(., arm)], from `expected`, E[p] of the current state."""
@@ -114,20 +161,25 @@ class KnownNuLearner:
         return denom
 
     def step(self, context, reveal):
-        space = self.space
-        table = self.probe_table()
-        expected = space.weights @ table
-        rows = space.rows
+        r = self._turn
+        seeds = self._seeds
+        if r == 0:
+            w = self.probe_table()
+            self._w = w = w if self._seeded else w[None]
+            self._expected = (self.space.weights @ w).tolist()
+        self._turn = (r + 1) % len(seeds)
+        acc, gen, table = seeds[r]
+        rows = self._rows
         row = context if rows is None else rows.get(context)
         if row is None:
-            w = ftrl_weights(np.multiply(self.acc.eval_column(context), -self.eta),
+            w = ftrl_weights(np.multiply(acc.eval_column(context), -self.eta),
                              self._mask(context))
         else:
-            w = table[row].tolist()
-        arm = sample_index(w, self._gen)
+            w = self._w[r, row].tolist()
+        arm = sample_index(w, gen)
         fn = reveal(arm)
-        self.acc.add(arm, 1.0 / self._denominator(arm, expected), fn)
-        self._table.added(arm)
+        acc.add(arm, 1.0 / self._denominator(arm, self._expected[r]), fn)
+        table.added(arm, tops=False)
         return arm
 
 

@@ -5,7 +5,9 @@ horizon grid, seeds, optional parameter overrides for the cross-learner,
 and an output path. Each (algo, T, seed) run gets a fresh environment from
 stream (seed, 0) and a fresh learner from stream (seed, algo-id), so results
 are reproducible and independent of execution order; parallel execution
-(capped by CROSSLEARN_THREADS) returns exactly the serial results.
+(capped by CROSSLEARN_THREADS) returns exactly the serial results. The
+known_nu seeds of a horizon run in lockstep groups, one learner stepping
+several seeds, each with the bits it gets alone.
 
 The results CSV has one row per checkpoint (powers of two and T) with the
 fixed header below. Wall-clock timing breaks byte-level reproducibility, so
@@ -40,6 +42,20 @@ ENV_STREAM = 0
 ALGO_STREAMS = {"crosslearn": 1, "known_nu": 2, "exp3_per_context": 3}
 
 THREADS_VAR = "CROSSLEARN_THREADS"
+
+# Largest stacked probe table, in floats (seeds x arms x contexts), that
+# one lockstep batch of known_nu seeds holds. Stacking pays the fixed cost
+# of a round's numpy calls once per batch instead of once per seed, but
+# not their work per float. Measured per seed-round of the learner alone
+# (numpy 2.4.6, Python 3.11, 2-vCPU x86_64): at 512 floats per seed
+# (tabular C = 64, K = 8) 18.7 to 22 us at one seed, 12 to 14 from 4 to
+# 64 seeds, the best at 8 192 stacked floats; at 4 096 (C = 512) 45 to 46
+# us at one seed, 39.6 at 16 384 stacked floats, 38 to 41 at 32 768 and
+# 41 to 42 at 65 536; at 32 768 (C = 4 096) and 49 140 (sleeping K = 12)
+# two seeds cost more per seed than one (277 against 268 us, 644 against
+# 609). A seed whose table alone is larger runs by itself. Each seed of a
+# batch also holds its env, so peak memory grows with the batch.
+LOCKSTEP_FLOATS = 1 << 14
 
 BOOTSTRAP_RESAMPLES = 10000
 BOOTSTRAP_LEVEL = 0.95
@@ -168,52 +184,98 @@ def crosslearn_params(n_arms, horizon, overrides):
 
 def build_algo(name, env, seed, overrides):
     """The learner `name` for a run of env over its horizon, from stream
-    (seed, ALGO_STREAMS[name])."""
+    (seed, ALGO_STREAMS[name]). known_nu's learner has a seed axis: over
+    this one run, or over the runs of a list of envs of one spec and the
+    list of their seeds, which it steps in lockstep."""
+    if name == "known_nu":
+        envs, seeds = (env, seed) if isinstance(env, list) else ([env], [seed])
+        return KnownNuLearner(
+            [make_accumulator(e.acc_kind, e.n_arms, getattr(e, "n_contexts", None)) for e in envs],
+            [e.known_nu_oracle() for e in envs],
+            known_nu_rate(envs[0].n_arms, envs[0].horizon),
+            [RngStream(s, ALGO_STREAMS[name]) for s in seeds],
+            active=[e.active_mask for e in envs])
     rng = RngStream(seed, ALGO_STREAMS[name])
     n_contexts = getattr(env, "n_contexts", None)
     if name == "crosslearn":
         params = crosslearn_params(env.n_arms, env.horizon, overrides)
         acc = make_accumulator(env.acc_kind, env.n_arms, n_contexts)
         return CrossLearner(params, acc, rng, active=env.active_mask, space=env.context_space)
-    if name == "known_nu":
-        acc = make_accumulator(env.acc_kind, env.n_arms, n_contexts)
-        return KnownNuLearner(acc, env.known_nu_oracle(),
-                              known_nu_rate(env.n_arms, env.horizon), rng, active=env.active_mask)
     if name == "exp3_per_context":
         return PerContextExp3(env.n_arms, rng, active=env.active_mask)
     raise ConfigError(f"unknown algorithm {name!r}")
 
 
-def run_single(env_spec, algo_name, horizon, seed, overrides=None):
-    """Execute one run and return its RunResult (regret per checkpoint).
-    Rounds are scored in blocks of SCORE_BLOCK, and at every checkpoint."""
-    env = build_env(env_spec, horizon, RngStream(seed, ENV_STREAM))
-    algo = build_algo(algo_name, env, seed, overrides)
-    tracker = RegretTracker(env)
-    cps = checkpoint_schedule(horizon)
-    out = []
-    cp_iter = iter(cps)
+def _play(envs, algo, algo_name, seeds):
+    """The RunResults of the runs of `seeds` on their envs, all stepped by
+    `algo` in lockstep: in every round each seed takes its turn, in order
+    (one seed but for a known_nu learner with a seed axis). Rounds are
+    scored in blocks of SCORE_BLOCK, and at every checkpoint. Each run's
+    wall_ms is an equal share of the loop's wall time."""
+    horizon = envs[0].horizon
+    lanes = [(env, RegretTracker(env), [], [], []) for env in envs]
+    step = algo.step
+    cp_iter = iter(checkpoint_schedule(horizon))
     next_cp = next(cp_iter)
-    contexts = []
-    arms = []
     start = time.perf_counter()
     for t in range(horizon):
-        context = env.context(t)
-        contexts.append(context)
-        arms.append(algo.step(context, lambda a: env.reveal(t, a)))
+        for env, _, contexts, arms, _ in lanes:
+            context = env.context(t)
+            contexts.append(context)
+            arms.append(step(context, lambda a: env.reveal(t, a)))
         if len(arms) == SCORE_BLOCK or t + 1 == next_cp:
-            tracker.score(range(t + 1 - len(arms), t + 1), contexts, arms)
-            contexts.clear()
-            arms.clear()
+            for env, tracker, contexts, arms, out in lanes:
+                tracker.score(range(t + 1 - len(arms), t + 1), contexts, arms)
+                contexts.clear()
+                arms.clear()
+                if t + 1 == next_cp:
+                    out.append((t + 1, tracker.regret() * env.regret_scale))
             if t + 1 == next_cp:
-                out.append((t + 1, tracker.regret() * env.regret_scale))
                 next_cp = next(cp_iter, None)
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    return RunResult(
-        run_id=f"{algo_name}-T{horizon}-s{seed}",
-        seed=seed, algo=algo_name, env_name=env.kind, horizon=horizon,
-        checkpoints=out, fallback_count=algo.fallback_count,
-        wall_ms=wall_ms)
+    wall_ms = (time.perf_counter() - start) * 1000.0 / len(envs)
+    return [RunResult(run_id=f"{algo_name}-T{horizon}-s{seed}", seed=seed, algo=algo_name,
+                      env_name=env.kind, horizon=horizon, checkpoints=out,
+                      fallback_count=algo.fallback_count, wall_ms=wall_ms)
+            for seed, (env, _, _, _, out) in zip(seeds, lanes)]
+
+
+def run_single(env_spec, algo_name, horizon, seed, overrides=None):
+    """Execute one run and return its RunResult (regret per checkpoint)."""
+    env = build_env(env_spec, horizon, RngStream(seed, ENV_STREAM))
+    return _play([env], build_algo(algo_name, env, seed, overrides), algo_name, [seed])[0]
+
+
+def split_seeds(seeds, parts):
+    """`seeds` as `parts` contiguous lists, in order, whose sizes differ by
+    at most one, the larger first."""
+    size, extra = divmod(len(seeds), parts)
+    bounds = [0]
+    for i in range(parts):
+        bounds.append(bounds[-1] + size + (i < extra))
+    return [list(seeds[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def lockstep_batches(seeds, floats_per_seed):
+    """A group's seeds as the fewest contiguous lockstep batches whose
+    stacked probe tables, floats_per_seed (arms x contexts) per seed,
+    hold at most LOCKSTEP_FLOATS floats; a seed whose table alone is
+    larger is a batch of its own."""
+    per_batch = max(1, LOCKSTEP_FLOATS // floats_per_seed)
+    return split_seeds(seeds, -(-len(seeds) // per_batch))
+
+
+def run_lockstep(env_spec, horizon, seeds):
+    """The known_nu RunResults of `seeds`, in order, stepped in
+    lockstep_batches: each batch is one learner with a seed axis over the
+    envs of its seeds, built when the batch starts."""
+    first = build_env(env_spec, horizon, RngStream(seeds[0], ENV_STREAM))
+    results = []
+    batches = lockstep_batches(seeds, first.n_arms * len(first.known_nu_oracle()))
+    for k, batch in enumerate(batches):
+        envs = [first if k == i == 0 else build_env(env_spec, horizon, RngStream(seed, ENV_STREAM))
+                for i, seed in enumerate(batch)]
+        results.extend(_play(envs, build_algo("known_nu", envs, batch, None), "known_nu", batch))
+    return results
 
 
 def validate_config(config):
@@ -268,8 +330,10 @@ def validate_config(config):
 
 
 def _run_task(task):
-    env_spec, algo, horizon, seed, overrides = task
-    return run_single(env_spec, algo, horizon, seed, overrides)
+    env_spec, algo, horizon, seeds, overrides = task
+    if len(seeds) == 1:
+        return [run_single(env_spec, algo, horizon, seeds[0], overrides)]
+    return run_lockstep(env_spec, horizon, seeds)
 
 
 def worker_cap():
@@ -304,17 +368,26 @@ def map_tasks(fn, tasks, workers):
 
 
 def run_experiment(config):
-    """Run every (algo, T, seed) combination in the config; deterministic."""
+    """Run every (algo, T, seed) combination in the config; deterministic.
+    Each run of crosslearn and exp3_per_context is one map_tasks task. The
+    known_nu seeds of each horizon are split into contiguous groups, one
+    per worker left after worker_cap (fewer when there are fewer seeds),
+    and each group is one task that steps its seeds in lockstep
+    (run_lockstep). The results come back in (algo, T, seed) order, each
+    run with its share of its batch's wall time as wall_ms."""
     validate_config(config)
     overrides = config.get("overrides")
+    workers = int(config.get("workers", 1))
+    seeds = [int(seed) for seed in config["seeds"]]
+    groups = split_seeds(seeds, min(workers, worker_cap(), len(seeds)))
     tasks = [
-        (config["env"], algo, int(horizon), int(seed),
+        (config["env"], algo, int(horizon), group,
          overrides if algo == "crosslearn" else None)
         for algo in config["algos"]
         for horizon in config["T_grid"]
-        for seed in config["seeds"]
+        for group in (groups if algo == "known_nu" else [[seed] for seed in seeds])
     ]
-    return map_tasks(_run_task, tasks, int(config.get("workers", 1)))
+    return [result for results in map_tasks(_run_task, tasks, workers) for result in results]
 
 
 def results_rows(results, timing=False):

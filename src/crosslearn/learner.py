@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import chain, repeat
 from operator import ge, mul
 
 import numpy as np
@@ -263,8 +263,12 @@ def _sum_rows(rows, div):
     """rows[0]/div + rows[1]/div + ... (rows: one or more equal-length
     sequences of floats) as one reduction over axis 0. It adds the rows one
     at a time, in order, as a `+=` per row into zeros would (0.0 + x is x
-    for the nonnegative x here), so the sum has the same bits."""
-    return np.add.reduce(np.divide(rows, div), axis=0)
+    for the nonnegative x here), so the sum has the same bits. The rows
+    enter numpy as one flat run of floats (np.fromiter), which is faster
+    than np.divide walking a list of lists and holds the same values."""
+    n, k = len(rows), len(rows[0])
+    flat = np.fromiter(chain.from_iterable(rows), float, n * k).reshape(n, k)
+    return np.add.reduce(np.divide(flat, div, out=flat), axis=0)
 
 
 class SpaceTable:
@@ -277,6 +281,9 @@ class SpaceTable:
     it). `exponents` is their transposed (n, K) view and `rows` the list
     of its rows, made when first read; the array is rewritten in place.
     weights() is the (n, K) distributions, one ftrl_weights_batch call.
+    z: the (K, n) array the exponents are written to, a new one by
+    default; a known-nu learner passes each seed's slice of its stacked
+    (R, K, n) array, which it softmaxes in one call.
 
     `version` is the source.version they are current with (None before the
     first build). Right after one add at `arm` to a live source, added(arm)
@@ -291,7 +298,7 @@ class SpaceTable:
     __slots__ = ("_source", "_index", "_points", "_inactive", "_neg_eta", "_z", "_rows", "tops",
                  "version")
 
-    def __init__(self, source, space, masks, eta):
+    def __init__(self, source, space, masks, eta, z=None):
         if masks is not None and not masks.any(axis=1).all():
             context = space.contexts.tolist()[np.argmin(masks.any(axis=1))]
             raise SimplexError(f"active set of context {context!r} is empty")
@@ -300,7 +307,7 @@ class SpaceTable:
         self._points = np.asarray(space.contexts, dtype=float) if source.kind == AFFINE else None
         self._inactive = None if masks is None else ~np.ascontiguousarray(masks.T)
         self._neg_eta = -eta
-        self._z = np.empty((source.n_arms, len(space)))
+        self._z = np.empty((source.n_arms, len(space))) if z is None else z
         self._rows = self.tops = self.version = None
 
     exponents = property(lambda self: self._z.T)
@@ -326,10 +333,11 @@ class SpaceTable:
         self.tops = np.maximum.reduce(z, axis=0)
         self.version = source.version
 
-    def added(self, arm):
-        """Follow one add at `arm`: recompute that arm's exponents and the
-        maxima if the table was current before the add, else leave it stale
-        for rebuild()."""
+    def added(self, arm, tops=True):
+        """Follow one add at `arm`: recompute that arm's exponents and, with
+        `tops`, the maxima (else tops is None, for a caller that reduces a
+        stack of tables at once) if the table was current before the add,
+        else leave it stale for rebuild()."""
         acc = self._source
         if self.version != acc.version - 1:
             return
@@ -345,7 +353,7 @@ class SpaceTable:
             np.multiply(row, self._neg_eta, out=row)
         if self._inactive is not None:
             np.copyto(row, -np.inf, where=self._inactive[arm])
-        self.tops = np.maximum.reduce(z, axis=0)
+        self.tops = np.maximum.reduce(z, axis=0) if tops else None
         self.version = acc.version
 
     def weights(self):

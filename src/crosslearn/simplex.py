@@ -220,25 +220,24 @@ def ftrl_weights(z, mask=None, top=None):
 
 
 def ftrl_weights_batch(z, tops=None):
-    """Row-wise ftrl_weights(z[i], None, tops[i]) for an (n, K) array of
-    exponents, -inf off each row's active set (a row with none is the
-    caller's to refuse), as a C-ordered (n, K) array of the same bits;
-    `tops` is the array of the row maxima when the caller knows them.
+    """Row-wise ftrl_weights(z[..., i, :], None, tops[i]) for an (n, K)
+    array of exponents, or a stack of them (..., n, K), -inf off each
+    row's active set (a row with none is the caller's to refuse), as a
+    C-ordered array of z's shape and the same bits; `tops` is the array of
+    the n row maxima of an (n, K) array when the caller knows them.
 
-    The work runs on z.T, contiguous when z is the transposed view of a
-    (K, n) learner.SpaceTable: the maxima are a reduction over axis 0 (a
-    max is exact, so the layout cannot change them), then one subtract,
-    one exp and one transposed copy precede the row sums. Those must run
-    along the contiguous K-rows of an (n, K) array, where they add in the
-    order of pairwise_sum; a column-wise sum adds in another order and,
-    from K = 8 up, gives other bits.
+    z is typically a view with its last two axes swapped of a (K, n)
+    learner.SpaceTable or of a known-nu learner's (R, K, n) stack. The
+    maxima are a reduction over the K axis (a max is exact, so the layout
+    cannot change them), and the subtract writes its result C-ordered, so
+    the exp and the row sums run on contiguous K-rows. There each row adds
+    in the order of pairwise_sum, whatever the leading axes; a column-wise
+    sum adds in another order and, from K = 8 up, gives other bits.
     """
-    zt = z.T
-    if tops is None:
-        tops = np.maximum.reduce(zt, axis=0)
-    w = _subtract(zt, tops)
-    w = np.ascontiguousarray(_exp(w, w).T)
-    w /= np.add.reduce(w, axis=1, keepdims=True)
+    tops = np.maximum.reduce(z, axis=-1, keepdims=True) if tops is None else tops[..., None]
+    w = _subtract(z, tops, order="C")
+    _exp(w, w)
+    w /= np.add.reduce(w, axis=-1, keepdims=True)
     return w
 
 

@@ -529,6 +529,77 @@ def test_known_nu_rejects_a_space_without_weights():
     KnownNuLearner(acc, space, 0.1, RngStream(6, 2), active=env.active_mask)
 
 
+LOCKSTEP_SEEDS = [6, 11, 17]
+
+
+def _known_nu_parts(env, seed):
+    """A fresh accumulator, the oracle space, the learner's stream and the
+    active sets of one known_nu run."""
+    acc = make_accumulator(env.acc_kind, env.n_arms, getattr(env, "n_contexts", None))
+    return acc, env.known_nu_oracle(), RngStream(seed, ALGO_STREAMS["known_nu"]), env.active_mask
+
+
+@pytest.mark.parametrize("n_seeds", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(KNOWN_NU_CASES))
+def test_lockstep_known_nu_matches_reference_per_seed(case, n_seeds):
+    # R seeds stepped in lockstep by one learner with a seed axis: each
+    # seed's arm and denominator every round, and its final sums, are those
+    # of the reference learner run on that seed alone
+    kind, fields = KNOWN_NU_CASES[case]
+    seeds = LOCKSTEP_SEEDS[:n_seeds]
+    envs = [build_env(dict(fields, kind=kind), KNOWN_NU_HORIZON, RngStream(s, ENV_STREAM))
+            for s in seeds]
+    eta = 4 * known_nu_rate(envs[0].n_arms, envs[0].horizon)
+    accs, spaces, rngs, actives = (list(x) for x in zip(*map(_known_nu_parts, envs, seeds)))
+    weights = [[] for _ in seeds]
+    for acc, log in zip(accs, weights):
+        acc.add = lambda arm, weight, fn, add=acc.add, log=log: (log.append(weight),
+                                                                 add(arm, weight, fn))
+    new = KnownNuLearner(accs, spaces, eta, rngs, active=actives)
+    refs = [_RefKnownNuLearner(acc, space, eta, rng, active=active)
+            for acc, space, rng, active in map(_known_nu_parts, envs, seeds)]
+    assert new.probe_table().shape == (n_seeds, len(spaces[0]), envs[0].n_arms)
+    for t in range(KNOWN_NU_HORIZON):
+        for env, ref, log in zip(envs, refs, weights):
+            context = env.context(t)
+            arm = new.step(context, lambda a: env.reveal(t, a))
+            assert arm == ref.step(context, lambda a: env.reveal(t, a)), (t, env)
+            assert log[-1] == 1.0 / ref.denominators[-1], t
+    for acc, ref in zip(accs, refs):
+        assert acc.coef.tobytes() == ref.acc.coef.tobytes()
+
+
+def test_lockstep_known_nu_refuses_seeds_that_differ():
+    # one stacked table serves every seed, so the seeds must share the
+    # space, its weights, the masks and the number of arms
+    def build(spec, seed):
+        return build_env(spec, 64, RngStream(seed, ENV_STREAM))
+
+    def learner(envs):
+        parts = [list(x) for x in zip(*map(_known_nu_parts, envs, range(len(envs))))]
+        return KnownNuLearner(parts[0], parts[1], 0.1, parts[2], active=parts[3])
+
+    kind, fields = KNOWN_NU_CASES["tabular_active"]
+    spec = dict(fields, kind=kind)
+    learner([build(spec, 0), build(spec, 1)])
+    other_nu = dict(spec, nu=[0.1, 0.2, 0.3, 0.4])
+    with pytest.raises(ParamError, match="seeds' context spaces differ"):
+        learner([build(spec, 0), build(other_nu, 1)])
+    with pytest.raises(ParamError, match="seeds' context spaces differ"):
+        learner([build(spec, 0), build(dict(spec, C=5, active=None), 1)])
+    other_active = dict(spec, active=[[1, 1, 1]] * 4)
+    with pytest.raises(ParamError, match="seeds' active sets differ"):
+        learner([build(spec, 0), build(other_active, 1)])
+    with pytest.raises(ParamError, match="seeds' active sets differ"):
+        learner([build(spec, 0), build(dict(spec, active=None), 1)])
+    with pytest.raises(ParamError, match="number of arms"):
+        learner([build(spec, 0), build(dict(spec, K=4, active=None), 1)])
+    env = build(spec, 0)
+    acc, space, rng, active = _known_nu_parts(env, 0)
+    with pytest.raises(ParamError, match="one accumulator, space, stream"):
+        KnownNuLearner([acc, acc], [space], 0.1, [rng, rng], active=[active, active])
+
+
 class _RefPerContextExp3:
     """PerContextExp3 as it was: each context's estimates a numpy vector,
     its distribution the array softmax, and a state stored for every

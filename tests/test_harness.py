@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from crosslearn.harness import (
     ConfigError,
     bootstrap_ci,
     build_algo,
+    build_env,
     checkpoint_schedule,
     fit_scaling,
     load_results_csv,
@@ -75,6 +78,93 @@ def test_parallel_matches_serial(tmp_path):
     par = write_csv(run_experiment(small_config(seeds=[0, 1, 2], workers=4)),
                     tmp_path / "par.csv")
     assert serial == par
+
+
+def _without_wall(result):
+    return dataclasses.replace(result, wall_ms=0.0)
+
+
+def test_known_nu_groups_match_single_runs(monkeypatch):
+    # five known_nu seeds at two horizons, in one, two or three lockstep
+    # groups (one per worker), give the results of one run per seed
+    monkeypatch.setenv(harness.THREADS_VAR, "3")
+    seeds = [3, 0, 4, 1, 2]
+    config = {"env": dict(SMALL_ENV), "algos": ["known_nu"], "T_grid": [64, 100],
+              "seeds": seeds}
+    want = [run_single(SMALL_ENV, "known_nu", horizon, seed)
+            for horizon in (64, 100) for seed in seeds]
+    for workers in (1, 2, 3):
+        got = run_experiment(dict(config, workers=workers))
+        assert list(map(_without_wall, got)) == list(map(_without_wall, want)), workers
+
+
+def test_known_nu_seeds_split_into_one_group_per_worker(monkeypatch):
+    # the groups are contiguous, in seed order, their sizes differ by at
+    # most one, and there are no more of them than workers or seeds
+    seeds = [7, 3, 9, 1, 5]
+    for parts, sizes in [(1, [5]), (2, [3, 2]), (3, [2, 2, 1]), (5, [1] * 5)]:
+        groups = harness.split_seeds(seeds, parts)
+        assert [len(g) for g in groups] == sizes
+        assert sum(groups, []) == seeds
+    tasks = []
+    monkeypatch.setattr(harness, "map_tasks", lambda fn, ts, workers: tasks.extend(ts) or [])
+    monkeypatch.setenv(harness.THREADS_VAR, "2")
+    config = {"env": dict(SMALL_ENV), "algos": ["exp3_per_context", "known_nu"],
+              "T_grid": [64, 128], "seeds": seeds}
+    for workers, sizes in [(1, [5]), (3, [3, 2]), (8, [3, 2])]:
+        tasks.clear()
+        run_experiment(dict(config, workers=workers))
+        assert [task[3] for task in tasks if task[1] == "exp3_per_context"] == [[s] for s in seeds] * 2
+        known = [task[3] for task in tasks if task[1] == "known_nu"]
+        assert [len(g) for g in known] == sizes * 2 and sum(known, []) == seeds * 2
+    monkeypatch.setenv(harness.THREADS_VAR, "8")
+    tasks.clear()
+    run_experiment(dict(config, workers=8))
+    assert [task[3] for task in tasks if task[1] == "known_nu"] == [[s] for s in seeds] * 2
+
+
+def test_lockstep_batches_hold_the_float_budget():
+    # a Bernoulli sleeping space of K = 9 arms has 511 subsets, so a batch
+    # holds a few seeds; a seed whose table alone is above the budget
+    # (K = 12: 4 095 subsets) is a batch of its own
+    per_seed = {}
+    for n_arms in (9, 12):
+        env = build_env({"kind": "sleeping", "K": n_arms}, 64, RngStream(0, 0))
+        per_seed[n_arms] = env.n_arms * len(env.known_nu_oracle())
+    seeds = list(range(9))
+    batches = harness.lockstep_batches(seeds, per_seed[9])
+    fits = harness.LOCKSTEP_FLOATS // per_seed[9]
+    assert 1 < fits < len(seeds)
+    assert len(batches) == -(-len(seeds) // fits)
+    assert sum(batches, []) == seeds
+    assert all(len(b) * per_seed[9] <= harness.LOCKSTEP_FLOATS for b in batches)
+    assert per_seed[12] > harness.LOCKSTEP_FLOATS
+    assert harness.lockstep_batches(seeds, per_seed[12]) == [[s] for s in seeds]
+    assert harness.lockstep_batches(seeds, 1) == [seeds]
+
+
+def test_lockstep_runs_each_batch_in_its_own_learner(monkeypatch):
+    spec = {"kind": "sleeping", "K": 9}
+    seeds = list(range(5))
+    want = [run_single(spec, "known_nu", 32, seed) for seed in seeds]
+    made = []
+    build = harness.build_algo
+    monkeypatch.setattr(harness, "build_algo",
+                        lambda name, envs, seeds, overrides: made.append(list(seeds))
+                        or build(name, envs, seeds, overrides))
+    got = harness.run_lockstep(spec, 32, seeds)
+    env = build_env(spec, 32, RngStream(0, 0))
+    assert made == harness.lockstep_batches(seeds, env.n_arms * len(env.known_nu_oracle()))
+    assert len(made) > 1
+    assert list(map(_without_wall, got)) == list(map(_without_wall, want))
+
+
+def test_lockstep_wall_ms_shares_sum_to_the_loop_time(monkeypatch):
+    clock = iter([10.0, 13.0])  # the loop starts at 10 s and ends at 13 s
+    monkeypatch.setattr(harness, "time", types.SimpleNamespace(perf_counter=lambda: next(clock)))
+    results = harness.run_lockstep(SMALL_ENV, 16, [0, 1, 2])
+    assert [r.wall_ms for r in results] == [1000.0] * 3
+    assert sum(r.wall_ms for r in results) == 3000.0
 
 
 @pytest.mark.parametrize("field, match", [
