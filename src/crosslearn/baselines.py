@@ -66,29 +66,28 @@ class PerContextExp3:
 
 
 class KnownNuLearner:
-    """Cross-learning with exact importance weights 1/E_{c~nu}[p_t(., k)].
+    """Cross-learning with exact importance weights 1/E_{c~nu}[p_t(., k)],
+    for R >= 1 runs of one env spec stepped in lockstep, one per seed.
 
-    Maintains one accumulator shared across contexts; each round adds the
-    played arm's full loss function with weight 1/E[p_t(., arm)], the
-    unbiased normalization available when the context distribution is known.
-    Denominators below TINY_DENOM are floored and counted in
-    tiny_denominator_count; FTRL keeps every active arm's probability
-    positive, so this flags numerical trouble instead of guessing.
+    Each seed keeps one accumulator shared across contexts; each of its
+    rounds adds the played arm's full loss function with weight
+    1/E[p_t(., arm)], the unbiased normalization available when the
+    context distribution is known. Denominators below TINY_DENOM are
+    floored and counted in tiny_denominator_count, a list of one count per
+    seed; FTRL keeps every active arm's probability positive, so this
+    flags numerical trouble instead of guessing.
 
-    The arms are the accumulator's. space: a ContextSpace with weights, the
-    env's known_nu_oracle() (ParamError without weights). active: None
-    (every arm always active) or a callable context -> mask/None, an env's
-    active_mask (ParamError otherwise); the masks of the probe table are
-    read from it once, at construction (simplex.space_masks), into a
-    SpaceTable over the space that follows the learner's own adds.
-
-    A seed axis: accumulator, space and rng may instead be lists of R, one
-    per seed, and active None or a list of R, for R runs of one env spec
-    stepped in lockstep. The seeds must agree on the space (contexts and
-    weights), the masks and the number of arms (ParamError otherwise);
-    `space` and `acc` are then the first seed's. Without lists the learner
-    is one run, R = 1, and probe_table() drops the seed axis. Each seed's table
-    holds its exponents in its slice of one stacked (R, K, n) array.
+    accumulators, spaces and rngs are lists of R, one per seed, and active
+    None (every arm always active) or a list of R callables context ->
+    mask/None, each an env's active_mask (ParamError otherwise). The arms
+    are the accumulators'. A space is a ContextSpace with weights, the
+    env's known_nu_oracle() (ParamError without weights). The seeds must
+    agree on the space (contexts and weights), the masks and the number of
+    arms (ParamError otherwise); `space` is the one they share. The masks
+    of the probe table are read once, at construction
+    (simplex.space_masks), into one SpaceTable per seed over the space that
+    follows that seed's own adds; each table holds its exponents in its
+    slice of one stacked (R, K, n) array.
 
     step(context, reveal) plays one seed's round: the seeds take turns, 0
     to R-1 in every round. The first turn of a round reads probe_table(),
@@ -104,21 +103,20 @@ class KnownNuLearner:
 
     fallback_count = 0  # the known-nu learner never falls back
 
-    def __init__(self, accumulator, space, eta, rng, active=None):
-        self._seeded = isinstance(accumulator, list)
-        if self._seeded:
-            accs, spaces, rngs = accumulator, space, rng
-            actives = [None] * len(accs) if active is None else active
-            if not (len(accs) == len(spaces) == len(rngs) == len(actives) >= 1):
-                raise ParamError("a seed axis needs one accumulator, space, stream and "
-                                 "active set per seed")
-        else:
-            accs, spaces, rngs, actives = [accumulator], [space], [rng], [active]
+    def __init__(self, accumulators, spaces, eta, rngs, active=None):
+        per_seed = (accumulators, spaces, rngs) + (() if active is None else (active,))
+        if not all(type(x) is list for x in per_seed):
+            raise ParamError("accumulators, spaces, streams and active sets must be lists, "
+                             "one per seed (active may be None)")
+        actives = [None] * len(accumulators) if active is None else active
+        if not (len(accumulators) == len(spaces) == len(rngs) == len(actives) >= 1):
+            raise ParamError("a seed axis needs one accumulator, space, stream and "
+                             "active set per seed")
         space = spaces[0]
         if space.weights is None:
             raise ParamError("the context space carries no weights")
-        n_arms = accs[0].n_arms
-        if any(acc.n_arms != n_arms for acc in accs):
+        n_arms = accumulators[0].n_arms
+        if any(acc.n_arms != n_arms for acc in accumulators):
             raise ParamError("the seeds' accumulators differ in their number of arms")
         self._mask = mask_function(actives[0])
         masks = space_masks(space, actives[0], n_arms)
@@ -131,32 +129,31 @@ class KnownNuLearner:
             if (theirs is None) != (masks is None) or (
                     masks is not None and not np.array_equal(theirs, masks)):
                 raise ParamError("the seeds' active sets differ")
-        self.acc = accs[0]
         self.space = space
         self.eta = float(eta)
         self._rows = space.rows
-        self._z = np.empty((len(accs), n_arms, len(space)))
+        self._z = np.empty((len(accumulators), n_arms, len(space)))
         # what a turn reads of its seed, in seed order
         self._seeds = [(acc, BlockUniforms(r.gen), SpaceTable(acc, space, masks, self.eta, z))
-                       for acc, r, z in zip(accs, rngs, self._z)]
+                       for acc, r, z in zip(accumulators, rngs, self._z)]
         self._turn = 0
         self._w = self._expected = None
-        self.tiny_denominator_count = 0
+        self.tiny_denominator_count = [0] * len(accumulators)
 
     def probe_table(self):
         """Current play distributions at every context of the space, an
-        (R, n, K) array with a seed axis, else the one run's (n, K)."""
+        (R, n, K) array."""
         for acc, _, table in self._seeds:
             if table.version != acc.version:
                 table.rebuild()
-        w = ftrl_weights_batch(self._z.swapaxes(1, 2))
-        return w if self._seeded else w[0]
+        return ftrl_weights_batch(self._z.swapaxes(1, 2))
 
-    def _denominator(self, arm, expected):
-        """Floored E[p(., arm)], from `expected`, E[p] of the current state."""
+    def _denominator(self, r, arm, expected):
+        """Seed r's floored E[p(., arm)], from `expected`, its E[p] of the
+        current state."""
         denom = float(expected[arm])
         if denom < TINY_DENOM:
-            self.tiny_denominator_count += 1
+            self.tiny_denominator_count[r] += 1
             denom = TINY_DENOM
         return denom
 
@@ -164,8 +161,7 @@ class KnownNuLearner:
         r = self._turn
         seeds = self._seeds
         if r == 0:
-            w = self.probe_table()
-            self._w = w = w if self._seeded else w[None]
+            self._w = w = self.probe_table()
             self._expected = (self.space.weights @ w).tolist()
         self._turn = (r + 1) % len(seeds)
         acc, gen, table = seeds[r]
@@ -178,8 +174,8 @@ class KnownNuLearner:
             w = self._w[r, row].tolist()
         arm = sample_index(w, gen)
         fn = reveal(arm)
-        acc.add(arm, 1.0 / self._denominator(arm, self._expected[r]), fn)
-        table.added(arm, tops=False)
+        acc.add(arm, 1.0 / self._denominator(r, arm, self._expected[r]), fn)
+        table.added(arm)
         return arm
 
 

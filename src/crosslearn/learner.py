@@ -59,21 +59,20 @@ TABLE_ROWS_PER_ROUND = 4
 
 # Largest tabulated space over which the learner keeps a SpaceTable that
 # follows its accumulator. Each kept loss sample is followed by a one-arm
-# update (one arm's exponents at every context, then every context's
-# maximum); a round that reads the table instead of evaluating the
-# accumulator saves 1.5 to 4.5 us, whatever the number of contexts. Measured per update and per
-# round (numpy 2.4.6, Python 3.11, 2-vCPU x86_64, K = 6 to 21, scaled to
-# the reference speed of perfbench/hostspeed.py on a host whose speed
-# drifted by up to 2x), an update costs 4 to 12 us at 63 to 128 contexts,
-# 8 at 256 and 20 to 30 at 1 023 and 1 024 (a full rebuild: 4 to 12, 8.5
-# and 22 to 61), so it repays itself in 1 to 8 rounds at up to 128
-# contexts and in 5 to 20 at 1 023 and 1 024. Kept samples came every 4.1
-# to 4.8 rounds on every run measured (tuned tabular C = 64 to 4 096,
-# tuned and calibrated auction atoms and sleeping subsets), and at most
-# one comes per pair of rounds. The bound is on the number of contexts
-# only: the epoch length does not set how often the table is updated, and
-# K moves the update cost little. Checking it again end to end waits on a
-# benchmark workload above 64 contexts; every workload has 63 or 64.
+# update (one arm's exponents at every context); a round that reads the
+# table instead of evaluating the accumulator saves 1.1 to 2.6 us. Measured
+# per update and per round (numpy 2.4.6, Python 3.11, 2-vCPU x86_64,
+# scaled to the reference speed of perfbench/hostspeed.py, medians of 6
+# runs), an update costs 1.6 us at 64 tabular contexts (K = 8), 1.8 at
+# 1 024 and 2.8 at 64 auction value atoms (K = 13); a full rebuild costs
+# 1.6, 3.6 and 6.5. Kept samples came every 4.1 to 4.8 rounds on every run
+# measured (tuned tabular C = 64 to 4 096, tuned and calibrated auction
+# atoms and sleeping subsets), and at most one comes per pair of rounds, so
+# the updates repay themselves within two rounds at every size measured,
+# 1 024 contexts included. The bound is on the number of contexts only:
+# the epoch length does not set how often the table is updated. It stays
+# at 128 until a benchmark workload above 64 contexts can check a larger
+# one end to end; every workload has 63 or 64.
 EXPONENT_TABLE_ROWS = 128
 
 
@@ -276,27 +275,25 @@ class SpaceTable:
     over a finite context space: the exponents -eta * L(c, .) of its sum L
     at every context c, -inf off c's active set (masks: the space_masks of
     the space; SimplexError if one is empty), in the accumulator's (K, n)
-    layout, and the array `tops` of their maxima at each context, one
-    reduction over axis 0 (a max is exact, so the layout cannot change
-    it). `exponents` is their transposed (n, K) view and `rows` the list
+    layout. `exponents` is their transposed (n, K) view and `rows` the list
     of its rows, made when first read; the array is rewritten in place.
-    weights() is the (n, K) distributions, one ftrl_weights_batch call.
-    z: the (K, n) array the exponents are written to, a new one by
-    default; a known-nu learner passes each seed's slice of its stacked
-    (R, K, n) array, which it softmaxes in one call.
+    weights() is the (n, K) distributions, one ftrl_weights_batch call,
+    which takes each context's maximum itself. z: the (K, n) array the
+    exponents are written to, a new one by default; a known-nu learner
+    passes each seed's slice of its stacked (R, K, n) array, which it
+    softmaxes in one call.
 
     `version` is the source.version they are current with (None before the
     first build). Right after one add at `arm` to a live source, added(arm)
-    recomputes that arm's exponents and the maxima; any other move of
-    source.version is left to rebuild(), from source.eval_batch. On an
-    affine space the arm's row is a + b * v from its two coefficients as
-    Python floats against the points v, the contexts as floats; on any
-    other, the accumulator class's batch over coef[arm]. Both give the
-    bits of the row of eval_batch: the same two IEEE operations, which
-    commute, and the multiply by -eta and the mask are elementwise."""
+    recomputes that arm's exponents; any other move of source.version is
+    left to rebuild(), from source.eval_batch. On an affine space the
+    arm's row is a + b * v from its two coefficients as Python floats
+    against the points v, the contexts as floats; on any other, the
+    accumulator class's batch over coef[arm]. Both give the bits of the
+    row of eval_batch: the same two IEEE operations, which commute, and
+    the multiply by -eta and the mask are elementwise."""
 
-    __slots__ = ("_source", "_index", "_points", "_inactive", "_neg_eta", "_z", "_rows", "tops",
-                 "version")
+    __slots__ = ("_source", "_index", "_points", "_inactive", "_neg_eta", "_z", "_rows", "version")
 
     def __init__(self, source, space, masks, eta, z=None):
         if masks is not None and not masks.any(axis=1).all():
@@ -308,7 +305,7 @@ class SpaceTable:
         self._inactive = None if masks is None else ~np.ascontiguousarray(masks.T)
         self._neg_eta = -eta
         self._z = np.empty((source.n_arms, len(space))) if z is None else z
-        self._rows = self.tops = self.version = None
+        self._rows = self.version = None
 
     exponents = property(lambda self: self._z.T)
 
@@ -325,24 +322,21 @@ class SpaceTable:
         return None, {name: getattr(self, name) for name in self.__slots__} | {"_rows": None}
 
     def rebuild(self):
-        """Recompute every exponent and maximum from the source."""
+        """Recompute every exponent from the source."""
         source, z = self._source, self._z
         np.multiply(source.eval_batch(self._index).T, self._neg_eta, out=z)
         if self._inactive is not None:
             np.copyto(z, -np.inf, where=self._inactive)
-        self.tops = np.maximum.reduce(z, axis=0)
         self.version = source.version
 
-    def added(self, arm, tops=True):
-        """Follow one add at `arm`: recompute that arm's exponents and, with
-        `tops`, the maxima (else tops is None, for a caller that reduces a
-        stack of tables at once) if the table was current before the add,
-        else leave it stale for rebuild()."""
+    def added(self, arm):
+        """Follow one add at `arm`: recompute that arm's exponents if the
+        table was current before the add, else leave it stale for
+        rebuild()."""
         acc = self._source
         if self.version != acc.version - 1:
             return
-        z = self._z
-        row = z[arm]
+        row = self._z[arm]
         points = self._points
         if points is None:
             np.multiply(acc.batch(acc.coef[arm], self._index), self._neg_eta, out=row)
@@ -353,14 +347,13 @@ class SpaceTable:
             np.multiply(row, self._neg_eta, out=row)
         if self._inactive is not None:
             np.copyto(row, -np.inf, where=self._inactive[arm])
-        self.tops = np.maximum.reduce(z, axis=0) if tops else None
         self.version = acc.version
 
     def weights(self):
         """The distributions at every context, current with the source."""
         if self.version != self._source.version:
             self.rebuild()
-        return ftrl_weights_batch(self._z.T, self.tops)
+        return ftrl_weights_batch(self._z.T)
 
 
 class _SnapView:
@@ -408,9 +401,9 @@ class CrossLearner:
     it, and a space of at most EXPONENT_TABLE_ROWS contexts also gets one
     that follows the accumulator (added() after each of the learner's own
     kept loss samples, a rebuild after any other change), so a round at
-    one of its contexts hands its exponent row and maximum to
-    ftrl_weights, whose only numpy calls are then one subtract and one
-    exp. Elsewhere a round evaluates the accumulator at its context.
+    one of its contexts hands its exponent row to ftrl_weights, whose only
+    numpy calls are then one subtract and one exp. Elsewhere a round
+    evaluates the accumulator at its context.
     reveal passed to step: callable arm -> LinearLoss of the played arm.
 
     A run is watched by reading the learner between steps: t, epoch,
@@ -544,7 +537,7 @@ class CrossLearner:
         else:
             if ex.version != acc.version:
                 ex.rebuild()
-            p = ftrl_weights(ex.rows[i], None, ex.tops[i])
+            p = ftrl_weights(ex.rows[i])
         q, fb = select_sampling_distribution(p, s)
         arm = sample_index(q, gen)
         fn = reveal(arm)

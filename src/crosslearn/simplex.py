@@ -187,20 +187,19 @@ def pairwise_sum(w):
     return s
 
 
-def ftrl_weights(z, mask=None, top=None):
+def ftrl_weights(z, mask=None):
     """Softmax of the exponents `z` (a length-K array or list of floats)
     restricted to `mask` (None means all arms), as a list of floats: the
     entropy-FTRL distribution at a context when z is -eta times its
     cumulative losses, np.multiply(cum_loss, -eta).
 
-    `top` is the maximum of z over the mask when the caller knows it (a
-    learner.SpaceTable keeps one per context). Hot-path core without
-    finiteness checks; z is not modified. A mask whose shape is not (K,)
-    raises SimplexError, rather than broadcast. The mask (-inf off it,
-    whose exp is 0) and the maximum are taken on Python floats, numpy
-    subtracts and exponentiates, and the sum (pairwise_sum) and the
-    division run on Python floats, so the list holds the bits of the array
-    softmax and of each row of ftrl_weights_batch.
+    Hot-path core without finiteness checks; z is not modified. A mask
+    whose shape is not (K,) raises SimplexError, rather than broadcast.
+    The mask (-inf off it, whose exp is 0) and the maximum are taken on
+    Python floats, numpy subtracts and exponentiates, and the sum
+    (pairwise_sum) and the division run on Python floats, so the list
+    holds the bits of the array softmax and of each row of
+    ftrl_weights_batch.
     """
     if mask is not None:
         mask = np.asarray(mask)
@@ -208,10 +207,9 @@ def ftrl_weights(z, mask=None, top=None):
             raise SimplexError(f"active mask must be {len(z)} booleans, got shape {mask.shape}")
         z = [x if m else _NEG_INF for x, m in zip(z if type(z) is list else z.tolist(),
                                                   mask.tolist())]
-    if top is None:
-        top = max(z if type(z) is list else z.tolist())
-        if top == _NEG_INF:
-            raise SimplexError("active set is empty")
+    top = max(z if type(z) is list else z.tolist())
+    if top == _NEG_INF:
+        raise SimplexError("active set is empty")
     w = _subtract(z, top)
     _exp(w, w)
     w = w.tolist()
@@ -219,12 +217,11 @@ def ftrl_weights(z, mask=None, top=None):
     return [x / s for x in w]
 
 
-def ftrl_weights_batch(z, tops=None):
-    """Row-wise ftrl_weights(z[..., i, :], None, tops[i]) for an (n, K)
-    array of exponents, or a stack of them (..., n, K), -inf off each
-    row's active set (a row with none is the caller's to refuse), as a
-    C-ordered array of z's shape and the same bits; `tops` is the array of
-    the n row maxima of an (n, K) array when the caller knows them.
+def ftrl_weights_batch(z):
+    """Row-wise ftrl_weights(z[..., i, :]) for an (n, K) array of
+    exponents, or a stack of them (..., n, K), -inf off each row's active
+    set (a row with none is the caller's to refuse), as a C-ordered array
+    of z's shape and the same bits.
 
     z is typically a view with its last two axes swapped of a (K, n)
     learner.SpaceTable or of a known-nu learner's (R, K, n) stack. The
@@ -234,8 +231,7 @@ def ftrl_weights_batch(z, tops=None):
     in the order of pairwise_sum, whatever the leading axes; a column-wise
     sum adds in another order and, from K = 8 up, gives other bits.
     """
-    tops = np.maximum.reduce(z, axis=-1, keepdims=True) if tops is None else tops[..., None]
-    w = _subtract(z, tops, order="C")
+    w = _subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True), order="C")
     _exp(w, w)
     w /= np.add.reduce(w, axis=-1, keepdims=True)
     return w

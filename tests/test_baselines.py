@@ -107,8 +107,8 @@ def test_known_nu_denominator_uniform_state():
     K = 4
     acc = make_accumulator(TABULAR, K, 3)
     space = ContextSpace(np.arange(3), weights=np.array([0.2, 0.3, 0.5]))
-    algo = KnownNuLearner(acc, space, eta=0.01, rng=RngStream(0, 2))
-    denoms = algo.space.weights @ algo.probe_table()
+    algo = KnownNuLearner([acc], [space], eta=0.01, rngs=[RngStream(0, 2)])
+    denoms = algo.space.weights @ algo.probe_table()[0]
     assert np.allclose(denoms, 0.25, atol=1e-12)
 
 
@@ -118,32 +118,37 @@ def test_known_nu_point_mass_matches_single_context():
     acc = make_accumulator(TABULAR, K, 2)
     acc.add(0, 5.0, LinearLoss(TabularAccumulator, np.array([0.0, 1.0])))
     space = ContextSpace(np.arange(2), weights=np.array([0.0, 1.0]))
-    algo = KnownNuLearner(acc, space, eta=0.3, rng=RngStream(1, 2))
-    table = algo.probe_table()
+    algo = KnownNuLearner([acc], [space], eta=0.3, rngs=[RngStream(1, 2)])
+    table = algo.probe_table()[0]
     denoms = algo.space.weights @ table
     assert np.allclose(denoms, table[1], atol=1e-14)
 
 
 def test_known_nu_tiny_denominator_flagged():
+    # each seed counts its own floored denominators, whichever seeds share
+    # its learner: only the second seed's accumulator is tilted
     K = 2
-    acc = make_accumulator(CONSTANT, K)
+    healthy, tilted = make_accumulator(CONSTANT, K), make_accumulator(CONSTANT, K)
     # extreme tilt: arm 1's probability underflows to ~0 everywhere
-    acc.add(1, 1e9, LinearLoss(ConstantAccumulator, [1.0]))
+    tilted.add(1, 1e9, LinearLoss(ConstantAccumulator, [1.0]))
     space = ContextSpace(np.arange(1), weights=np.array([1.0]))
-    algo = KnownNuLearner(acc, space, eta=1.0, rng=RngStream(2, 2))
-    expected = algo.space.weights @ algo.probe_table()
-    before = algo.tiny_denominator_count
-    assert algo._denominator(1, expected) == 1e-9
-    assert algo.tiny_denominator_count == before + 1
-    assert algo._denominator(0, expected) > 0.5  # healthy arm unflagged
-    assert algo.tiny_denominator_count == before + 1
+    for accs in ([tilted], [healthy, tilted]):
+        algo = KnownNuLearner(accs, [space] * len(accs), eta=1.0,
+                              rngs=[RngStream(2, 2) for _ in accs])
+        expected = algo.space.weights @ algo.probe_table()
+        assert algo.tiny_denominator_count == [0] * len(accs)
+        floored = [[algo._denominator(r, arm, expected[r]) == 1e-9 for arm in range(K)]
+                   for r in range(len(accs))]
+        # arm 1 of the tilted seed, the last, is the one floored and counted
+        assert floored == [[False, False]] * (len(accs) - 1) + [[False, True]]
+        assert algo.tiny_denominator_count == [0] * (len(accs) - 1) + [1]
 
 
 def test_known_nu_learns():
     acc = make_accumulator(TABULAR, 2, 2)
     space = ContextSpace(np.arange(2), weights=np.array([0.5, 0.5]))
-    algo = KnownNuLearner(acc, space, eta=known_nu_rate(2, 4000),
-                          rng=RngStream(3, 2))
+    algo = KnownNuLearner([acc], [space], eta=known_nu_rate(2, 4000),
+                          rngs=[RngStream(3, 2)])
     arm_losses = {0: LinearLoss(TabularAccumulator, np.array([0.1, 0.1])),
                   1: LinearLoss(TabularAccumulator, np.array([0.9, 0.9]))}
     gen = np.random.default_rng(7)

@@ -391,9 +391,6 @@ def test_softmaxes_match_reference_on_every_eval_batch_layout(kind):
                     assert got.flags.c_contiguous
                     assert np.array_equal(got, _ref_ftrl_weights_batch(
                         np.ascontiguousarray(cum), eta, masks))
-                    # the maxima a table keeps change nothing
-                    with_tops = ftrl_weights_batch(z, np.max(z, axis=1))
-                    assert with_tops.tobytes() == got.tobytes()
                     for i, (col, mask) in enumerate(zip(cols, rows)):
                         row = ftrl_weights(np.multiply(col, -eta), mask)
                         assert np.array_equal(row, _ref_ftrl_weights(col, eta, mask))
@@ -431,9 +428,6 @@ def test_one_row_list_has_the_bits_of_the_batch_row(n_arms):
                 row = ftrl_weights(z, mask)
                 assert type(row) is list and len(row) == n_arms
                 assert np.asarray(row).tobytes() == got[i].tobytes(), (i, mask is None)
-                if mask is None:
-                    top = float(z.max())
-                    assert np.asarray(ftrl_weights(z, None, top)).tobytes() == got[i].tobytes()
 
 
 class _RefKnownNuLearner:
@@ -486,21 +480,19 @@ def test_known_nu_matches_reference_round_by_round(case):
     kind, fields = KNOWN_NU_CASES[case]
     env = build_env(dict(fields, kind=kind), KNOWN_NU_HORIZON, RngStream(6, ENV_STREAM))
     space = env.known_nu_oracle()
-
-    def learner(cls):
-        acc = make_accumulator(env.acc_kind, env.n_arms, getattr(env, "n_contexts", None))
-        # 4x the default rate, so the distributions move far from uniform
-        return cls(acc, space, 4 * known_nu_rate(env.n_arms, env.horizon),
-                   RngStream(6, ALGO_STREAMS["known_nu"]), active=env.active_mask)
-
-    new, ref = learner(KnownNuLearner), learner(_RefKnownNuLearner)
+    # 4x the default rate, so the distributions move far from uniform
+    eta = 4 * known_nu_rate(env.n_arms, env.horizon)
+    acc, _, rng, active = _known_nu_parts(env, 6)
+    new = KnownNuLearner([acc], [space], eta, [rng], active=[active])
+    ref_acc, _, ref_rng, _ = _known_nu_parts(env, 6)
+    ref = _RefKnownNuLearner(ref_acc, space, eta, ref_rng, active=active)
     weights = []
-    add = new.acc.add
-    new.acc.add = lambda arm, weight, fn: (weights.append(weight), add(arm, weight, fn))
+    add = acc.add
+    acc.add = lambda arm, weight, fn: (weights.append(weight), add(arm, weight, fn))
     # the probe table follows the learner's own adds: one full evaluation per run
     batches = []
-    eval_batch = new.acc.eval_batch
-    new.acc.eval_batch = lambda contexts: batches.append(1) or eval_batch(contexts)
+    eval_batch = acc.eval_batch
+    acc.eval_batch = lambda contexts: batches.append(1) or eval_batch(contexts)
     arms = set()
     contexts = set()
     for t in range(env.horizon):
@@ -511,7 +503,7 @@ def test_known_nu_matches_reference_round_by_round(case):
         arms.add(arm)
         contexts.add(context)
     assert len(arms) == env.n_arms
-    assert np.array_equal(new.acc.coef, ref.acc.coef)
+    assert np.array_equal(acc.coef, ref.acc.coef)
     assert len(batches) == 1
     # which contexts were played from a probe-table row
     from_table = {c for c in contexts if space.ids or c in space.rows}
@@ -524,9 +516,9 @@ def test_known_nu_rejects_a_space_without_weights():
     space = env.context_space
     acc = make_accumulator(env.acc_kind, env.n_arms, env.n_contexts)
     with pytest.raises(ParamError, match="weights"):
-        KnownNuLearner(acc, ContextSpace(space.contexts), 0.1, RngStream(6, 2),
-                       active=env.active_mask)
-    KnownNuLearner(acc, space, 0.1, RngStream(6, 2), active=env.active_mask)
+        KnownNuLearner([acc], [ContextSpace(space.contexts)], 0.1, [RngStream(6, 2)],
+                       active=[env.active_mask])
+    KnownNuLearner([acc], [space], 0.1, [RngStream(6, 2)], active=[env.active_mask])
 
 
 LOCKSTEP_SEEDS = [6, 11, 17]
@@ -598,6 +590,12 @@ def test_lockstep_known_nu_refuses_seeds_that_differ():
     acc, space, rng, active = _known_nu_parts(env, 0)
     with pytest.raises(ParamError, match="one accumulator, space, stream"):
         KnownNuLearner([acc, acc], [space], 0.1, [rng, rng], active=[active, active])
+    # a part that is not a list of seeds, next to ones that are
+    for parts in (([acc], [space], [rng], active), ([acc], space, [rng], [active]),
+                  ([acc], [space], rng, [active]), (acc, [space], [rng], [active]),
+                  (acc, [space], [rng], None)):
+        with pytest.raises(ParamError, match="must be lists, one per seed"):
+            KnownNuLearner(parts[0], parts[1], 0.1, parts[2], active=parts[3])
 
 
 class _RefPerContextExp3:
@@ -1241,10 +1239,10 @@ EXPONENT_SPECS = {
 
 
 def _current_exponents(table, acc):
-    """The rows and maxima of an exponent table as a round reads them."""
+    """The rows of an exponent table as a round reads them."""
     if table.version != acc.version:
         table.rebuild()
-    return table.rows, table.tops
+    return table.rows
 
 
 @pytest.mark.parametrize("reference, one_arm", [(False, False), (True, False), (False, True)],
@@ -1285,14 +1283,13 @@ def test_exponent_rows_match_per_round_softmax_after_every_add(name, reference, 
                 fresh = learner_module.SpaceTable(acc, space, masks, eta)
                 fresh.rebuild()
                 assert table.exponents.tobytes() == fresh.exponents.tobytes(), step
-                assert np.array(table.tops).tobytes() == np.array(fresh.tops).tobytes()
                 rebuilt.pop()  # the fresh table's
         if table.version != acc.version:
             want_rebuilt.append(acc.version)
-        z_rows, tops = _current_exponents(table, acc)
+        z_rows = _current_exponents(table, acc)
         for i, c, mask in zip(rows, contexts, context_masks):
             want = _ref_ftrl_weights(acc.eval_column(c), eta, mask)
-            got = np.asarray(ftrl_weights(z_rows[i], None, tops[i]))
+            got = np.asarray(ftrl_weights(z_rows[i]))
             assert got.tobytes() == want.tobytes(), (step, c)
         want = _ref_ftrl_weights_batch(np.ascontiguousarray(acc.eval_batch(space.contexts)),
                                        eta, ref_masks)
@@ -1402,7 +1399,7 @@ def test_tables_give_inactive_arms_zero_weight():
         params = dataclasses.replace(calibrated_params(env.n_arms, env.horizon), eta=0.5)
         learner = _cross_learner(env, params, space)
         acc = make_accumulator(env.acc_kind, env.n_arms, getattr(env, "n_contexts", None))
-        known = KnownNuLearner(acc, space, 0.5, RngStream(3, 2), active=env.active_mask)
+        known = KnownNuLearner([acc], [space], 0.5, [RngStream(3, 2)], active=[env.active_mask])
         snapshots = set()
         for t in range(env.horizon):
             context = env.context(t)
@@ -1410,7 +1407,7 @@ def test_tables_give_inactive_arms_zero_weight():
             known.step(context, lambda a: env.reveal(t, a))
             ex = learner._exponents
             _current_exponents(ex, learner.acc)
-            for table in (learner.snapshot_table, known.probe_table()):
+            for table in (learner.snapshot_table, known.probe_table()[0]):
                 assert (table[inactive] == 0.0).all() and (table[~inactive] > 0.0).all()
             assert (ex.exponents[inactive] == -np.inf).all()
             assert np.isfinite(ex.exponents[~inactive]).all()

@@ -202,8 +202,8 @@ def test_from_tensor_normalises_nu_for_known_nu_and_audit():
     oracle = env.known_nu_oracle()
     assert oracle is env.context_space and oracle.weights.tolist() == [0.25] * 4
     acc = make_accumulator(env.acc_kind, env.n_arms, env.n_contexts)
-    learner = KnownNuLearner(acc, oracle, known_nu_rate(env.n_arms, env.horizon),
-                             RngStream(0, 2), active=env.active_mask)
+    learner = KnownNuLearner([acc], [oracle], known_nu_rate(env.n_arms, env.horizon),
+                             [RngStream(0, 2)], active=[env.active_mask])
     for t in range(env.horizon):
         learner.step(env.context(t), lambda a: env.reveal(t, a))
     assert acc.version == env.horizon
