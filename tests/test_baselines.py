@@ -137,11 +137,22 @@ def test_known_nu_tiny_denominator_flagged():
                               rngs=[RngStream(2, 2) for _ in accs])
         expected = algo.space.weights @ algo.probe_table()
         assert algo.tiny_denominator_count == [0] * len(accs)
-        floored = [[algo._denominator(r, arm, expected[r]) == 1e-9 for arm in range(K)]
-                   for r in range(len(accs))]
+        got = [[algo._denominator(r, arm, expected[r]) for arm in range(K)]
+               for r in range(len(accs))]
         # arm 1 of the tilted seed, the last, is the one floored and counted
-        assert floored == [[False, False]] * (len(accs) - 1) + [[False, True]]
+        assert got[-1][1] == 1e-9
         assert algo.tiny_denominator_count == [0] * (len(accs) - 1) + [1]
+        # every other denominator is the unfloored E[p(., arm)] of its own
+        # seed: the tilted seed's arm 0 holds nearly all the mass, and the
+        # healthy seed's untouched arms are uniform
+        for r in range(len(accs)):
+            for arm in range(K):
+                if (r, arm) != (len(accs) - 1, 1):
+                    assert got[r][arm] == float(expected[r][arm])
+        assert got[-1][0] > 0.5
+        for arm in range(K):
+            assert all(got[r][arm] == pytest.approx(0.5, abs=1e-12)
+                       for r in range(len(accs) - 1))
 
 
 def test_known_nu_learns():
