@@ -21,6 +21,14 @@ run is reproducible from (spec, seed) alone. The learner-facing surface is:
 
 Auction losses are affinely rescaled into [0, 1] as (1 - (v-b)*win)/2; the
 harness multiplies reported auction regret by regret_scale = 2 to undo it.
+
+This module owns the env spec of a config, a JSON object whose format is
+SPEC_FIELDS at every level: the env's kind and fields, and the objects it
+nests (values, payments, availability, losses). check_spec checks a spec
+before any run, without building an env or drawing: the kinds, the field
+names, the sizes C and K, and that a known-nu learner's env has its
+context distribution. build_env builds the env of a spec, and checks the
+values inside its fields (NaN, ranges, lengths) as it does.
 """
 
 from __future__ import annotations
@@ -57,6 +65,19 @@ def auction_loss(value, bid, payment):
     return 0.5 * (1.0 - (value - bid) * win)
 
 
+def is_int(value, low):
+    """value is an integer (not a bool) >= low."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= low)
+
+
+def is_whole(value, low):
+    """value is an integer (not a bool) or a float with no fractional part
+    (JSON may write 1e3 or 512.0), >= low; its reader applies int() to it."""
+    return is_int(value, low) or (isinstance(value, float) and value.is_integer()
+                                  and value >= low)
+
+
 def _number(value, name):
     """value as a finite float; EnvError naming the field if it is not a
     number, or is NaN or infinite (JSON configs can carry NaN, which
@@ -76,13 +97,6 @@ def _positive(value, name):
     if not x > 0:
         raise EnvError(f"{name} must be a finite number > 0, got {value!r}")
     return x
-
-
-def _field(spec, key, name):
-    """spec[key]; EnvError naming the field if the spec lacks it."""
-    if key not in spec:
-        raise EnvError(f"{name} field {key!r} is missing")
-    return spec[key]
 
 
 def _numbers(values, name):
@@ -108,37 +122,55 @@ def _weights(values, n, name):
     return w
 
 
-# the fields each kind of a nested spec object reads besides its kind
+# spec object -> (its kind when it names none, {kind: (required fields,
+# optional fields) besides "kind"}). "env" is the env spec of a config, which
+# must name its kind; the others are the objects an env spec nests under
+# their own names.
 SPEC_FIELDS = {
-    "values": {"uniform": (), "beta": ("a", "b"), "discrete": ("atoms", "probs")},
-    "payments": {"iid_uniform": ("lo", "hi"), "iid_beta": ("a", "b"),
-                 "iid_discrete": ("atoms", "probs"), "periodic": ("pattern",),
-                 "drift": ("base", "amplitude", "period", "noise")},
-    "availability": {"bernoulli": ("probs",), "categorical": ("subsets", "probs")},
-    "losses": {"iid_uniform": (), "means_noise": ("means", "amp")},
+    "env": (None, {"tabular_synthetic": (("C", "K"), ("gap", "noise", "nu", "active")),
+                   "auction": ((), ("K", "values", "payments")),
+                   "sleeping": (("K",), ("availability", "losses"))}),
+    "values": ("uniform", {"uniform": ((), ()), "beta": (("a", "b"), ()),
+                           "discrete": (("atoms", "probs"), ())}),
+    "payments": ("iid_uniform", {"iid_uniform": ((), ("lo", "hi")), "iid_beta": (("a", "b"), ()),
+                                 "iid_discrete": (("atoms", "probs"), ()),
+                                 "periodic": (("pattern",), ()),
+                                 "drift": ((), ("base", "amplitude", "period", "noise"))}),
+    "availability": ("bernoulli", {"bernoulli": (("probs",), ()),
+                                   "categorical": (("subsets", "probs"), ())}),
+    "losses": ("means_noise", {"iid_uniform": ((), ()), "means_noise": ((), ("means", "amp"))}),
 }
 
 
-def _spec(spec, name, default):
-    """A nested spec object of an env (values, payments, availability,
-    losses) and its kind, default["kind"] when it names none: the default
-    when empty, else a dict of a kind in SPEC_FIELDS[name] holding only
-    fields that kind reads; EnvError naming the object, the kind or the
-    first other field otherwise, so that a misspelt field does not run
-    on its default."""
-    if not spec:
-        return default["kind"], default
+def _spec(spec, name):
+    """The kind of a spec object of SPEC_FIELDS[name], and the object: a
+    nested object left out or empty is {} of its default kind. EnvError
+    naming the object, its kind or the first field that the kind does not
+    read (a misspelt field must not run on its default), that is a size C
+    or K but no whole number >= 1 (or null, where optional), or that is
+    missing; the objects it nests are checked the same way."""
+    default, kinds = SPEC_FIELDS[name]
+    if not spec and default is not None:
+        return default, {}
     if not isinstance(spec, dict):
         raise EnvError(f"{name} must be an object with a kind, got {spec!r}")
-    kind = spec.get("kind", default["kind"])
-    fields = SPEC_FIELDS[name].get(kind) if isinstance(kind, str) else None
-    if fields is None:
-        raise EnvError(f"unknown {name} kind {kind!r}, expected one of "
-                       f"{sorted(SPEC_FIELDS[name])}")
-    for key in spec:
-        if key != "kind" and key not in fields:
+    kind = spec.get("kind", default)
+    if not (isinstance(kind, str) and kind in kinds):
+        raise EnvError(f"{name} kind must be one of {sorted(kinds)}, got {kind!r}")
+    required, optional = kinds[kind]
+    for key, value in spec.items():
+        if key == "kind":
+            continue
+        if key not in required and key not in optional:
             raise EnvError(f"{name} field {key!r} is not read by kind {kind!r}, "
-                           f"which reads {list(fields)}")
+                           f"which reads {list(required + optional)}")
+        if key in SPEC_FIELDS:
+            _spec(value, key)
+        elif key in ("C", "K") and not (is_whole(value, 1) or value is None and key in optional):
+            raise EnvError(f"{name} field {key!r} must be an integer >= 1, got {value!r}")
+    for key in required:
+        if key not in spec:
+            raise EnvError(f"{name} kind {kind!r} needs the field {key!r}")
     return kind, spec
 
 
@@ -350,16 +382,16 @@ def _value_sampler(kind, spec, n, gen):
     if kind == "uniform":
         return gen.random(n), (lambda x: np.clip(x, 0.0, 1.0)), None
     if kind == "beta":
-        a = _positive(spec.get("a"), "values field 'a'")
-        b = _positive(spec.get("b"), "values field 'b'")
+        a = _positive(spec["a"], "values field 'a'")
+        b = _positive(spec["b"], "values field 'b'")
         from scipy.stats import beta as beta_dist
 
         return gen.beta(a, b, n), (lambda x: beta_dist.cdf(x, a, b)), None
     # discrete
-    atoms = _numbers(_field(spec, "atoms", "values"), "values field 'atoms'")
+    atoms = _numbers(spec["atoms"], "values field 'atoms'")
     if not ((atoms >= 0) & (atoms <= 1)).all():
         raise EnvError(f"values field 'atoms' must lie in [0, 1], got {spec['atoms']!r}")
-    probs = _weights(_field(spec, "probs", "values"), atoms.size, "values field 'probs'")
+    probs = _weights(spec["probs"], atoms.size, "values field 'probs'")
     probs = probs / probs.sum()
     idx = _categorical(probs, n, gen)
     return atoms[idx], None, (atoms, probs)
@@ -374,15 +406,15 @@ def _payment_sequence(kind, spec, n, gen):
                            f"got lo={lo!r}, hi={hi!r}")
         return lo + (hi - lo) * gen.random(n)
     if kind == "iid_beta":
-        return gen.beta(_positive(spec.get("a"), "payments field 'a'"),
-                        _positive(spec.get("b"), "payments field 'b'"), n)
+        return gen.beta(_positive(spec["a"], "payments field 'a'"),
+                        _positive(spec["b"], "payments field 'b'"), n)
     if kind == "iid_discrete":
-        atoms = _numbers(_field(spec, "atoms", "payments"), "payments field 'atoms'")
-        probs = _weights(_field(spec, "probs", "payments"), atoms.size, "payments field 'probs'")
+        atoms = _numbers(spec["atoms"], "payments field 'atoms'")
+        probs = _weights(spec["probs"], atoms.size, "payments field 'probs'")
         probs = probs / probs.sum()
         return atoms[_categorical(probs, n, gen)]
     if kind == "periodic":
-        pattern = _numbers(_field(spec, "pattern", "payments"), "payments field 'pattern'")
+        pattern = _numbers(spec["pattern"], "payments field 'pattern'")
         return np.tile(pattern, n // pattern.size + 1)[:n]
     # drift
     base = _number(spec.get("base", 0.5), "payments field 'base'")
@@ -430,8 +462,8 @@ class AuctionEnv:
     @classmethod
     def generate(cls, horizon, rng, values=None, payments=None, n_arms=None):
         gen = rng.gen
-        values = _spec(values, "values", {"kind": "uniform"})
-        payments = _spec(payments, "payments", {"kind": "iid_uniform"})
+        values = _spec(values, "values")
+        payments = _spec(payments, "payments")
         if n_arms is None:
             n_arms = default_auction_arms(horizon)
         v, cdf, atoms = _value_sampler(*values, horizon, gen)
@@ -476,8 +508,7 @@ def _subset_bits(subset, n_arms):
     """The bitmask of a nonempty list of arms in 0..n_arms-1; EnvError
     naming the availability field 'subsets' otherwise."""
     arms = subset if isinstance(subset, (list, tuple)) else None
-    if not arms or not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool)
-                           and 0 <= k < n_arms for k in arms):
+    if not arms or not all(is_int(k, 0) and k < n_arms for k in arms):
         raise EnvError(f"availability field 'subsets' must hold nonempty lists of "
                        f"arms in 0..{n_arms - 1}, got {subset!r}")
     return sum(1 << int(k) for k in set(arms))
@@ -485,6 +516,14 @@ def _subset_bits(subset, n_arms):
 
 def subset_to_mask(bitmask, n_arms):
     return (bitmask >> np.arange(n_arms)) & 1 == 1
+
+
+def _lists_subsets(availability, n_arms):
+    """Whether a sleeping env of this availability kind and K enumerates
+    its subsets with their probabilities, which known_nu needs: listed
+    (categorical) subsets always, Bernoulli ones up to
+    SUBSET_SPACE_MAX_ARMS arms."""
+    return availability != "bernoulli" or n_arms <= SUBSET_SPACE_MAX_ARMS
 
 
 class SleepingEnv:
@@ -512,17 +551,17 @@ class SleepingEnv:
     @classmethod
     def generate(cls, horizon, n_arms, rng, availability=None, losses=None):
         gen = rng.gen
-        akind, availability = _spec(availability, "availability",
-                                    {"kind": "bernoulli", "probs": [0.5] * n_arms})
-        lkind, losses = _spec(losses, "losses", {"kind": "means_noise"})
+        akind, availability = _spec(availability, "availability")
+        lkind, losses = _spec(losses, "losses")
         if akind == "bernoulli":
-            probs = _numbers(_field(availability, "probs", "availability"),
-                             "availability field 'probs'")
+            # a given bernoulli object holds probs; a left-out one is {}
+            given = availability.get("probs", [0.5] * n_arms)
+            probs = _numbers(given, "availability field 'probs'")
             if probs.size != n_arms:
                 raise EnvError("availability probs must have length K")
             if not ((probs >= 0) & (probs <= 1)).all():  # NaN fails too
                 raise EnvError(f"availability field 'probs' must lie in [0, 1], "
-                               f"got {availability['probs']!r}")
+                               f"got {given!r}")
             if not (probs > 0).any():
                 raise EnvError("availability probs are all zero")
             # one row per attempt, rejecting empty rows, in the order a
@@ -539,16 +578,15 @@ class SleepingEnv:
                 subsets[done:done + len(kept)] = kept @ bits
                 done += len(kept)
             subset_probs = None
-            if n_arms <= SUBSET_SPACE_MAX_ARMS:
+            if _lists_subsets(akind, n_arms):
                 subset_probs = cls._bernoulli_subset_probs(probs)
         else:  # categorical
-            subsets = _field(availability, "subsets", "availability")
+            subsets = availability["subsets"]
             if not (isinstance(subsets, (list, tuple)) and subsets):
                 raise EnvError(f"availability field 'subsets' must be a nonempty list, "
                                f"got {subsets!r}")
             masks = [_subset_bits(subset, n_arms) for subset in subsets]
-            probs = _weights(_field(availability, "probs", "availability"), len(masks),
-                             "availability field 'probs'")
+            probs = _weights(availability["probs"], len(masks), "availability field 'probs'")
             idx = _categorical(probs, horizon, gen)
             subsets = np.asarray(masks, dtype=np.int64)[idx]
             subset_probs = (np.asarray(masks, dtype=np.int64), probs / probs.sum())
@@ -608,6 +646,40 @@ class SleepingEnv:
         if self.context_space is None:
             raise EnvError("exact subset distribution unavailable (K too large)")
         return self.context_space
+
+
+def check_spec(spec, known_nu=False):
+    """Check an env spec without building its env or drawing: its kind and
+    those of the objects it nests, their field names, the sizes C and K,
+    and, when known_nu, that its env has the context distribution a
+    known-nu learner reads. EnvError naming the first fault; the values of
+    the fields are checked when the env is built (build_env)."""
+    kind, spec = _spec(spec, "env")
+    if known_nu and kind == "sleeping":
+        n_arms = int(spec["K"])
+        if not _lists_subsets(_spec(spec.get("availability"), "availability")[0], n_arms):
+            raise EnvError(
+                f"known_nu needs the subset distribution of a Bernoulli sleeping env, "
+                f"enumerated only for K <= {SUBSET_SPACE_MAX_ARMS}; got K={n_arms}")
+
+
+def spec_arms(spec, horizon):
+    """Number of arms of the env a checked spec builds at this horizon."""
+    n_arms = spec.get("K")
+    return default_auction_arms(horizon) if n_arms is None else int(n_arms)
+
+
+def build_env(spec, horizon, rng):
+    """The env of an env spec over `horizon` rounds, drawn from rng;
+    EnvError naming the field of a spec check_spec refuses or of a bad
+    value."""
+    kind, spec = _spec(spec, "env")
+    fields = {key: value for key, value in spec.items() if key not in ("kind", "C", "K")}
+    if kind == "tabular_synthetic":
+        return TabularEnv.synthetic(int(spec["C"]), int(spec["K"]), horizon, rng, **fields)
+    if kind == "auction":
+        return AuctionEnv.generate(horizon, rng, n_arms=spec_arms(spec, horizon), **fields)
+    return SleepingEnv.generate(horizon, int(spec["K"]), rng, **fields)
 
 
 class RegretTracker:

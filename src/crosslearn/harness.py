@@ -2,12 +2,15 @@
 
 Configs are JSON: an environment spec, a list of algorithms, an ascending
 horizon grid, seeds, optional parameter overrides for the cross-learner,
-and an output path. Each (algo, T, seed) run gets a fresh environment from
-stream (seed, 0) and a fresh learner from stream (seed, algo-id), so results
-are reproducible and independent of execution order; parallel execution
-(capped by CROSSLEARN_THREADS) returns exactly the serial results. The
-known_nu seeds of a horizon run in lockstep groups, one learner stepping
-several seeds, each with the bits it gets alone.
+and an output path. validate_config checks a config before any run; the
+env spec is checked by envs.check_spec, whose EnvError it raises as a
+ConfigError with the same text. Each (algo, T, seed) run gets a fresh
+environment from stream (seed, 0) and a fresh learner from stream
+(seed, algo-id), so results are reproducible and independent of execution
+order; parallel execution (capped by CROSSLEARN_THREADS) returns exactly
+the serial results. The known_nu seeds of a horizon run in lockstep
+groups, one learner stepping several seeds, each with the bits it gets
+alone.
 
 The results CSV has one row per checkpoint (powers of two and T) with the
 fixed header below. Wall-clock timing breaks byte-level reproducibility, so
@@ -29,8 +32,8 @@ import numpy as np
 
 from .accumulator import make_accumulator
 from .baselines import KnownNuLearner, PerContextExp3, known_nu_rate
-from .envs import (SCORE_BLOCK, SUBSET_SPACE_MAX_ARMS, AuctionEnv, EnvError, RegretTracker,
-                   SleepingEnv, TabularEnv, default_auction_arms)
+from .envs import (SCORE_BLOCK, EnvError, RegretTracker, build_env, check_spec, is_int, is_whole,
+                   spec_arms)
 from .learner import (CrossLearner, ParamError, calibrated_params,
                       tune_parameters, with_overrides)
 from .simplex import RngStream
@@ -62,13 +65,6 @@ BOOTSTRAP_LEVEL = 0.95
 
 CONFIG_FIELDS = ("env", "algos", "T_grid", "seeds", "overrides", "output", "workers")
 
-# env kind -> (required fields, optional fields) of its spec, besides "kind"
-ENV_FIELDS = {
-    "tabular_synthetic": (("C", "K"), ("gap", "noise", "nu", "active")),
-    "auction": ((), ("K", "values", "payments")),
-    "sleeping": (("K",), ("availability", "losses")),
-}
-
 
 class ConfigError(ValueError):
     pass
@@ -92,72 +88,6 @@ def checkpoint_schedule(horizon):
     if cps[-1] != horizon:
         cps.append(horizon)
     return cps
-
-
-def _is_int(value, low):
-    """value is an integer (not a bool) >= low."""
-    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            and value >= low)
-
-
-def _is_whole(value, low):
-    """value is an integer (not a bool) or a float with no fractional part
-    (JSON may write 1e3 or 512.0), >= low; the runs apply int() to it."""
-    return _is_int(value, low) or (isinstance(value, float) and value.is_integer()
-                                   and value >= low)
-
-
-def check_env_spec(env_spec):
-    """Return the kind of an env spec; raise ConfigError naming the first
-    missing or unknown field, or a C or K that is not a whole number >= 1
-    (or null, where it is optional)."""
-    if not isinstance(env_spec, dict) or "kind" not in env_spec:
-        raise ConfigError("config needs an env spec with a kind")
-    kind = env_spec["kind"]
-    if kind not in ENV_FIELDS:
-        raise ConfigError(f"unknown environment kind {kind!r}")
-    required, optional = ENV_FIELDS[kind]
-    for key in required:
-        if key not in env_spec:
-            raise ConfigError(f"{kind} env spec needs the field {key!r}")
-    for key in env_spec:
-        if key != "kind" and key not in required and key not in optional:
-            raise ConfigError(f"unknown field {key!r} in the {kind} env spec")
-    for key in ("C", "K"):
-        if key not in env_spec:
-            continue
-        value = env_spec[key]
-        # an optional size given as null takes its default
-        if not (_is_whole(value, 1) or value is None and key in optional):
-            raise ConfigError(f"env spec field {key!r} must be an integer >= 1, "
-                              f"got {value!r}")
-    return kind
-
-
-def spec_arms(env_spec, horizon):
-    """Number of arms of the env a checked spec builds at this horizon."""
-    n_arms = env_spec.get("K")
-    return default_auction_arms(horizon) if n_arms is None else int(n_arms)
-
-
-def build_env(env_spec, horizon, rng):
-    kind = check_env_spec(env_spec)
-    spec = dict(env_spec)
-    del spec["kind"]
-    if kind == "tabular_synthetic":
-        return TabularEnv.synthetic(
-            n_contexts=int(spec.pop("C")), n_arms=int(spec.pop("K")),
-            horizon=horizon, rng=rng, **spec)
-    if kind == "auction":
-        n_arms = spec.pop("K", None)
-        return AuctionEnv.generate(
-            horizon, rng, values=spec.pop("values", None),
-            payments=spec.pop("payments", None),
-            n_arms=int(n_arms) if n_arms is not None else None)
-    return SleepingEnv.generate(
-        horizon, int(spec.pop("K")), rng,
-        availability=spec.pop("availability", None),
-        losses=spec.pop("losses", None))
 
 
 def crosslearn_params(n_arms, horizon, overrides):
@@ -286,27 +216,20 @@ def validate_config(config):
             # an old config may still set timing: name the flag that does it
             hint = "; use `crosslearn run --timing`" if key == "timing" else ""
             raise ConfigError(f"unknown config field {key!r}{hint}")
-    env_spec = config.get("env")
-    kind = check_env_spec(env_spec)
     algos = config.get("algos")
     if not isinstance(algos, (list, tuple)) or not algos:
         raise ConfigError(f"config needs a nonempty algos list, got {algos!r}")
     for a in algos:
         if not isinstance(a, str) or a not in ALGO_STREAMS:
             raise ConfigError(f"unknown algorithm {a!r}")
-    if "known_nu" in algos and kind == "sleeping":
-        # known_nu reads the env's subset distribution, which Bernoulli
-        # availability enumerates only up to a size; fail before any run
-        n_arms, availability = int(env_spec["K"]), env_spec.get("availability")
-        bernoulli = not availability or (isinstance(availability, dict)
-                                         and availability.get("kind", "bernoulli") == "bernoulli")
-        if bernoulli and n_arms > SUBSET_SPACE_MAX_ARMS:
-            raise ConfigError(
-                f"known_nu needs the subset distribution of a Bernoulli sleeping env, "
-                f"enumerated only for K <= {SUBSET_SPACE_MAX_ARMS}; got K={n_arms}")
+    env_spec = config.get("env")
+    try:
+        check_spec(env_spec, known_nu="known_nu" in algos)
+    except EnvError as err:
+        raise ConfigError(str(err)) from err
     grid = config.get("T_grid")
     if (not isinstance(grid, (list, tuple)) or not grid
-            or not all(_is_whole(t, 1) for t in grid)):
+            or not all(is_whole(t, 1) for t in grid)):
         raise ConfigError(f"T_grid must be a nonempty list of positive integer "
                           f"horizons, got {grid!r}")
     if list(grid) != sorted(set(grid)):
@@ -315,13 +238,13 @@ def validate_config(config):
     if not isinstance(seeds, (list, tuple)) or not seeds:
         raise ConfigError(f"config needs a nonempty seeds list, got {seeds!r}")
     for seed in seeds:
-        if not _is_whole(seed, 0):
+        if not is_whole(seed, 0):
             raise ConfigError(f"seeds must be integers >= 0, got {seed!r}")
     if not isinstance(config.get("output", ""), str):
         raise ConfigError(f"output must be a path, got {config['output']!r}")
     if "workers" in config:
         workers = config["workers"]
-        if not _is_int(workers, 1):
+        if not is_int(workers, 1):
             raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     if "crosslearn" in algos or config.get("overrides") is not None:
         # built at every horizon, so bad parameters fail before any run

@@ -3,7 +3,10 @@ bad field, from run_experiment and from `crosslearn run`, before any run
 starts. Needs hypothesis (the `test` extra in pyproject.toml)."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,8 +15,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from crosslearn import harness
-from crosslearn.envs import SUBSET_SPACE_MAX_ARMS, EnvError
-from crosslearn.harness import ENV_FIELDS, ConfigError, main, run_experiment, validate_config
+from crosslearn.envs import SPEC_FIELDS, SUBSET_SPACE_MAX_ARMS, EnvError
+from crosslearn.harness import ConfigError, main, run_experiment, validate_config
+
+_, ENV_FIELDS = SPEC_FIELDS["env"]  # env kind -> (required, optional) fields
 
 NOT_A_LIST = st.one_of(st.none(), st.integers(), st.text(), st.floats(allow_nan=False),
                        st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
@@ -297,3 +302,50 @@ def test_known_nu_needs_enumerated_subsets(monkeypatch):
     validate_config(config(env={"kind": "sleeping", "K": limit + 1}, algos=["crosslearn"]))
     validate_config(config(env={"kind": "sleeping", "K": limit + 1, "availability": {
         "kind": "categorical", "subsets": [[0], [1, limit]], "probs": [1, 1]}}))
+
+
+@pytest.mark.parametrize("env, field", [
+    ({"kind": ["auction"]}, "['auction']"),
+    ({"kind": {"name": "auction"}}, "{'name': 'auction'}"),
+    (_auction(values={"kind": ["beta"], "a": 2, "b": 2}), "['beta']"),
+    (_sleeping({"kind": "bernouli", "probs": [0.5] * 3}), "'bernouli'"),
+    (_auction(values={"kind": "discrete", "atomz": [0.5], "probs": [1]}), "'atomz'"),
+    (_auction(payments={"kind": "iid_gauss", "lo": 0.2}), "'iid_gauss'"),
+    (dict(_sleeping({}), losses={"kind": "iid_uniform", "means": [0.2, 0.5, 0.8]}), "'means'"),
+], ids=["list_kind", "dict_kind", "nested_list_kind", "availability_kind",
+        "values_field", "payments_kind", "losses_field"])
+def test_misspelt_kind_or_field_fails_before_any_run(tmp_path, capsys, monkeypatch, env, field):
+    # kinds and field names at every level of an env spec are checked with
+    # the config, not when a run builds its env
+    monkeypatch.setattr(harness, "build_env", None)  # any run would crash
+    with pytest.raises(ConfigError, match=re.escape(field)):
+        validate_config(config(env=env))
+    out = tmp_path / "r.csv"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config(env=env, output=str(out))))
+    capsys.readouterr()
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not out.exists()
+
+
+def test_validation_draws_nothing():
+    # validating a config builds no env: it loads neither numpy's random
+    # module, which every RngStream needs, nor scipy, which beta values need
+    probe = f"""
+import sys
+from crosslearn.harness import validate_config
+for env in ({{"kind": "tabular_synthetic", "C": 4, "K": 3, "nu": [1, 2, 3, 4]}},
+            {{"kind": "auction", "values": {{"kind": "beta", "a": 2, "b": 2}},
+             "payments": {{"kind": "drift", "period": 8}}}},
+            {{"kind": "sleeping", "K": {SUBSET_SPACE_MAX_ARMS},
+             "availability": {{"probs": [0.5] * {SUBSET_SPACE_MAX_ARMS}}}}}):
+    validate_config({{"env": env, "algos": ["crosslearn", "known_nu", "exp3_per_context"],
+                     "T_grid": [64, 4096], "seeds": [0, 1]}})
+print(sorted(m for m in ("numpy.random", "scipy") if m in sys.modules))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
