@@ -144,13 +144,14 @@ SPEC_FIELDS = {
 
 def _spec(spec, name):
     """The kind of a spec object of SPEC_FIELDS[name], and the object: a
-    nested object left out or empty is {} of its default kind. EnvError
+    nested object left out (None) or empty ({}) is {} of its default kind;
+    any other value that is no object, falsy or not, is refused. EnvError
     naming the object, its kind or the first field that the kind does not
     read (a misspelt field must not run on its default), that is a size C
     or K but no whole number >= 1 (or null, where optional), or that is
     missing; the objects it nests are checked the same way."""
     default, kinds = SPEC_FIELDS[name]
-    if not spec and default is not None:
+    if (spec is None or spec == {}) and default is not None:
         return default, {}
     if not isinstance(spec, dict):
         raise EnvError(f"{name} must be an object with a kind, got {spec!r}")

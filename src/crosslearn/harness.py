@@ -237,9 +237,13 @@ def validate_config(config):
     seeds = config.get("seeds")
     if not isinstance(seeds, (list, tuple)) or not seeds:
         raise ConfigError(f"config needs a nonempty seeds list, got {seeds!r}")
+    seen = set()
     for seed in seeds:
         if not is_whole(seed, 0):
             raise ConfigError(f"seeds must be integers >= 0, got {seed!r}")
+        if seed in seen:  # a repeat would be scored twice as two seeds
+            raise ConfigError(f"seeds must be distinct, got seed {seed!r} twice")
+        seen.add(seed)
     if not isinstance(config.get("output", ""), str):
         raise ConfigError(f"output must be a path, got {config['output']!r}")
     if "workers" in config:

@@ -44,36 +44,18 @@ from .simplex import (BlockUniforms, SimplexError, ftrl_weights, ftrl_weights_ba
 BERN_TOL = 1e-12
 _REL_TOL = 1e-9
 
-# Largest snapshot table over a space other than context ids, in contexts
-# per round of the epoch; context ids (tabular envs) always get a table.
-# Without a table every snapshot lookup is a one-row softmax; a table costs
-# one batch row per context. Measured per simulated round of the
-# paired-epoch learner (numpy 2.4.6, Python 3.11, 2-vCPU x86_64), a table
-# breaks even at 20 to 38 contexts per round (sleeping K=6 and K=10, 63 and
-# 1 023 subsets; auction K=13 on 64 atoms) and at 4 it cuts the cost of a
-# round by 29% to 34%. The value is not that break-even: it is bound by
+# Largest tabulated space other than context ids, in contexts per round of
+# the epoch; context ids (tabular envs) are always tabulated. Without a
+# table every snapshot lookup is a one-row softmax; a table costs one batch
+# row per context. Measured per simulated round of the paired-epoch learner
+# (numpy 2.4.6, Python 3.11, 2-vCPU x86_64), a table breaks even at 20 to 38
+# contexts per round (sleeping K=6 and K=10, 63 and 1 023 subsets; auction
+# K=13 on 64 atoms) and at 4 it cuts the cost of a round by 29% to 34%. The
+# value is not that break-even: it is bound by
 # perfbench/tests/test_perfbench.py, whose shrunken reductions_grid plan
 # (epochs of 6 to 8 rounds over 63 to 64 contexts) must make no batched
 # softmax call. Raise it towards the break-even when that test changes.
 TABLE_ROWS_PER_ROUND = 4
-
-# Largest tabulated space over which the learner keeps a SpaceTable that
-# follows its accumulator. Each kept loss sample is followed by a one-arm
-# update (one arm's exponents at every context); a round that reads the
-# table instead of evaluating the accumulator saves 1.1 to 2.6 us. Measured
-# per update and per round (numpy 2.4.6, Python 3.11, 2-vCPU x86_64,
-# scaled to the reference speed of perfbench/hostspeed.py, medians of 6
-# runs), an update costs 1.6 us at 64 tabular contexts (K = 8), 1.8 at
-# 1 024 and 2.8 at 64 auction value atoms (K = 13); a full rebuild costs
-# 1.6, 3.6 and 6.5. Kept samples came every 4.1 to 4.8 rounds on every run
-# measured (tuned tabular C = 64 to 4 096, tuned and calibrated auction
-# atoms and sleeping subsets), and at most one comes per pair of rounds, so
-# the updates repay themselves within two rounds at every size measured,
-# 1 024 contexts included. The bound is on the number of contexts only:
-# the epoch length does not set how often the table is updated. It stays
-# at 128 until a benchmark workload above 64 contexts can check a larger
-# one end to end; every workload has 63 or 64.
-EXPONENT_TABLE_ROWS = 128
 
 
 class ParamError(ValueError):
@@ -272,9 +254,11 @@ def _sum_rows(rows, div):
 
 class SpaceTable:
     """The FTRL table of a source, a live accumulator or a SnapshotHandle,
-    over a finite context space: the exponents -eta * L(c, .) of its sum L
-    at every context c, -inf off c's active set (masks: the space_masks of
-    the space; SimplexError if one is empty), in the accumulator's (K, n)
+    over a finite context space. A CrossLearner that tabulates a space
+    keeps one over its accumulator and one frozen over each snapshot, and
+    none without. It holds the exponents -eta * L(c, .) of its sum L at
+    every context c, -inf off c's active set (masks: the space_masks of the
+    space; SimplexError if one is empty), in the accumulator's (K, n)
     layout. `exponents` is their transposed (n, K) view and `rows` the list
     of its rows, made when first read; the array is rewritten in place.
     weights() is the (n, K) distributions, one ftrl_weights_batch call,
@@ -394,15 +378,15 @@ class CrossLearner:
 
     active: None (every arm always active) or a callable context ->
     mask/None, an env's active_mask (ParamError otherwise).
-    space: the env's finite ContextSpace, or None. It is tabulated when its
-    contexts are ids or number at most TABLE_ROWS_PER_ROUND * epoch_len,
-    with the masks read from `active` once, at construction
-    (simplex.space_masks): each snapshot then freezes one SpaceTable over
-    it, and a space of at most EXPONENT_TABLE_ROWS contexts also gets one
-    that follows the accumulator (added() after each of the learner's own
-    kept loss samples, a rebuild after any other change), so a round at
-    one of its contexts hands its exponent row to ftrl_weights, whose only
-    numpy calls are then one subtract and one exp. Elsewhere a round
+    space: the env's finite ContextSpace, or None. It is tabulated, fully
+    or not at all, when its contexts are ids or number at most
+    TABLE_ROWS_PER_ROUND * epoch_len, with the masks read from `active`
+    once, at construction (simplex.space_masks): each snapshot then freezes
+    one SpaceTable over it, and one more follows the accumulator (added()
+    after each of the learner's own kept loss samples, a rebuild after any
+    other change), so a round at one of its contexts hands its exponent
+    row to ftrl_weights, whose only numpy calls are then one subtract and
+    one exp. Without a kept space, or at a context outside it, a round
     evaluates the accumulator at its context.
     reveal passed to step: callable arm -> LinearLoss of the played arm.
 
@@ -440,7 +424,7 @@ class CrossLearner:
         # context -> table row: {} without a space (no context has one),
         # None when the contexts are the row numbers
         self._rows = {} if space is None else space.rows
-        self._exponents = None if space is None or len(space) > EXPONENT_TABLE_ROWS \
+        self._exponents = None if space is None \
             else SpaceTable(accumulator, space, self._masks, self._eta)
         self.fallback_count = 0
         self.last_kept = None
@@ -510,9 +494,8 @@ class CrossLearner:
         L = self._L
         rows = self._rows
         i = context if rows is None else rows.get(context)
-        ex = self._exponents
-        # a context with rows in both tables needs no mask: its rows carry it
-        mask = None if i is not None and ex is not None else self._mask(context)
+        # a context with table rows needs no mask: its rows carry it
+        mask = None if i is not None else self._mask(context)
         gen = self._gen
 
         if t_next <= L:
@@ -527,14 +510,13 @@ class CrossLearner:
             return arm
 
         acc = self.acc
+        ex = self._exponents
         if i is None:
             s = self._snap_cur.row(None, context, mask)
+            p = ftrl_weights(np.multiply(acc.eval_column(context), -self._eta), mask)
         else:
             view = self._snap_cur
             s = view.lists[i] or view.fill(i)
-        if i is None or ex is None:
-            p = ftrl_weights(np.multiply(acc.eval_column(context), -self._eta), mask)
-        else:
             if ex.version != acc.version:
                 ex.rebuild()
             p = ftrl_weights(ex.rows[i])

@@ -42,7 +42,11 @@ BAD_T_GRID = st.one_of(
 BAD_SEEDS = st.one_of(
     NOT_A_LIST, st.just([]),
     _with_bad(st.lists(st.integers(0, 9), max_size=3),
-              st.one_of(NOT_AN_INT, st.integers(max_value=-1))))
+              st.one_of(NOT_AN_INT, st.integers(max_value=-1))),
+    # one seed listed twice, possibly once as a whole-number float
+    st.lists(st.integers(0, 9), min_size=1, max_size=3).flatmap(
+        lambda s: st.sampled_from([s[0], float(s[0])]).flatmap(
+            lambda again: st.permutations(s + [again]))))
 
 
 def _unknown_field(kind):
@@ -304,6 +308,18 @@ def test_known_nu_needs_enumerated_subsets(monkeypatch):
         "kind": "categorical", "subsets": [[0], [1, limit]], "probs": [1, 1]}}))
 
 
+# nested objects set to a falsy value that is neither null nor {}, written
+# out: _auction drops falsy fields
+FALSY = {"zero": 0, "empty_string": "", "empty_list": [], "false": False, "zero_float": 0.0}
+FALSY_NESTED = [
+    ({"kind": kind, "K": 3, name: FALSY[label]},
+     f"{name} must be an object with a kind, got {FALSY[label]!r}", f"{name}_{label}")
+    for kind, name, labels in (
+        ("auction", "values", FALSY), ("auction", "payments", FALSY),
+        ("sleeping", "availability", ("zero", "false")), ("sleeping", "losses", ("empty_list",)))
+    for label in labels]
+
+
 @pytest.mark.parametrize("env, field", [
     ({"kind": ["auction"]}, "['auction']"),
     ({"kind": {"name": "auction"}}, "{'name': 'auction'}"),
@@ -312,8 +328,9 @@ def test_known_nu_needs_enumerated_subsets(monkeypatch):
     (_auction(values={"kind": "discrete", "atomz": [0.5], "probs": [1]}), "'atomz'"),
     (_auction(payments={"kind": "iid_gauss", "lo": 0.2}), "'iid_gauss'"),
     (dict(_sleeping({}), losses={"kind": "iid_uniform", "means": [0.2, 0.5, 0.8]}), "'means'"),
-], ids=["list_kind", "dict_kind", "nested_list_kind", "availability_kind",
-        "values_field", "payments_kind", "losses_field"])
+] + [case[:2] for case in FALSY_NESTED],
+    ids=["list_kind", "dict_kind", "nested_list_kind", "availability_kind",
+         "values_field", "payments_kind", "losses_field"] + [case[2] for case in FALSY_NESTED])
 def test_misspelt_kind_or_field_fails_before_any_run(tmp_path, capsys, monkeypatch, env, field):
     # kinds and field names at every level of an env spec are checked with
     # the config, not when a run builds its env
@@ -328,6 +345,22 @@ def test_misspelt_kind_or_field_fails_before_any_run(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
     assert not out.exists()
+
+
+def test_repeated_seed_named_before_any_run(tmp_path, capsys, monkeypatch):
+    # a seed listed twice would be scored as two seeds of one horizon
+    monkeypatch.setattr(harness, "build_env", None)  # any run would crash
+    for seeds, named in (([3, 3], "3"), ([1, 3, 0, 3.0], "3.0")):
+        message = f"seeds must be distinct, got seed {named} twice"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_experiment(config(seeds=seeds))
+        out = tmp_path / "r.csv"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config(seeds=seeds, output=str(out))))
+        capsys.readouterr()
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 def test_validation_draws_nothing():

@@ -129,6 +129,8 @@ def _tabular(active):
 ENVS = {
     "tabular": lambda: _tabular(False),
     "tabular_active": lambda: _tabular(True),
+    # an id space of 256 contexts, the largest here
+    "tabular_large": lambda: TabularEnv.synthetic(256, 4, HORIZON, RngStream(9, 0)),
     "tabular_tensor": lambda: TabularEnv.from_tensor(
         np.random.default_rng(2).random((HORIZON, 3, 6)), np.ones(6) / 6,
         RngStream(4, 0)),
@@ -1168,8 +1170,8 @@ def test_audit_records_match_reference(case, monkeypatch):
 
 # Snapshot tables over the finite context space of an env, against rows
 # computed per lookup by the snapshot handle.
-TABLE_ENVS = ("tabular", "tabular_active", "auction_atoms", "sleeping_bernoulli",
-              "sleeping_categorical")
+TABLE_ENVS = ("tabular", "tabular_active", "tabular_large", "auction_atoms",
+              "sleeping_bernoulli", "sleeping_categorical")
 
 
 def _cross_learner(env, params, space):
@@ -1309,6 +1311,7 @@ def test_run_from_tables_matches_run_on_per_lookup_rows(name):
     tabled = _cross_learner(env, built.params, env.context_space)
     per_lookup = _cross_learner(env, built.params, None)
     assert tabled._snap_cur.table is not None and per_lookup._snap_cur.table is None
+    assert tabled._exponents is not None and per_lookup._exponents is None
     tabled_freq, per_lookup_freq = [], []
     arms = _play(env, tabled, lambda lrn: tabled_freq.append(lrn.freq_estimate))
     assert arms == _play(env, per_lookup, lambda lrn: per_lookup_freq.append(lrn.freq_estimate))
@@ -1321,33 +1324,6 @@ def test_run_from_tables_matches_run_on_per_lookup_rows(name):
     assert tabled.acc.coef.tobytes() == per_lookup.acc.coef.tobytes()
 
 
-@pytest.mark.parametrize("name", TABLE_ENVS)
-def test_run_without_the_exponent_table_matches_run_with_it(name, monkeypatch):
-    env = ENVS[name]()
-    params = build_algo("crosslearn", env, 3, "calibrated").params
-    with_table = _cross_learner(env, params, env.context_space)
-    # one context too many for an exponent table; the snapshot tables stay
-    monkeypatch.setattr(learner_module, "EXPONENT_TABLE_ROWS", len(env.context_space) - 1)
-    without = _cross_learner(env, params, env.context_space)
-    assert with_table._exponents is not None and without._exponents is None
-    assert without._snap_cur.table is not None
-    arms = _play(env, with_table)
-    assert arms == _play(env, without)
-    assert with_table.fallback_count == without.fallback_count > 0
-    assert with_table.acc.coef.tobytes() == without.acc.coef.tobytes()
-    assert with_table.freq_estimate.tobytes() == without.freq_estimate.tobytes()
-
-
-def test_exponent_table_only_up_to_its_bound():
-    n = learner_module.EXPONENT_TABLE_ROWS
-    params = with_overrides(calibrated_params(3, 400), L=10, unsafe=True)
-    for n_contexts, tabled in ((n, True), (n + 1, False)):
-        env = TabularEnv.synthetic(n_contexts, 3, 400, RngStream(4, 0))
-        learner = _cross_learner(env, params, env.context_space)
-        assert learner._snap_cur.table is not None
-        assert (learner._exponents is not None) is tabled, n_contexts
-
-
 def test_space_larger_than_the_epoch_allows_serves_per_lookup_rows():
     # exactly TABLE_ROWS_PER_ROUND value atoms per round of the epoch still get a table
     L = 10
@@ -1358,12 +1334,15 @@ def test_space_larger_than_the_epoch_allows_serves_per_lookup_rows():
     for epoch_len, tabled in ((L, True), (L - 2, False)):
         learner = _cross_learner(env, with_overrides(base, L=epoch_len, unsafe=True),
                                  env.context_space)
+        # a kept space gets both tables, a dropped one neither
         assert (learner._snap_cur.table is not None) is tabled, epoch_len
+        assert (learner._exponents is not None) is tabled, epoch_len
     # context ids get a table however many there are
     env = TabularEnv.synthetic(3 * n, 3, 400, RngStream(4, 0))
     params = with_overrides(calibrated_params(3, env.horizon), L=L - 2, unsafe=True)
     learner = _cross_learner(env, params, env.context_space)
     assert learner._snap_cur.table.shape == (3 * n, 3)
+    assert learner._exponents.exponents.shape == (3 * n, 3)
     # 1 023 availability subsets at a short epoch
     env = SleepingEnv.generate(600, 10, RngStream(4, 0))
     assert len(env.context_space) == 1023 > TABLE_ROWS_PER_ROUND * 20
