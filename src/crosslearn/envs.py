@@ -15,9 +15,9 @@ run is reproducible from (spec, seed) alone. The learner-facing surface is:
                           values a QUADRATURE_NODES-cell quadrature of nu
     reveal(t, arm)        LinearLoss of the played arm, full context map;
                           EnvError for an arm outside 0..K-1 or inactive
-    loss_scalar(t, c, k)  realized loss value
-    loss_column(t, c)     losses of all arms at context c
-    loss_columns(ts, cs)  loss_column of many rounds at once (regret scoring)
+    loss_columns(ts, cs)  the losses of all arms at each round t of ts and
+                          its context c of cs, a (len(ts), K) array: the
+                          one loss read of regret scoring (RegretTracker)
 
 Auction losses are affinely rescaled into [0, 1] as (1 - (v-b)*win)/2; the
 harness multiplies reported auction regret by regret_scale = 2 to undo it.
@@ -56,13 +56,6 @@ SUBSET_SPACE_MAX_ARMS = 16
 
 class EnvError(ValueError):
     pass
-
-
-def auction_loss(value, bid, payment):
-    """Rescaled first-price loss (1 - (value - bid) * win) / 2, win iff
-    bid >= payment. Lies in [0, 1] for value, bid, payment in [0, 1]."""
-    win = 1.0 if bid >= payment else 0.0
-    return 0.5 * (1.0 - (value - bid) * win)
 
 
 def is_int(value, low):
@@ -332,18 +325,9 @@ class TabularEnv:
             return LinearLoss(TabularAccumulator, self._tensor[t, arm], validate=False)
         return _StructuredLoss(self, t, arm)
 
-    def loss_scalar(self, t, context, arm):
-        if self._tensor is not None:
-            return float(self._tensor[t, arm, context])
-        return float(self._mu[arm, context] + self._amp * self._noise[t, arm])
-
-    def loss_column(self, t, context):
-        if self._tensor is not None:
-            return self._tensor[t, :, context]
-        return self._mu[:, context] + self._amp * self._noise[t]
-
     def loss_columns(self, ts, contexts):
-        """loss_column of every (t, context) pair, as a (len(ts), K) array."""
+        """The losses of all arms at every (t, context) pair, as a
+        (len(ts), K) array."""
         contexts = np.asarray(contexts, dtype=np.int64)
         if self._tensor is not None:
             return self._tensor[ts, :, contexts]
@@ -356,8 +340,8 @@ class TabularEnv:
 class _StructuredLoss(LinearLoss):
     """Revealed loss of a structured TabularEnv round: the row
     mu[arm] + amp * noise[t, arm] is built when .coef is first read, which
-    learners that only call eval never do; eval(context) is loss_scalar,
-    the same float as that row's entry."""
+    learners that only call eval never do; eval(context) is the same float
+    as that row's entry."""
 
     phi = TabularAccumulator
     __slots__ = ("_env", "_t", "_arm", "_row")
@@ -376,7 +360,8 @@ class _StructuredLoss(LinearLoss):
         return self._row
 
     def eval(self, context):
-        return self._env.loss_scalar(self._t, context, self._arm)
+        env, arm = self._env, self._arm
+        return float(env._mu[arm, context] + env._amp * env._noise[self._t, arm])
 
 
 def _value_sampler(kind, spec, n, gen):
@@ -482,15 +467,10 @@ class AuctionEnv:
             raise EnvError(f"arm {arm} outside the bid grid")
         return self._win[arm] if self.bids[arm] >= self.payments[t] else self._lose
 
-    def loss_scalar(self, t, context, arm):
-        return auction_loss(context, self.bids[arm], self.payments[t])
-
-    def loss_column(self, t, context):
-        win = self.bids >= self.payments[t]
-        return 0.5 * (1.0 - (context - self.bids) * win)
-
     def loss_columns(self, ts, contexts):
-        """loss_column of every (t, context) pair, as a (len(ts), K) array."""
+        """The rescaled first-price losses (1 - (v - b) * win) / 2 of all
+        bids b at every (t, value v) pair, win iff b >= payment, as a
+        (len(ts), K) array."""
         values = np.asarray(contexts, dtype=float)[:, None]
         win = self.bids >= self.payments[ts][:, None]
         return 0.5 * (1.0 - (values - self.bids) * win)
@@ -633,14 +613,9 @@ class SleepingEnv:
             raise EnvError(f"arm {arm} is asleep in round {t}")
         return LinearLoss(ConstantAccumulator, self.losses[t, arm:arm + 1], validate=False)
 
-    def loss_scalar(self, t, context, arm):
-        return float(self.losses[t, arm])
-
-    def loss_column(self, t, context):
-        return self.losses[t]
-
     def loss_columns(self, ts, contexts):
-        """loss_column of every (t, context) pair, as a (len(ts), K) array."""
+        """The losses of all arms at every (t, context) pair, as a
+        (len(ts), K) array."""
         return self.losses[ts]
 
     def known_nu_oracle(self):
@@ -691,16 +666,19 @@ class RegretTracker:
     (continuous auction values, a.s. unique; every arm is always active
     there).
 
-    Rounds are scored in blocks of at most SCORE_BLOCK by score(); update()
-    scores a single round. Every sum runs in round order (played loss, per-group loss
-    rows, per-round minima) and the comparator sums group minima in a fixed
-    order (ascending context for tabular envs, first appearance otherwise),
-    so the result does not depend on how rounds are blocked.
+    update() enters one round; rounds wait and are scored in a block, one
+    env.loss_columns read, once SCORE_BLOCK of them wait, and regret()
+    scores the rounds still waiting first. Every sum runs in round order
+    (played loss, per-group loss rows, per-round minima) and the comparator
+    sums group minima in a fixed order (ascending context for tabular envs,
+    first appearance otherwise), so the result does not depend on when
+    regret() is read.
     """
 
     def __init__(self, env):
         self.env = env
         self.played = 0.0
+        self._waiting = []  # (t, context, arm) of the rounds not yet scored
         self._mode = env.grouping
         if self._mode == "round":
             self._best = 0.0
@@ -709,19 +687,18 @@ class RegretTracker:
             self._rows = np.zeros((0, env.n_arms))
 
     def update(self, t, context, arm):
-        self.score([t], [context], [arm])
+        """Enter round t, played at context with arm."""
+        waiting = self._waiting
+        waiting.append((t, context, arm))
+        if len(waiting) == SCORE_BLOCK:
+            self._score()
 
-    def score(self, ts, contexts, arms):
-        """Account for the rounds ts (in order) with their contexts and arms."""
-        for a in range(0, len(ts), SCORE_BLOCK):
-            b = a + SCORE_BLOCK
-            self._score_block(np.asarray(ts[a:b], dtype=np.int64), list(contexts[a:b]),
-                              np.asarray(arms[a:b], dtype=np.int64))
-
-    def _score_block(self, ts, contexts, arms):
+    def _score(self):
+        ts, contexts, arms = zip(*self._waiting)
+        self._waiting = []
         env = self.env
-        cols = env.loss_columns(ts, contexts)
-        self.played = _running_sum(self.played, cols[np.arange(ts.size), arms])
+        cols = env.loss_columns(np.asarray(ts, dtype=np.int64), contexts)
+        self.played = _running_sum(self.played, cols[np.arange(len(ts)), arms])
         if self._mode == "round":
             self._best = _running_sum(self._best, cols.min(axis=1))
         else:
@@ -732,21 +709,19 @@ class RegretTracker:
                 self._rows = np.concatenate([self._rows, np.zeros((new, env.n_arms))])
             np.add.at(self._rows, ids, cols)  # unbuffered, in round order
 
-    def comparator(self):
-        env = self.env
+    def regret(self):
+        """Raw (unscaled) regret of the rounds entered so far."""
+        if self._waiting:
+            self._score()
         if self._mode == "round":
-            return self._best
-        groups = self._groups
-        total = 0.0
+            return self.played - self._best
+        env, groups = self.env, self._groups
+        best = 0.0
         for context in sorted(groups) if env.kind == "tabular" else groups:
             row = self._rows[groups[context]]
             mask = env.active_mask(context)
-            total += float(row.min() if mask is None else row[mask].min())
-        return total
-
-    def regret(self):
-        """Raw (unscaled) regret of the prefix seen so far."""
-        return self.played - self.comparator()
+            best += float(row.min() if mask is None else row[mask].min())
+        return self.played - best
 
 
 def _running_sum(total, values):
@@ -760,5 +735,6 @@ def hindsight_regret(history, env):
     """Regret of a played history [(context, arm), ...] against the best
     fixed context-to-arm mapping on that history (raw loss units)."""
     tracker = RegretTracker(env)
-    tracker.score(range(len(history)), [c for c, _ in history], [a for _, a in history])
+    for t, (context, arm) in enumerate(history):
+        tracker.update(t, context, arm)
     return tracker.regret()

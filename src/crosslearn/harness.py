@@ -32,8 +32,7 @@ import numpy as np
 
 from .accumulator import make_accumulator
 from .baselines import KnownNuLearner, PerContextExp3, known_nu_rate
-from .envs import (SCORE_BLOCK, EnvError, RegretTracker, build_env, check_spec, is_int, is_whole,
-                   spec_arms)
+from .envs import EnvError, RegretTracker, build_env, check_spec, is_int, is_whole, spec_arms
 from .learner import (CrossLearner, ParamError, calibrated_params,
                       tune_parameters, with_overrides)
 from .simplex import RngStream
@@ -139,34 +138,29 @@ def build_algo(name, env, seed, overrides):
 def _play(envs, algo, algo_name, seeds):
     """The RunResults of the runs of `seeds` on their envs, all stepped by
     `algo` in lockstep: in every round each seed takes its turn, in order
-    (one seed but for a known_nu learner with a seed axis). Rounds are
-    scored in blocks of SCORE_BLOCK, and at every checkpoint. Each run's
-    wall_ms is an equal share of the loop's wall time."""
+    (one seed but for a known_nu learner with a seed axis). Each run's
+    RegretTracker takes every round, and its regret is read at every
+    checkpoint. Each run's wall_ms is an equal share of the loop's wall
+    time."""
     horizon = envs[0].horizon
-    lanes = [(env, RegretTracker(env), [], [], []) for env in envs]
+    lanes = [(env, RegretTracker(env), []) for env in envs]
     step = algo.step
     cp_iter = iter(checkpoint_schedule(horizon))
     next_cp = next(cp_iter)
     start = time.perf_counter()
     for t in range(horizon):
-        for env, _, contexts, arms, _ in lanes:
+        for env, tracker, _ in lanes:
             context = env.context(t)
-            contexts.append(context)
-            arms.append(step(context, lambda a: env.reveal(t, a)))
-        if len(arms) == SCORE_BLOCK or t + 1 == next_cp:
-            for env, tracker, contexts, arms, out in lanes:
-                tracker.score(range(t + 1 - len(arms), t + 1), contexts, arms)
-                contexts.clear()
-                arms.clear()
-                if t + 1 == next_cp:
-                    out.append((t + 1, tracker.regret() * env.regret_scale))
-            if t + 1 == next_cp:
-                next_cp = next(cp_iter, None)
+            tracker.update(t, context, step(context, lambda a: env.reveal(t, a)))
+        if t + 1 == next_cp:
+            for env, tracker, out in lanes:
+                out.append((t + 1, tracker.regret() * env.regret_scale))
+            next_cp = next(cp_iter, None)
     wall_ms = (time.perf_counter() - start) * 1000.0 / len(envs)
     return [RunResult(run_id=f"{algo_name}-T{horizon}-s{seed}", seed=seed, algo=algo_name,
                       env_name=env.kind, horizon=horizon, checkpoints=out,
                       fallback_count=algo.fallback_count, wall_ms=wall_ms)
-            for seed, (env, _, _, _, out) in zip(seeds, lanes)]
+            for seed, (env, _, out) in zip(seeds, lanes)]
 
 
 def run_single(env_spec, algo_name, horizon, seed, overrides=None):
@@ -341,21 +335,25 @@ def write_csv(results, path, timing=False):
 
 
 def load_results_csv(path):
-    """The rows of a results CSV as dicts of strings; ConfigError on an
-    empty file, a wrong header or a row with the wrong number of fields."""
-    with open(path, newline="") as fh:
+    """The rows of a results CSV as dicts of strings; ConfigError on a file
+    that is not UTF-8 text, an empty file, a wrong header or a row with the
+    wrong number of fields."""
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ConfigError("empty results file")
-        if header != CSV_HEADER:
-            raise ConfigError(f"unexpected CSV header {header!r}")
-        rows = []
-        for row in reader:
-            if len(row) != len(header):
-                raise ConfigError(f"line {reader.line_num}: expected {len(header)} "
-                                  f"fields, got {len(row)}")
-            rows.append(dict(zip(header, row)))
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ConfigError("empty results file")
+            if header != CSV_HEADER:
+                raise ConfigError(f"unexpected CSV header {header!r}")
+            rows = []
+            for row in reader:
+                if len(row) != len(header):
+                    raise ConfigError(f"line {reader.line_num}: expected {len(header)} "
+                                      f"fields, got {len(row)}")
+                rows.append(dict(zip(header, row)))
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"cannot read {path}: {err}") from err
         return rows
 
 
@@ -409,7 +407,8 @@ def bootstrap_ci(values):
 
 def scaling_report(rows, algo=None):
     """Per-algorithm scaling fits from results CSV rows, with bootstrap CIs
-    on the per-horizon mean regret. ConfigError when `algo` has no rows."""
+    on the per-horizon mean regret. ConfigError when `algo` has no rows or
+    a row's cum_regret is not a finite number."""
     if algo is not None and not any(row["algo"] == algo for row in rows):
         present = ", ".join(sorted({row["algo"] for row in rows})) or "none"
         raise ConfigError(f"no rows for algo {algo!r} (algos present: {present})")
@@ -422,6 +421,8 @@ def scaling_report(rows, algo=None):
             regret = float(row["cum_regret"])
         except ValueError as err:
             raise ConfigError(f"malformed results row {row!r}: {err}") from err
+        if not math.isfinite(regret):
+            raise ConfigError(f"non-finite cum_regret in results row {row!r}")
         if checkpoint == horizon:
             final.setdefault((row["algo"], horizon), []).append(regret)
     report = {}
@@ -453,9 +454,9 @@ def _cmd_run(args):
     import json
 
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         print(f"error: cannot read config: {err}", file=sys.stderr)
         return 1
     if args.workers is not None and isinstance(config, dict):

@@ -246,9 +246,9 @@ def test_criterion_10_brute_force_regret_oracle():
         seen = np.zeros(n_contexts, dtype=bool)
         played = 0.0
         for t, (c, a) in enumerate(history):
-            table[c] += env.loss_column(t, c)
+            table[c] += tensor[t, :, c]
             seen[c] = True
-            played += env.loss_scalar(t, c, a)
+            played += tensor[t, a, c]
         choices = []
         for c in range(n_contexts):
             if not seen[c]:

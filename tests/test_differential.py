@@ -62,8 +62,8 @@ from crosslearn.simplex import (
 
 
 class PerRoundRegretTracker:
-    """Per-round regret accounting: one loss_scalar and one loss_column per
-    round, groups accumulated row by row."""
+    """Per-round regret accounting: one loss_columns read of a single round
+    per round, groups accumulated row by row."""
 
     def __init__(self, env):
         self.env = env
@@ -79,8 +79,8 @@ class PerRoundRegretTracker:
 
     def update(self, t, context, arm):
         env = self.env
-        self.played += env.loss_scalar(t, context, arm)
-        col = env.loss_column(t, context)
+        col = env.loss_columns([t], [context])[0]
+        self.played += float(col[arm])
         if self._mode == "round":
             mask = env.active_mask(context)
             self._best += float(col.min() if mask is None else col[mask].min())
@@ -169,21 +169,23 @@ def test_block_scorer_matches_per_round_tracker(name):
     contexts, arms = _played(env, 11)
     cps = checkpoint_schedule(env.horizon)
     ref = PerRoundRegretTracker(env)
-    want = []
+    every = []  # the reference regret after each round
     for t, (c, a) in enumerate(zip(contexts, arms)):
         ref.update(t, c, a)
-        if t + 1 in cps:
-            want.append(ref.regret())
+        every.append(ref.regret())
+    want = [every[cp - 1] for cp in cps]
+    # regret read after runs of 1, 7 and SCORE_BLOCK + 3 rounds, so the
+    # tracker scores blocks of every length: blocking must not matter
     chunked = RegretTracker(env)
-    got, t = [], 0
-    sizes = itertools.cycle([1, 7, SCORE_BLOCK + 3])  # blocking must not matter
+    t = 0
+    sizes = itertools.cycle([1, 7, SCORE_BLOCK + 3])
     for cp in cps:
         while t < cp:
             b = min(cp, t + next(sizes))
-            chunked.score(range(t, b), contexts[t:b], arms[t:b])
+            for s in range(t, b):
+                chunked.update(s, contexts[s], arms[s])
+            assert chunked.regret() == every[b - 1], b
             t = b
-        got.append(chunked.regret())
-    assert got == want
     streaming = RegretTracker(env)
     got = []
     for t, (c, a) in enumerate(zip(contexts, arms)):
@@ -731,14 +733,14 @@ def test_lazy_tabular_row_matches_eager_row():
             assert np.array_equal(fn.coef, eager) and fn.coef is fn.coef
             for context in range(env.n_contexts):
                 value = fn.eval(context)
-                assert value == env.loss_scalar(t, context, arm) == float(eager[context])
+                assert value == env.loss_columns([t], [context])[0, arm] == float(eager[context])
     # a tensor env still hands out its stored row
     tensor = np.random.default_rng(3).random((50, 3, 4))
     env = TabularEnv.from_tensor(tensor, np.ones(4) / 4, RngStream(1, 0))
     for t in range(50):
         fn = env.reveal(t, 2)
         assert np.array_equal(fn.coef, tensor[t, 2])
-        assert [fn.eval(c) for c in range(4)] == [env.loss_scalar(t, c, 2) for c in range(4)]
+        assert [fn.eval(c) for c in range(4)] == env.loss_columns([t] * 4, range(4))[:, 2].tolist()
 
 
 # Reference copies of the three loss classes, the three accumulators, the

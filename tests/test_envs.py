@@ -13,7 +13,6 @@ from crosslearn.envs import (
     RegretTracker,
     SleepingEnv,
     TabularEnv,
-    auction_loss,
     hindsight_regret,
     subset_to_mask,
 )
@@ -25,22 +24,27 @@ from crosslearn.verify import audit_run
 
 
 def test_auction_loss_examples():
+    # bids 0, 0.1, ..., 0.9; rounds of (value, payment)
+    env = AuctionEnv([0.7, 0.7, 0.3, 1.0], [0.3, 0.3, 0.4, 0.5], n_arms=10)
+    cols = env.loss_columns(np.arange(4), env.values)
     # win: bid 0.4 beats payment 0.3, utility 0.3, loss (1 - 0.3)/2
-    assert auction_loss(0.7, 0.4, 0.3) == pytest.approx(0.35)
+    assert cols[0, 4] == pytest.approx(0.35)
     # lose: bid below payment, utility 0, loss 1/2
-    assert auction_loss(0.7, 0.2, 0.3) == pytest.approx(0.5)
+    assert cols[1, 2] == pytest.approx(0.5)
     # winning above value is worse than losing
-    assert auction_loss(0.3, 0.5, 0.4) == pytest.approx(0.6)
+    assert cols[2, 5] == pytest.approx(0.6)
     # tie goes to the bidder
-    assert auction_loss(1.0, 0.5, 0.5) == pytest.approx(0.25)
+    assert cols[3, 5] == pytest.approx(0.25)
 
 
 def test_auction_loss_range_fuzz():
     gen = np.random.default_rng(7)
-    for _ in range(2000):
-        v, b, m = gen.random(3)
-        ell = auction_loss(v, b, m)
-        assert 0.0 <= ell <= 1.0
+    env = AuctionEnv(gen.random(2000), gen.random(2000), n_arms=64)
+    # at the realized values and at counterfactual ones
+    for values in (env.values, gen.random(2000)):
+        cols = env.loss_columns(np.arange(2000), values)
+        assert cols.shape == (2000, 64)
+        assert ((cols >= 0.0) & (cols <= 1.0)).all()
 
 
 def test_auction_reveal_matches_scalar_losses():
@@ -52,11 +56,10 @@ def test_auction_reveal_matches_scalar_losses():
         arm = int(gen.integers(env.n_arms))
         fn = env.reveal(t, arm)
         v = env.context(t)
-        assert fn.eval(v) == pytest.approx(env.loss_scalar(t, v, arm), abs=1e-12)
+        assert fn.eval(v) == pytest.approx(env.loss_columns([t], [v])[0, arm], abs=1e-12)
         # and at counterfactual values too: cross-learning needs the whole map
         for v2 in gen.random(3):
-            assert fn.eval(v2) == pytest.approx(
-                auction_loss(v2, env.bids[arm], env.payments[t]), abs=1e-12)
+            assert fn.eval(v2) == pytest.approx(env.loss_columns([t], [v2])[0, arm], abs=1e-12)
 
 
 def test_auction_feedback_carries_win_bit_only():
@@ -129,10 +132,10 @@ def test_hindsight_regret_matches_enumeration():
     env = TabularEnv.from_tensor(tensor, np.ones(3) / 3, RngStream(1, 0))
     gen = np.random.default_rng(4)
     history = [(env.context(t), int(gen.integers(3))) for t in range(20)]
-    played = sum(env.loss_scalar(t, c, a) for t, (c, a) in enumerate(history))
+    played = sum(tensor[t, a, c] for t, (c, a) in enumerate(history))
     best = math.inf
     for mapping in product(range(3), repeat=3):
-        tot = sum(env.loss_scalar(t, c, mapping[c]) for t, (c, _) in enumerate(history))
+        tot = sum(tensor[t, mapping[c], c] for t, (c, _) in enumerate(history))
         best = min(best, tot)
     assert hindsight_regret(history, env) == pytest.approx(played - best, abs=1e-9)
 
@@ -174,7 +177,7 @@ def test_synthetic_structure():
     # losses stay in [0, 1] including noise
     for t in range(0, 500, 50):
         for c in range(6):
-            col = env.loss_column(t, c)
+            col = env.loss_columns([t], [c])[0]
             assert col.min() >= 0.0 and col.max() <= 1.0
     with pytest.raises(EnvError):
         TabularEnv.synthetic(4, 2, 100, RngStream(0, 0), gap=1.5)
@@ -231,10 +234,8 @@ def test_from_csv_roundtrip(tmp_path):
                 for c in range(3):
                     w.writerow([t, k, c, repr(float(tensor[t, k, c]))])
     env = TabularEnv.from_csv(path, np.ones(3) / 3, RngStream(2, 0))
-    for t in range(5):
-        for k in range(2):
-            for c in range(3):
-                assert env.loss_scalar(t, c, k) == tensor[t, k, c]
+    for c in range(3):
+        assert np.array_equal(env.loss_columns(np.arange(5), [c] * 5), tensor[:, :, c])
 
 
 def test_from_csv_missing_entry(tmp_path):
@@ -266,7 +267,7 @@ def test_from_csv_names_the_line_of_a_bad_row(tmp_path, row, match):
         TabularEnv.from_csv(path, np.ones(1), RngStream(0, 0))
     path.write_text(CSV_ROWS)
     env = TabularEnv.from_csv(path, np.ones(1), RngStream(0, 0))
-    assert [env.loss_scalar(t, 0, k) for t in (0, 1) for k in (0, 1)] == [0.5, 0.25, 0.75, 1.0]
+    assert env.loss_columns([0, 1], [0, 0]).tolist() == [[0.5, 0.25], [0.75, 1.0]]
 
 
 def test_subset_mask_roundtrip():

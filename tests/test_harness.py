@@ -393,6 +393,42 @@ def test_cli_scaling_reports_malformed_csv(tmp_path, capsys, text, match):
     assert err.startswith("error: ") and match in err
 
 
+@pytest.mark.parametrize("command", ["run", "scaling"])
+def test_cli_names_a_file_that_is_not_utf8_text(tmp_path, capsys, command):
+    path = tmp_path / "binary.dat"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read ") and "utf-8" in captured.err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_scaling_refuses_a_non_finite_regret(tmp_path, capsys, bad):
+    # 4 horizons x 10 seeds fit; one non-finite final regret must not turn
+    # into a slope of nan
+    def write(bad_regret):
+        lines = [",".join(CSV_HEADER)]
+        for horizon in (64, 128, 256, 512):
+            for seed in range(10):
+                regret = bad_regret if (horizon, seed) == (256, 3) else horizon ** 0.5 + seed
+                lines.append(f"crosslearn-T{horizon}-s{seed},{seed},crosslearn,tabular,"
+                             f"{horizon},{horizon},{regret},0,0")
+        path = tmp_path / "r.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    assert main(["scaling", str(write(17.0))]) == 0
+    capsys.readouterr()
+    path = write(bad)
+    with pytest.raises(ConfigError, match=f"non-finite cum_regret in results row .*"
+                                          f"'crosslearn-T256-s3'.*'cum_regret': '{bad}'"):
+        scaling_report(load_results_csv(path))
+    assert main(["scaling", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: non-finite cum_regret")
+
+
 def test_run_single_auction_and_sleeping():
     # non-tabular env kinds run end to end through the same entry point
     res = run_single({"kind": "auction"}, "crosslearn", 256, 0,
