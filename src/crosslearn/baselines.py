@@ -77,17 +77,16 @@ class KnownNuLearner:
     seed; FTRL keeps every active arm's probability positive, so this
     flags numerical trouble instead of guessing.
 
-    accumulators, spaces and rngs are lists of R, one per seed, and active
-    None (every arm always active) or a list of R callables context ->
-    mask/None, each an env's active_mask (ParamError otherwise). The arms
-    are the accumulators'. A space is a ContextSpace with weights, the
-    env's known_nu_oracle() (ParamError without weights). The seeds must
-    agree on the space (contexts and weights), the masks and the number of
-    arms (ParamError otherwise); `space` is the one they share. The masks
-    of the probe table are read once, at construction
-    (simplex.space_masks), into one SpaceTable per seed over the space that
-    follows that seed's own adds; each table holds its exponents in its
-    slice of one stacked (R, K, n) array.
+    accumulators and rngs are lists of R, one per seed; the space and the
+    active sets belong to the env spec, so all R seeds share them. space is
+    a ContextSpace with weights, the env's known_nu_oracle() (ParamError
+    without weights), and active None (every arm always active) or a
+    callable context -> mask/None, the env's active_mask (ParamError
+    otherwise). The arms are the accumulators', which must agree on their
+    number (ParamError otherwise). The masks of the probe table are read
+    once, at construction (simplex.space_masks), into one SpaceTable per
+    seed over the space that follows that seed's own adds; each table
+    holds its exponents in its slice of one stacked (R, K, n) array.
 
     step(context, reveal) plays one seed's round: the seeds take turns, 0
     to R-1 in every round. The first turn of a round reads probe_table(),
@@ -103,32 +102,18 @@ class KnownNuLearner:
 
     fallback_count = 0  # the known-nu learner never falls back
 
-    def __init__(self, accumulators, spaces, eta, rngs, active=None):
-        per_seed = (accumulators, spaces, rngs) + (() if active is None else (active,))
-        if not all(type(x) is list for x in per_seed):
-            raise ParamError("accumulators, spaces, streams and active sets must be lists, "
-                             "one per seed (active may be None)")
-        actives = [None] * len(accumulators) if active is None else active
-        if not (len(accumulators) == len(spaces) == len(rngs) == len(actives) >= 1):
-            raise ParamError("a seed axis needs one accumulator, space, stream and "
-                             "active set per seed")
-        space = spaces[0]
-        if space.weights is None:
+    def __init__(self, accumulators, space, eta, rngs, active=None):
+        if not (type(accumulators) is list and type(rngs) is list):
+            raise ParamError("accumulators and streams must be lists, one per seed")
+        if not len(accumulators) == len(rngs) >= 1:
+            raise ParamError("a seed axis needs one accumulator and stream per seed")
+        if getattr(space, "weights", None) is None:
             raise ParamError("the context space carries no weights")
         n_arms = accumulators[0].n_arms
         if any(acc.n_arms != n_arms for acc in accumulators):
             raise ParamError("the seeds' accumulators differ in their number of arms")
-        self._mask = mask_function(actives[0])
-        masks = space_masks(space, actives[0], n_arms)
-        for other, act in zip(spaces[1:], actives[1:]):
-            if not (np.array_equal(other.contexts, space.contexts)
-                    and other.weights is not None
-                    and np.array_equal(other.weights, space.weights)):
-                raise ParamError("the seeds' context spaces differ")
-            theirs = space_masks(space, mask_function(act), n_arms)
-            if (theirs is None) != (masks is None) or (
-                    masks is not None and not np.array_equal(theirs, masks)):
-                raise ParamError("the seeds' active sets differ")
+        self._mask = mask_function(active)
+        masks = space_masks(space, active, n_arms)
         self.space = space
         self.eta = float(eta)
         self._rows = space.rows

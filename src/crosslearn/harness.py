@@ -115,15 +115,15 @@ def build_algo(name, env, seed, overrides):
     """The learner `name` for a run of env over its horizon, from stream
     (seed, ALGO_STREAMS[name]). known_nu's learner has a seed axis: over
     this one run, or over the runs of a list of envs of one spec and the
-    list of their seeds, which it steps in lockstep."""
+    list of their seeds, which it steps in lockstep; the first env gives
+    the space and active sets that the spec fixes for all of them."""
     if name == "known_nu":
         envs, seeds = (env, seed) if isinstance(env, list) else ([env], [seed])
+        first = envs[0]
         return KnownNuLearner(
             [make_accumulator(e.acc_kind, e.n_arms, getattr(e, "n_contexts", None)) for e in envs],
-            [e.known_nu_oracle() for e in envs],
-            known_nu_rate(envs[0].n_arms, envs[0].horizon),
-            [RngStream(s, ALGO_STREAMS[name]) for s in seeds],
-            active=[e.active_mask for e in envs])
+            first.known_nu_oracle(), known_nu_rate(first.n_arms, first.horizon),
+            [RngStream(s, ALGO_STREAMS[name]) for s in seeds], active=first.active_mask)
     rng = RngStream(seed, ALGO_STREAMS[name])
     n_contexts = getattr(env, "n_contexts", None)
     if name == "crosslearn":
@@ -407,8 +407,8 @@ def bootstrap_ci(values):
 
 def scaling_report(rows, algo=None):
     """Per-algorithm scaling fits from results CSV rows, with bootstrap CIs
-    on the per-horizon mean regret. ConfigError when `algo` has no rows or
-    a row's cum_regret is not a finite number."""
+    on the per-horizon mean regret. ConfigError when `algo` has no rows, a
+    row's cum_regret is not a finite number or a run has two final rows."""
     if algo is not None and not any(row["algo"] == algo for row in rows):
         present = ", ".join(sorted({row["algo"] for row in rows})) or "none"
         raise ConfigError(f"no rows for algo {algo!r} (algos present: {present})")
@@ -424,14 +424,19 @@ def scaling_report(rows, algo=None):
         if not math.isfinite(regret):
             raise ConfigError(f"non-finite cum_regret in results row {row!r}")
         if checkpoint == horizon:
-            final.setdefault((row["algo"], horizon), []).append(regret)
+            runs = final.setdefault((row["algo"], horizon), {})
+            if row["seed"] in runs:
+                raise ConfigError(f"run {row['run_id']!r} (algo {row['algo']}, T {horizon}, "
+                                  f"seed {row['seed']}) has more than one final row")
+            runs[row["seed"]] = regret
     report = {}
     for name in sorted({k[0] for k in final}):
         points = []
         cis = {}
-        for (a, horizon), vals in sorted(final.items()):
+        for (a, horizon), runs in sorted(final.items()):
             if a != name:
                 continue
+            vals = list(runs.values())
             points.extend((horizon, v) for v in vals)
             cis[horizon] = bootstrap_ci(vals)
         fit = fit_scaling(points)

@@ -107,7 +107,7 @@ def test_known_nu_denominator_uniform_state():
     K = 4
     acc = make_accumulator(TABULAR, K, 3)
     space = ContextSpace(np.arange(3), weights=np.array([0.2, 0.3, 0.5]))
-    algo = KnownNuLearner([acc], [space], eta=0.01, rngs=[RngStream(0, 2)])
+    algo = KnownNuLearner([acc], space, eta=0.01, rngs=[RngStream(0, 2)])
     denoms = algo.space.weights @ algo.probe_table()[0]
     assert np.allclose(denoms, 0.25, atol=1e-12)
 
@@ -118,7 +118,7 @@ def test_known_nu_point_mass_matches_single_context():
     acc = make_accumulator(TABULAR, K, 2)
     acc.add(0, 5.0, LinearLoss(TabularAccumulator, np.array([0.0, 1.0])))
     space = ContextSpace(np.arange(2), weights=np.array([0.0, 1.0]))
-    algo = KnownNuLearner([acc], [space], eta=0.3, rngs=[RngStream(1, 2)])
+    algo = KnownNuLearner([acc], space, eta=0.3, rngs=[RngStream(1, 2)])
     table = algo.probe_table()[0]
     denoms = algo.space.weights @ table
     assert np.allclose(denoms, table[1], atol=1e-14)
@@ -133,7 +133,7 @@ def test_known_nu_tiny_denominator_flagged():
     tilted.add(1, 1e9, LinearLoss(ConstantAccumulator, [1.0]))
     space = ContextSpace(np.arange(1), weights=np.array([1.0]))
     for accs in ([tilted], [healthy, tilted]):
-        algo = KnownNuLearner(accs, [space] * len(accs), eta=1.0,
+        algo = KnownNuLearner(accs, space, eta=1.0,
                               rngs=[RngStream(2, 2) for _ in accs])
         expected = algo.space.weights @ algo.probe_table()
         assert algo.tiny_denominator_count == [0] * len(accs)
@@ -158,7 +158,7 @@ def test_known_nu_tiny_denominator_flagged():
 def test_known_nu_learns():
     acc = make_accumulator(TABULAR, 2, 2)
     space = ContextSpace(np.arange(2), weights=np.array([0.5, 0.5]))
-    algo = KnownNuLearner([acc], [space], eta=known_nu_rate(2, 4000),
+    algo = KnownNuLearner([acc], space, eta=known_nu_rate(2, 4000),
                           rngs=[RngStream(3, 2)])
     arm_losses = {0: LinearLoss(TabularAccumulator, np.array([0.1, 0.1])),
                   1: LinearLoss(TabularAccumulator, np.array([0.9, 0.9]))}

@@ -487,7 +487,7 @@ def test_known_nu_matches_reference_round_by_round(case):
     # 4x the default rate, so the distributions move far from uniform
     eta = 4 * known_nu_rate(env.n_arms, env.horizon)
     acc, _, rng, active = _known_nu_parts(env, 6)
-    new = KnownNuLearner([acc], [space], eta, [rng], active=[active])
+    new = KnownNuLearner([acc], space, eta, [rng], active=active)
     ref_acc, _, ref_rng, _ = _known_nu_parts(env, 6)
     ref = _RefKnownNuLearner(ref_acc, space, eta, ref_rng, active=active)
     weights = []
@@ -520,9 +520,9 @@ def test_known_nu_rejects_a_space_without_weights():
     space = env.context_space
     acc = make_accumulator(env.acc_kind, env.n_arms, env.n_contexts)
     with pytest.raises(ParamError, match="weights"):
-        KnownNuLearner([acc], [ContextSpace(space.contexts)], 0.1, [RngStream(6, 2)],
-                       active=[env.active_mask])
-    KnownNuLearner([acc], [space], 0.1, [RngStream(6, 2)], active=[env.active_mask])
+        KnownNuLearner([acc], ContextSpace(space.contexts), 0.1, [RngStream(6, 2)],
+                       active=env.active_mask)
+    KnownNuLearner([acc], space, 0.1, [RngStream(6, 2)], active=env.active_mask)
 
 
 LOCKSTEP_SEEDS = [6, 11, 17]
@@ -551,7 +551,7 @@ def test_lockstep_known_nu_matches_reference_per_seed(case, n_seeds):
     for acc, log in zip(accs, weights):
         acc.add = lambda arm, weight, fn, add=acc.add, log=log: (log.append(weight),
                                                                  add(arm, weight, fn))
-    new = KnownNuLearner(accs, spaces, eta, rngs, active=actives)
+    new = KnownNuLearner(accs, spaces[0], eta, rngs, active=actives[0])
     refs = [_RefKnownNuLearner(acc, space, eta, rng, active=active)
             for acc, space, rng, active in map(_known_nu_parts, envs, seeds)]
     assert new.probe_table().shape == (n_seeds, len(spaces[0]), envs[0].n_arms)
@@ -566,40 +566,35 @@ def test_lockstep_known_nu_matches_reference_per_seed(case, n_seeds):
 
 
 def test_lockstep_known_nu_refuses_seeds_that_differ():
-    # one stacked table serves every seed, so the seeds must share the
-    # space, its weights, the masks and the number of arms
+    # one stacked table serves every seed, so the seeds must agree on the
+    # number of arms; the space and the active sets are the spec's, one
+    # of each for all seeds
     def build(spec, seed):
         return build_env(spec, 64, RngStream(seed, ENV_STREAM))
 
     def learner(envs):
-        parts = [list(x) for x in zip(*map(_known_nu_parts, envs, range(len(envs))))]
-        return KnownNuLearner(parts[0], parts[1], 0.1, parts[2], active=parts[3])
+        accs, spaces, rngs, actives = (list(x) for x in zip(*map(_known_nu_parts, envs,
+                                                                  range(len(envs)))))
+        return KnownNuLearner(accs, spaces[0], 0.1, rngs, active=actives[0])
 
     kind, fields = KNOWN_NU_CASES["tabular_active"]
     spec = dict(fields, kind=kind)
     learner([build(spec, 0), build(spec, 1)])
-    other_nu = dict(spec, nu=[0.1, 0.2, 0.3, 0.4])
-    with pytest.raises(ParamError, match="seeds' context spaces differ"):
-        learner([build(spec, 0), build(other_nu, 1)])
-    with pytest.raises(ParamError, match="seeds' context spaces differ"):
-        learner([build(spec, 0), build(dict(spec, C=5, active=None), 1)])
-    other_active = dict(spec, active=[[1, 1, 1]] * 4)
-    with pytest.raises(ParamError, match="seeds' active sets differ"):
-        learner([build(spec, 0), build(other_active, 1)])
-    with pytest.raises(ParamError, match="seeds' active sets differ"):
-        learner([build(spec, 0), build(dict(spec, active=None), 1)])
     with pytest.raises(ParamError, match="number of arms"):
         learner([build(spec, 0), build(dict(spec, K=4, active=None), 1)])
     env = build(spec, 0)
     acc, space, rng, active = _known_nu_parts(env, 0)
-    with pytest.raises(ParamError, match="one accumulator, space, stream"):
-        KnownNuLearner([acc, acc], [space], 0.1, [rng, rng], active=[active, active])
-    # a part that is not a list of seeds, next to ones that are
-    for parts in (([acc], [space], [rng], active), ([acc], space, [rng], [active]),
-                  ([acc], [space], rng, [active]), (acc, [space], [rng], [active]),
-                  (acc, [space], [rng], None)):
+    with pytest.raises(ParamError, match="one accumulator and stream"):
+        KnownNuLearner([acc, acc], space, 0.1, [rng], active=active)
+    # a per-seed part that is not a list of seeds
+    for parts in ((acc, [rng], active), ([acc], rng, active), (acc, [rng], None)):
         with pytest.raises(ParamError, match="must be lists, one per seed"):
-            KnownNuLearner(parts[0], parts[1], 0.1, parts[2], active=parts[3])
+            KnownNuLearner(parts[0], space, 0.1, parts[1], active=parts[2])
+    # the shared space and active set are not lists of seeds
+    with pytest.raises(ParamError, match="weights"):
+        KnownNuLearner([acc], [space], 0.1, [rng], active=active)
+    with pytest.raises(ParamError, match="callable"):
+        KnownNuLearner([acc], space, 0.1, [rng], active=[active])
 
 
 class _RefPerContextExp3:
@@ -1380,7 +1375,7 @@ def test_tables_give_inactive_arms_zero_weight():
         params = dataclasses.replace(calibrated_params(env.n_arms, env.horizon), eta=0.5)
         learner = _cross_learner(env, params, space)
         acc = make_accumulator(env.acc_kind, env.n_arms, getattr(env, "n_contexts", None))
-        known = KnownNuLearner([acc], [space], 0.5, [RngStream(3, 2)], active=[env.active_mask])
+        known = KnownNuLearner([acc], space, 0.5, [RngStream(3, 2)], active=env.active_mask)
         snapshots = set()
         for t in range(env.horizon):
             context = env.context(t)

@@ -11,8 +11,10 @@ from crosslearn.envs import (
     AuctionEnv,
     EnvError,
     RegretTracker,
+    SCORE_BLOCK,
     SleepingEnv,
     TabularEnv,
+    build_env,
     hindsight_regret,
     subset_to_mask,
 )
@@ -140,19 +142,55 @@ def test_hindsight_regret_matches_enumeration():
     assert hindsight_regret(history, env) == pytest.approx(played - best, abs=1e-9)
 
 
+REGRET_SPECS = [
+    # context c's best arm, c % 3, is inactive at contexts 0-2
+    {"kind": "tabular_synthetic", "C": 4, "K": 3,
+     "active": [[0, 1, 1], [1, 0, 1], [1, 1, 0], [1, 1, 1]]},
+    {"kind": "sleeping", "K": 4},
+    {"kind": "auction", "values": {"kind": "discrete", "atoms": [0.1, 0.35, 0.6, 0.9],
+                                   "probs": [1, 2, 3, 4]}},
+    {"kind": "auction"},
+]
+
+
+def _regret_from_columns(env, rounds):
+    """Regret of rounds [(context, arm), ...] straight from one
+    env.loss_columns read: the played sum minus, per realized context, the
+    least summed loss over its active arms, or minus every round's least
+    loss where each round is its own group."""
+    contexts = [c for c, _ in rounds]
+    cols = env.loss_columns(np.arange(len(rounds)), contexts)
+    played = sum(cols[t, arm] for t, (_, arm) in enumerate(rounds))
+    if env.grouping == "round":
+        return played - cols.min(axis=1).sum()
+    best = 0.0
+    for c in set(contexts):
+        total = cols[[x == c for x in contexts]].sum(axis=0)
+        mask = env.active_mask(c)
+        best += (total if mask is None else total[mask]).min()
+    return played - best
+
+
 def test_regret_tracker_streaming_equals_batch():
-    env = AuctionEnv.generate(200, RngStream(5, 0))
-    gen = np.random.default_rng(2)
-    tracker = RegretTracker(env)
-    history = []
-    for t in range(200):
-        c = env.context(t)
-        a = int(gen.integers(env.n_arms))
-        tracker.update(t, c, a)
-        history.append((c, a))
-    assert tracker.regret() == pytest.approx(hindsight_regret(history, env))
-    # continuous values: comparator is the per-round minimum
-    assert tracker.regret() >= 0.0
+    # the tracker, fed one round at a time across several scoring blocks
+    # and read mid-block, against the comparator computed from the losses
+    horizon = 2 * SCORE_BLOCK + 88
+    reads = {1, 37, SCORE_BLOCK, SCORE_BLOCK + 1, horizon}
+    for spec in REGRET_SPECS:
+        env = build_env(spec, horizon, RngStream(5, 0))
+        gen = np.random.default_rng(2)
+        tracker = RegretTracker(env)
+        rounds = []
+        for t in range(horizon):
+            c = env.context(t)
+            mask = env.active_mask(c)
+            arms = np.arange(env.n_arms) if mask is None else np.flatnonzero(mask)
+            rounds.append((c, int(gen.choice(arms))))
+            tracker.update(t, *rounds[-1])
+            if t + 1 in reads:
+                want = _regret_from_columns(env, rounds)
+                assert tracker.regret() == pytest.approx(want, rel=1e-12, abs=1e-9), (spec, t)
+        assert tracker.regret() > 0.0, spec
 
 
 def test_regret_tracker_respects_active_sets():
@@ -205,8 +243,8 @@ def test_from_tensor_normalises_nu_for_known_nu_and_audit():
     oracle = env.known_nu_oracle()
     assert oracle is env.context_space and oracle.weights.tolist() == [0.25] * 4
     acc = make_accumulator(env.acc_kind, env.n_arms, env.n_contexts)
-    learner = KnownNuLearner([acc], [oracle], known_nu_rate(env.n_arms, env.horizon),
-                             [RngStream(0, 2)], active=[env.active_mask])
+    learner = KnownNuLearner([acc], oracle, known_nu_rate(env.n_arms, env.horizon),
+                             [RngStream(0, 2)], active=env.active_mask)
     for t in range(env.horizon):
         learner.step(env.context(t), lambda a: env.reveal(t, a))
     assert acc.version == env.horizon

@@ -159,6 +159,27 @@ def test_lockstep_runs_each_batch_in_its_own_learner(monkeypatch):
     assert list(map(_without_wall, got)) == list(map(_without_wall, want))
 
 
+def test_lockstep_batch_reads_its_space_and_masks_once():
+    # the space and active sets are the spec's: a batch of R = 3 sleeping
+    # K = 6 envs reads one oracle and one mask per subset, 63, not R of each
+    seeds = [0, 1, 2]
+    envs = [build_env({"kind": "sleeping", "K": 6}, 64, RngStream(s, harness.ENV_STREAM))
+            for s in seeds]
+    calls = {"mask": 0, "oracle": 0}
+    for env in envs:
+        def active_mask(context, read=env.active_mask):
+            calls["mask"] += 1
+            return read(context)
+
+        def known_nu_oracle(read=env.known_nu_oracle):
+            calls["oracle"] += 1
+            return read()
+        env.active_mask, env.known_nu_oracle = active_mask, known_nu_oracle
+    algo = build_algo("known_nu", envs, seeds, None)
+    assert len(algo.space) == 63
+    assert calls == {"mask": 63, "oracle": 1}
+
+
 def test_lockstep_wall_ms_shares_sum_to_the_loop_time(monkeypatch):
     clock = iter([10.0, 13.0])  # the loop starts at 10 s and ends at 13 s
     monkeypatch.setattr(harness, "time", types.SimpleNamespace(perf_counter=lambda: next(clock)))
@@ -403,6 +424,28 @@ def test_cli_names_a_file_that_is_not_utf8_text(tmp_path, capsys, command):
     assert captured.err.startswith("error: cannot read ") and "utf-8" in captured.err
 
 
+def test_scaling_refuses_a_repeated_run(tmp_path, capsys):
+    # the committed results cut to seeds 0-4, every crosslearn row written
+    # twice: counted twice, the 5 seeds would pass the 10-seed rule
+    rows = [row for row in load_results_csv(ROOT / "results.csv") if int(row["seed"]) < 5]
+    repeated = [row for row in rows if row["algo"] == "crosslearn"]
+    path = tmp_path / "r.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(CSV_HEADER) + "\n")
+        fh.writelines(",".join(row.values()) + "\n" for row in rows + repeated)
+    first = next(row for row in repeated if row["checkpoint"] == row["T"])
+    what = (f"run '{first['run_id']}' (algo crosslearn, T {first['T']}, seed {first['seed']}) "
+            f"has more than one final row")
+    with pytest.raises(ConfigError, match=re.escape(what)):
+        scaling_report(load_results_csv(path), algo="crosslearn")
+    assert main(["scaling", str(path), "--algo", "crosslearn"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {what}\n"
+    # the rows written once fit nothing at 5 seeds
+    with pytest.raises(ConfigError, match="need >= 10 seeds per horizon"):
+        scaling_report(rows, algo="crosslearn")
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_scaling_refuses_a_non_finite_regret(tmp_path, capsys, bad):
     # 4 horizons x 10 seeds fit; one non-finite final regret must not turn
@@ -452,6 +495,19 @@ def test_synthetic_quick_reproduces_golden_csv(tmp_path):
     assert main(["run", str(cfg_path)]) == 0
     golden = (Path(__file__).parent / "data" / "synthetic_quick.csv").read_bytes()
     assert (tmp_path / "results.csv").read_bytes() == golden
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_known_nu_lockstep_reproduces_golden_csv(tmp_path, workers):
+    # the lockstep known_nu batches write the committed bytes whichever
+    # worker count splits the seeds
+    config = json.loads((ROOT / "configs" / "known_nu_lockstep.json").read_text())
+    config["output"] = str(tmp_path / "known_nu_lockstep.csv")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["run", str(cfg_path), "--workers", str(workers)]) == 0
+    golden = (Path(__file__).parent / "data" / "known_nu_lockstep.csv").read_bytes()
+    assert (tmp_path / "known_nu_lockstep.csv").read_bytes() == golden
 
 
 def test_every_algo_runs_on_matrix_active_sets():

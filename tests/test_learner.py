@@ -116,7 +116,7 @@ def test_out_of_order_and_horizon_exhaustion():
     learner = CrossLearner(params, acc, RngStream(0, 1))
     reveal = _const_env_step([0.5])
     space = ContextSpace(np.arange(1), weights=[1.0])
-    for algo in (learner, KnownNuLearner([make_accumulator(TABULAR, 3, 1)], [space], 0.1,
+    for algo in (learner, KnownNuLearner([make_accumulator(TABULAR, 3, 1)], space, 0.1,
                                          [RngStream(0, 2)]),
                  PerContextExp3(3, RngStream(0, 3))):
         with pytest.raises(TypeError):
@@ -145,8 +145,8 @@ def test_empty_active_set_rejected():
     for build in (
             lambda: CrossLearner(params, make_accumulator(TABULAR, 3, 2), RngStream(0, 1),
                                  active=matrix),
-            lambda: KnownNuLearner([make_accumulator(TABULAR, 3, 2)], [space], 0.1,
-                                   [RngStream(0, 2)], active=[matrix]),
+            lambda: KnownNuLearner([make_accumulator(TABULAR, 3, 2)], space, 0.1,
+                                   [RngStream(0, 2)], active=matrix),
             lambda: PerContextExp3(3, RngStream(0, 3), active=matrix)):
         with pytest.raises(ParamError, match="callable"):
             build()

@@ -196,7 +196,7 @@ def test_a_table_refuses_an_empty_active_set():
     with pytest.raises(SimplexError, match="context 1 is empty"):
         CrossLearner(tune_parameters(3, 64), acc, RngStream(0, 1), active=active, space=space)
     with pytest.raises(SimplexError, match="context 1 is empty"):
-        KnownNuLearner([acc], [space], 0.5, [RngStream(0, 2)], active=[active])
+        KnownNuLearner([acc], space, 0.5, [RngStream(0, 2)], active=active)
     # a context with one active arm plays it with probability 1
     masks = space_masks(space, lambda c: np.array([c != 1, True, c != 1]), 3)
     table = SpaceTable(acc, space, masks, 0.5)
