@@ -26,17 +26,21 @@ class PerContextExp3:
     t_c counts visits to that context. A context never seen before starts
     from the uniform state, so fresh contexts are played uniformly; a
     context gets a state of its own when it is first played, not when its
-    distribution is read. active: None (every arm always active) or a
-    callable context -> mask/None, an env's active_mask (ParamError
-    otherwise); SimplexError when a mask is not K booleans or is empty.
+    distribution is read. fresh_contexts: no context repeats (an env whose
+    grouping is "round", continuous auction values), so every round plays
+    from the shared uniform state and no state is kept. active: None (every
+    arm always active) or a callable context -> mask/None, an env's
+    active_mask (ParamError otherwise); SimplexError when a mask is not K
+    booleans or is empty.
 
     A state is [estimates, visits] with the estimates a list of floats;
     their exponents are taken on Python floats, the same IEEE multiply as
     numpy's, and ftrl_weights does the rest.
     """
 
-    def __init__(self, n_arms, rng, active=None):
+    def __init__(self, n_arms, rng, active=None, fresh_contexts=False):
         self.n_arms = int(n_arms)
+        self._fresh_contexts = fresh_contexts
         self._gen = BlockUniforms(rng.gen)
         self._mask = mask_function(active)
         self._states = {}
@@ -54,6 +58,10 @@ class PerContextExp3:
         return self._weights(self._states.get(context, self._fresh), context)
 
     def step(self, context, reveal):
+        if self._fresh_contexts:  # a state kept here would never be read again
+            arm = sample_index(self._weights(self._fresh, context), self._gen)
+            reveal(arm)
+            return arm
         st = self._states.get(context)
         if st is None:
             st = self._states[context] = [[0.0] * self.n_arms, 0]

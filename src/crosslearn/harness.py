@@ -111,6 +111,16 @@ def crosslearn_params(n_arms, horizon, overrides):
     raise ConfigError(f"overrides must be a dict, 'tuned', or 'calibrated': {overrides!r}")
 
 
+def env_accumulator(env):
+    return make_accumulator(env.acc_kind, env.n_arms, getattr(env, "n_contexts", None))
+
+
+def build_crosslearner(env, params, seed):
+    """The CrossLearner of a run on env, from stream (seed, ALGO_STREAMS["crosslearn"])."""
+    return CrossLearner(params, env_accumulator(env), RngStream(seed, ALGO_STREAMS["crosslearn"]),
+                        active=env.active_mask, space=env.context_space)
+
+
 def build_algo(name, env, seed, overrides):
     """The learner `name` for a run of env over its horizon, from stream
     (seed, ALGO_STREAMS[name]). known_nu's learner has a seed axis: over
@@ -121,17 +131,14 @@ def build_algo(name, env, seed, overrides):
         envs, seeds = (env, seed) if isinstance(env, list) else ([env], [seed])
         first = envs[0]
         return KnownNuLearner(
-            [make_accumulator(e.acc_kind, e.n_arms, getattr(e, "n_contexts", None)) for e in envs],
-            first.known_nu_oracle(), known_nu_rate(first.n_arms, first.horizon),
+            [env_accumulator(e) for e in envs], first.known_nu_oracle(),
+            known_nu_rate(first.n_arms, first.horizon),
             [RngStream(s, ALGO_STREAMS[name]) for s in seeds], active=first.active_mask)
-    rng = RngStream(seed, ALGO_STREAMS[name])
-    n_contexts = getattr(env, "n_contexts", None)
     if name == "crosslearn":
-        params = crosslearn_params(env.n_arms, env.horizon, overrides)
-        acc = make_accumulator(env.acc_kind, env.n_arms, n_contexts)
-        return CrossLearner(params, acc, rng, active=env.active_mask, space=env.context_space)
+        return build_crosslearner(env, crosslearn_params(env.n_arms, env.horizon, overrides), seed)
     if name == "exp3_per_context":
-        return PerContextExp3(env.n_arms, rng, active=env.active_mask)
+        return PerContextExp3(env.n_arms, RngStream(seed, ALGO_STREAMS[name]),
+                              active=env.active_mask, fresh_contexts=env.grouping == "round")
     raise ConfigError(f"unknown algorithm {name!r}")
 
 
@@ -278,11 +285,15 @@ def map_tasks(fn, tasks, workers):
     number of tasks, else on a process pool of that many workers, one task
     at a time each. fn must be a module-level function. The pool machinery
     (multiprocessing) is imported here, by the first run that starts a
-    pool, so a serial run never loads it."""
+    pool, so a serial run never loads it; so is numpy.random, which every
+    run's RngStream needs, so that forked workers inherit it instead of
+    each importing it again on every call."""
     workers = min(workers, worker_cap(), len(tasks))
     if workers <= 1:
         return [fn(task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor
+
+    import numpy.random  # noqa: F401
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=1))

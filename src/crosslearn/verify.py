@@ -27,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulator import make_accumulator
-from .envs import TabularEnv
-from .harness import ENV_STREAM, ALGO_STREAMS, map_tasks
-from .learner import CrossLearner, _SnapView, tune_parameters
+from .envs import build_env
+from .harness import ENV_STREAM, build_crosslearner, map_tasks
+from .learner import _SnapView, tune_parameters
 from .simplex import RngStream, space_masks
 
 # samples of t draws averaged at once by inverse_mean_bound_check
@@ -138,8 +137,7 @@ class _AuditObserver:
     The class and method names stay because perfbench/layers.py wraps
     them by name."""
 
-    def __init__(self, env, params, acc):
-        self.params = params
+    def __init__(self, env, acc):
         self.records = []
         self._open = None
         self._space = env.known_nu_oracle()
@@ -166,7 +164,7 @@ class _AuditObserver:
 
     def epoch_started(self, learner, epoch):
         self._close(learner)
-        params = self.params
+        params = learner.params
         f = self._freq_true(learner)
         fhat = learner.freq_estimate
         beta = (f + params.gamma) / (fhat + 1.5 * params.gamma)
@@ -190,9 +188,8 @@ class _AuditObserver:
         """Record the open epoch, if any, as ending at learner.t."""
         if self._open is None:
             return
-        o = self._open
-        self._open = None
-        limit = self.params.epoch_len + self.params.conf / self.params.gamma
+        o, self._open = self._open, None
+        limit = learner.params.epoch_len + learner.params.conf / learner.params.gamma
         self.records.append(EpochAudit(
             epoch=o["epoch"], freq_true=o["freq_true"], freq_est=o["freq_est"],
             beta=o["beta"], conc_ok=o["conc_ok"],
@@ -202,12 +199,9 @@ class _AuditObserver:
 
 
 def audit_run(env, params, seed):
-    """Run the cross-learner on env under audit; returns per-epoch records."""
-    acc = make_accumulator(env.acc_kind, env.n_arms,
-                           getattr(env, "n_contexts", None))
-    learner = CrossLearner(params, acc, RngStream(seed, ALGO_STREAMS["crosslearn"]),
-                           active=env.active_mask, space=env.context_space)
-    audit = _AuditObserver(env, params, acc)
+    """Run the cross-learner of a run on env under audit; per-epoch records."""
+    learner = build_crosslearner(env, params, seed)
+    audit = _AuditObserver(env, learner.acc)
     for t in range(env.horizon):
         learner.step(env.context(t), lambda a: env.reveal(t, a))
         audit.round_played(learner)
@@ -239,11 +233,9 @@ def audit_summary(all_records):
 
 
 def _audit_seed(task):
-    """audit_run of one seed of tuned_synthetic_audit."""
-    seed, params, n_contexts, n_arms, horizon, gap, noise = task
-    env = TabularEnv.synthetic(n_contexts, n_arms, horizon,
-                               RngStream(seed, ENV_STREAM), gap=gap, noise=noise)
-    return audit_run(env, params, seed)
+    """audit_run of one seed of tuned_synthetic_audit, on its spec's env."""
+    seed, params, spec, horizon = task
+    return audit_run(build_env(spec, horizon, RngStream(seed, ENV_STREAM)), params, seed)
 
 
 def tuned_synthetic_audit(n_seeds=100, n_contexts=64, n_arms=8, horizon=16384,
@@ -254,8 +246,8 @@ def tuned_synthetic_audit(n_seeds=100, n_contexts=64, n_arms=8, horizon=16384,
     under CROSSLEARN_THREADS=1); the records are summarised in seed order
     either way."""
     params = tune_parameters(n_arms, horizon)
-    tasks = [(seed, params, n_contexts, n_arms, horizon, gap, noise)
-             for seed in range(n_seeds)]
+    spec = {"kind": "tabular_synthetic", "C": n_contexts, "K": n_arms, "gap": gap, "noise": noise}
+    tasks = [(seed, params, spec, horizon) for seed in range(n_seeds)]
     per_seed = map_tasks(_audit_seed, tasks, n_seeds)
     return audit_summary([r for records in per_seed for r in records])
 

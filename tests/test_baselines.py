@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,8 @@ from crosslearn.baselines import (
     PerContextExp3,
     known_nu_rate,
 )
-from crosslearn.envs import AuctionEnv, TabularEnv
+from crosslearn.envs import AuctionEnv, TabularEnv, build_env
+from crosslearn.harness import ENV_STREAM, build_algo, run_single
 from crosslearn.simplex import ContextSpace, RngStream, SimplexError
 
 
@@ -56,6 +60,27 @@ def test_exp3_reading_a_distribution_stores_no_state():
     algo.distribution(0.7)[0] = 9.0
     assert algo.distribution(0.5) != played and algo.distribution(0.7) == [0.25] * 4
     assert list(algo._states) == [0.5]
+
+
+def test_exp3_keeps_no_state_on_values_that_never_repeat():
+    # continuous auction values never repeat (grouping "round"): every round
+    # plays the shared uniform state and keeps none, and the checkpoints are
+    # those recorded when exp3 kept one state per round; value atoms repeat
+    # and keep their states
+    data = json.loads((Path(__file__).parent / "data" / "exp3_continuous_auction.json")
+                      .read_text())
+    spec, horizon = data["env"], data["T"]
+    for values, kept in ((None, False), ({"kind": "discrete", "atoms": [0.2, 0.7],
+                                          "probs": [1, 1]}, True)):
+        env = build_env(dict(spec, values=values), horizon, RngStream(0, ENV_STREAM))
+        assert env.grouping == ("context" if kept else "round")
+        algo = build_algo("exp3_per_context", env, 0, None)
+        for t in range(horizon):
+            algo.step(env.context(t), lambda a: env.reveal(t, a))
+        assert len(algo._states) == (2 if kept else 0)
+    for seed, want in data["checkpoints"].items():
+        got = run_single(spec, "exp3_per_context", horizon, int(seed)).checkpoints
+        assert [list(cp) for cp in got] == want, seed
 
 
 def test_exp3_state_isolation():

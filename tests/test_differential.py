@@ -41,8 +41,10 @@ from crosslearn.harness import (
     ALGO_STREAMS,
     ENV_STREAM,
     build_algo,
+    build_crosslearner,
     build_env,
     checkpoint_schedule,
+    env_accumulator,
     run_single,
 )
 from crosslearn.learner import (TABLE_ROWS_PER_ROUND, CrossLearner, ParamError,
@@ -531,8 +533,8 @@ LOCKSTEP_SEEDS = [6, 11, 17]
 def _known_nu_parts(env, seed):
     """A fresh accumulator, the oracle space, the learner's stream and the
     active sets of one known_nu run."""
-    acc = make_accumulator(env.acc_kind, env.n_arms, getattr(env, "n_contexts", None))
-    return acc, env.known_nu_oracle(), RngStream(seed, ALGO_STREAMS["known_nu"]), env.active_mask
+    return (env_accumulator(env), env.known_nu_oracle(),
+            RngStream(seed, ALGO_STREAMS["known_nu"]), env.active_mask)
 
 
 @pytest.mark.parametrize("n_seeds", [1, 2, 3])
@@ -707,9 +709,8 @@ def test_unmasked_fallback_matches_masked_test(name, monkeypatch):
     # a hot rate makes the FTRL state drift from its snapshots, so both
     # branches of the fallback test occur
     hot = dataclasses.replace(params, eta=8 * params.eta)
-    algo = CrossLearner(hot, make_accumulator(env.acc_kind, env.n_arms,
-                                              getattr(env, "n_contexts", None)),
-                        RngStream(8, ALGO_STREAMS["crosslearn"]), active=env.active_mask)
+    algo = CrossLearner(hot, env_accumulator(env), RngStream(8, ALGO_STREAMS["crosslearn"]),
+                        active=env.active_mask)
     for t in range(horizon):
         context = env.context(t)
         mask_now.append(env.active_mask(context))
@@ -1171,12 +1172,6 @@ TABLE_ENVS = ("tabular", "tabular_active", "tabular_large", "auction_atoms",
               "sleeping_bernoulli", "sleeping_categorical")
 
 
-def _cross_learner(env, params, space):
-    acc = make_accumulator(env.acc_kind, env.n_arms, getattr(env, "n_contexts", None))
-    return CrossLearner(params, acc, RngStream(3, ALGO_STREAMS["crosslearn"]),
-                        active=env.active_mask, space=space)
-
-
 def _play(env, learner, at_epoch_start=None):
     """The arms the learner plays over env's horizon. at_epoch_start(learner)
     runs before the first round and after each round that starts an epoch."""
@@ -1210,7 +1205,7 @@ def test_snapshot_table_rows_match_per_lookup_rows(name):
         versions.append(learner._snap_cur.handle.version)
 
     params = dataclasses.replace(calibrated_params(env.n_arms, env.horizon), eta=0.5)
-    _play(env, _cross_learner(env, params, space), check)
+    _play(env, build_crosslearner(env, params, 3), check)
     # the warm-up snapshot, then snapshots of several accumulator states
     assert versions[0] == 0 and len(set(versions)) > 5
 
@@ -1305,8 +1300,9 @@ def test_run_from_tables_matches_run_on_per_lookup_rows(name):
     env = ENVS[name]()
     built = build_algo("crosslearn", env, 3, "calibrated")
     assert built._space is env.context_space
-    tabled = _cross_learner(env, built.params, env.context_space)
-    per_lookup = _cross_learner(env, built.params, None)
+    tabled = build_crosslearner(env, built.params, 3)
+    per_lookup = CrossLearner(built.params, env_accumulator(env),
+                              RngStream(3, ALGO_STREAMS["crosslearn"]), active=env.active_mask)
     assert tabled._snap_cur.table is not None and per_lookup._snap_cur.table is None
     assert tabled._exponents is not None and per_lookup._exponents is None
     tabled_freq, per_lookup_freq = [], []
@@ -1329,22 +1325,21 @@ def test_space_larger_than_the_epoch_allows_serves_per_lookup_rows():
         "kind": "discrete", "atoms": (np.arange(n) / n).tolist(), "probs": [1] * n})
     base = calibrated_params(env.n_arms, env.horizon)
     for epoch_len, tabled in ((L, True), (L - 2, False)):
-        learner = _cross_learner(env, with_overrides(base, L=epoch_len, unsafe=True),
-                                 env.context_space)
+        learner = build_crosslearner(env, with_overrides(base, L=epoch_len, unsafe=True), 3)
         # a kept space gets both tables, a dropped one neither
         assert (learner._snap_cur.table is not None) is tabled, epoch_len
         assert (learner._exponents is not None) is tabled, epoch_len
     # context ids get a table however many there are
     env = TabularEnv.synthetic(3 * n, 3, 400, RngStream(4, 0))
     params = with_overrides(calibrated_params(3, env.horizon), L=L - 2, unsafe=True)
-    learner = _cross_learner(env, params, env.context_space)
+    learner = build_crosslearner(env, params, 3)
     assert learner._snap_cur.table.shape == (3 * n, 3)
     assert learner._exponents.exponents.shape == (3 * n, 3)
     # 1 023 availability subsets at a short epoch
     env = SleepingEnv.generate(600, 10, RngStream(4, 0))
     assert len(env.context_space) == 1023 > TABLE_ROWS_PER_ROUND * 20
     params = with_overrides(calibrated_params(env.n_arms, env.horizon), L=20, unsafe=True)
-    learner = _cross_learner(env, params, env.context_space)
+    learner = build_crosslearner(env, params, 3)
     assert learner._space is None
     for t in range(200):
         context = env.context(t)
@@ -1373,9 +1368,9 @@ def test_tables_give_inactive_arms_zero_weight():
         inactive = np.array([~env.active_mask(c) for c in space.contexts.tolist()])
         assert inactive.any(), name
         params = dataclasses.replace(calibrated_params(env.n_arms, env.horizon), eta=0.5)
-        learner = _cross_learner(env, params, space)
-        acc = make_accumulator(env.acc_kind, env.n_arms, getattr(env, "n_contexts", None))
-        known = KnownNuLearner([acc], space, 0.5, [RngStream(3, 2)], active=env.active_mask)
+        learner = build_crosslearner(env, params, 3)
+        known = KnownNuLearner([env_accumulator(env)], space, 0.5, [RngStream(3, 2)],
+                               active=env.active_mask)
         snapshots = set()
         for t in range(env.horizon):
             context = env.context(t)
@@ -1393,7 +1388,7 @@ def test_tables_give_inactive_arms_zero_weight():
     env = ENVS["tabular"]()
     assert env.active is None
     assert space_masks(env.context_space, env.active_mask, env.n_arms) is None
-    learner = _cross_learner(env, calibrated_params(4, HORIZON), env.context_space)
+    learner = build_crosslearner(env, calibrated_params(4, HORIZON), 3)
     assert (learner.snapshot_table == 0.25).all()
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from crosslearn.envs import (
+    QUADRATURE_NODES,
     AuctionEnv,
     EnvError,
     RegretTracker,
@@ -20,6 +21,7 @@ from crosslearn.envs import (
 )
 from crosslearn.accumulator import make_accumulator
 from crosslearn.baselines import KnownNuLearner, known_nu_rate
+from crosslearn.harness import ALGO_STREAMS, ENV_STREAM, run_single
 from crosslearn.learner import tune_parameters, with_overrides
 from crosslearn.simplex import RngStream
 from crosslearn.verify import audit_run
@@ -419,3 +421,41 @@ def test_env_reproducible_from_seed():
     assert np.array_equal(a.payments, b.payments)
     c = AuctionEnv.generate(200, RngStream(43, 0))
     assert not np.array_equal(a.values, c.values)
+
+
+@pytest.mark.parametrize("a, b", [(2, 5), (0.5, 0.5), (1, 3), (7.5, 1.2)])
+def test_beta_value_cdf_has_the_bits_of_scipy_stats(a, b):
+    # known_nu's quadrature weights on beta values are CDF differences at
+    # the cell edges; scipy.stats is imported here only, to pin its bits
+    from scipy.stats import beta
+
+    env = AuctionEnv.generate(16, RngStream(0, 0), values={"kind": "beta", "a": a, "b": b})
+    edges = np.linspace(0.0, 1.0, QUADRATURE_NODES + 1)
+    assert env._value_cdf(edges).tobytes() == beta.cdf(edges, a, b).tobytes()
+
+
+# spec fields a config can set that no other tier-1 test runs to the end
+REACHABLE_SPECS = {
+    "auction_payments_drift": {"kind": "auction", "K": 4, "payments": {"kind": "drift"}},
+    "auction_values_beta": {"kind": "auction", "K": 4,
+                            "values": {"kind": "beta", "a": 2, "b": 5}},
+    "sleeping_losses_iid_uniform": {"kind": "sleeping", "K": 3,
+                                    "losses": {"kind": "iid_uniform"}},
+    "tabular_synthetic_nu": {"kind": "tabular_synthetic", "C": 4, "K": 3,
+                             "nu": [1, 2, 3, 4]},
+}
+
+
+@pytest.mark.parametrize("algo", sorted(ALGO_STREAMS))
+@pytest.mark.parametrize("name", sorted(REACHABLE_SPECS))
+def test_env_kinds_a_config_reaches_run_every_algo(name, algo):
+    spec, horizon, seed = REACHABLE_SPECS[name], 512, 3
+    first, again = (run_single(spec, algo, horizon, seed) for _ in range(2))
+    assert first.checkpoints == again.checkpoints
+    assert first.fallback_count == again.fallback_count
+    assert [t for t, _ in first.checkpoints] == [1 << j for j in range(10)]
+    assert all(math.isfinite(regret) for _, regret in first.checkpoints)
+    env = build_env(spec, horizon, RngStream(seed, ENV_STREAM))
+    cols = env.loss_columns(np.arange(horizon), [env.context(t) for t in range(horizon)])
+    assert cols.shape == (horizon, env.n_arms)
+    assert ((cols >= 0.0) & (cols <= 1.0)).all()

@@ -386,18 +386,34 @@ def test_cli_reports_a_failed_write(tmp_path, capsys, monkeypatch):
 
 
 def test_cold_import_leaves_out_the_pool_and_the_parser():
-    # the process pool and argparse are imported by the first run or CLI
-    # call that needs them; test_parallel_matches_serial covers the pool
+    # the process pool, argparse, numpy.random and scipy are imported by the
+    # first run or CLI call that needs them; test_parallel_matches_serial
+    # covers the pool
     env = dict(os.environ, PYTHONPATH=str(Path(crosslearn.__file__).parents[1]))
     probe = ("import sys, crosslearn; print(sorted(m for m in ("
-             "'concurrent.futures.process', 'multiprocessing', 'argparse') "
-             "if m in sys.modules))")
+             "'concurrent.futures.process', 'multiprocessing', 'argparse', "
+             "'numpy.random', 'scipy') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
     cli = subprocess.run([sys.executable, "-m", "crosslearn", "--help"], env=env,
                          capture_output=True, text=True)
     assert cli.returncode == 0 and "usage: crosslearn" in cli.stdout
+
+
+def test_pool_workers_inherit_numpy_random(tmp_path):
+    # a parent that never imported numpy.random hands it to the workers it
+    # forks, so no pooled task imports it again
+    (tmp_path / "probe_task.py").write_text(
+        "import sys\n\n\ndef loaded(name):\n    return name in sys.modules\n")
+    path = os.pathsep.join([str(Path(crosslearn.__file__).parents[1]), str(tmp_path)])
+    env = dict(os.environ, PYTHONPATH=path, CROSSLEARN_THREADS="2")
+    probe = ("import sys, crosslearn, probe_task; "
+             "print('numpy.random' in sys.modules, crosslearn.harness.map_tasks("
+             "probe_task.loaded, ['numpy.random'] * 2, 2))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False [True, True]"
 
 
 @pytest.mark.parametrize("text, match", [

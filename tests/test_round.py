@@ -21,7 +21,7 @@ import pytest
 import crosslearn.learner as learner_module
 from crosslearn.accumulator import AFFINE, LinearLoss, make_accumulator, snapshot
 from crosslearn.envs import AuctionEnv, SleepingEnv
-from crosslearn.harness import ALGO_STREAMS, ENV_STREAM, build_env
+from crosslearn.harness import ALGO_STREAMS, ENV_STREAM, build_env, env_accumulator
 from crosslearn.learner import (CrossLearner, Params, _sum_rows, bernoulli_param,
                                 calibrated_params, estimate_weight)
 from crosslearn.simplex import BlockUniforms, ContextSpace, RngStream, sample_index
@@ -178,8 +178,7 @@ def test_round_on_floats_matches_round_on_arrays(monkeypatch, name):
                         lambda self, *a: views.append(1) or init(self, *a))
 
     def learner(cls):
-        acc = make_accumulator(env.acc_kind, env.n_arms, getattr(env, "n_contexts", None))
-        return cls(params, acc, RngStream(4, ALGO_STREAMS["crosslearn"]),
+        return cls(params, env_accumulator(env), RngStream(4, ALGO_STREAMS["crosslearn"]),
                    active=env.active_mask, space=space)
 
     new, ref = learner(CrossLearner), learner(_RefCrossLearner)

@@ -136,6 +136,23 @@ def test_sample_index_never_zero_weight():
         assert sample_index(probs, gen) == 1
 
 
+class _TopUniform:
+    """A generator whose every uniform is the largest double below 1."""
+
+    def random(self):
+        return 1.0 - 2.0 ** -53
+
+
+@pytest.mark.parametrize("weights, want", [([5e-324, 0.0], 0), ([0.0, 5e-324, 0.0, 0.0], 1)])
+def test_sample_index_top_edge_walks_back_to_a_positive_weight(weights, want):
+    # on a subnormal total the top uniform times the total rounds up to the
+    # total itself, past every prefix sum: the index is clamped to the last
+    # entry, then walks back over zero weights
+    assert _TopUniform().random() * sum(weights) == sum(weights)
+    assert sample_index(weights, _TopUniform()) == want
+    assert sample_index(np.array(weights), _TopUniform()) == want
+
+
 def test_rng_stream_deterministic():
     a = RngStream(42, 1).gen.random(5)
     b = RngStream(42, 1).gen.random(5)

@@ -165,7 +165,8 @@ def test_tuned_audit_runs_its_seeds_on_a_pool_in_seed_order(monkeypatch):
     params = tune_parameters(4, 1024)
     serial = [audit_run(TabularEnv.synthetic(8, 4, 1024, RngStream(seed, 0)), params, seed)
               for seed in range(3)]
-    tasks = [(seed, params, 8, 4, 1024, 0.7, 0.15) for seed in range(3)]
+    spec = {"kind": "tabular_synthetic", "C": 8, "K": 4, "gap": 0.7, "noise": 0.15}
+    tasks = [(seed, params, spec, 1024) for seed in range(3)]
     assert [_records_key(r) for r in pooled(verify_module._audit_seed, tasks, 2)] == \
         [_records_key(r) for r in serial]
     assert summary == audit_summary([r for records in serial for r in records])
