@@ -641,6 +641,14 @@ def check_spec(spec, known_nu=False):
                 f"enumerated only for K <= {SUBSET_SPACE_MAX_ARMS}; got K={n_arms}")
 
 
+def preload(spec):
+    """Import what building the envs of a checked spec imports on first use
+    (scipy.special for beta values), so that pool workers forked after this
+    call inherit it instead of each importing it again."""
+    if _spec(spec, "env")[0] == "auction" and _spec(spec.get("values"), "values")[0] == "beta":
+        import scipy.special  # noqa: F401
+
+
 def spec_arms(spec, horizon):
     """Number of arms of the env a checked spec builds at this horizon."""
     n_arms = spec.get("K")

@@ -32,7 +32,8 @@ import numpy as np
 
 from .accumulator import make_accumulator
 from .baselines import KnownNuLearner, PerContextExp3, known_nu_rate
-from .envs import EnvError, RegretTracker, build_env, check_spec, is_int, is_whole, spec_arms
+from .envs import (EnvError, RegretTracker, build_env, check_spec, is_int, is_whole, preload,
+                   spec_arms)
 from .learner import (CrossLearner, ParamError, calibrated_params,
                       tune_parameters, with_overrides)
 from .simplex import RngStream
@@ -308,6 +309,7 @@ def run_experiment(config):
     (run_lockstep). The results come back in (algo, T, seed) order, each
     run with its share of its batch's wall time as wall_ms."""
     validate_config(config)
+    preload(config["env"])
     overrides = config.get("overrides")
     workers = int(config.get("workers", 1))
     seeds = [int(seed) for seed in config["seeds"]]

@@ -36,6 +36,8 @@ from .simplex import RngStream, space_masks
 MEAN_CHUNK = 20000
 # the range of the weight ratio beta that good epochs must keep
 BETA_LO, BETA_HI = 0.5, 2.0
+# the env of tuned_synthetic_audit
+AUDIT_ENV = {"kind": "tabular_synthetic", "C": 64, "K": 8, "gap": 0.7, "noise": 0.15}
 
 
 @dataclass
@@ -87,12 +89,12 @@ LEMMA_DISTS += [("uniform",), ("beta", 2, 5)]
 LEMMA_SAMPLE_SIZES = (16, 64, 256, 1024)
 
 
-def lemma_suite(n_trials=100000, seed=0):
+def lemma_suite(n_trials=100000):
     """All 32 (distribution, t) combinations of the inverse-mean bound."""
     out = []
     for i, dist in enumerate(LEMMA_DISTS):
         for j, t in enumerate(LEMMA_SAMPLE_SIZES):
-            rng = RngStream(seed, 1000 + 10 * i + j)
+            rng = RngStream(0, 1000 + 10 * i + j)
             res = inverse_mean_bound_check(dist, t, n_trials, rng)
             name = f"inv-mean {dist} t={t}"
             detail = (f"lhs={res['lhs']:.4f} rhs={res['rhs']:.4f} "
@@ -233,21 +235,19 @@ def audit_summary(all_records):
 
 
 def _audit_seed(task):
-    """audit_run of one seed of tuned_synthetic_audit, on its spec's env."""
-    seed, params, spec, horizon = task
-    return audit_run(build_env(spec, horizon, RngStream(seed, ENV_STREAM)), params, seed)
+    """audit_run of one seed of tuned_synthetic_audit, on an AUDIT_ENV env."""
+    seed, params, horizon = task
+    return audit_run(build_env(AUDIT_ENV, horizon, RngStream(seed, ENV_STREAM)), params, seed)
 
 
-def tuned_synthetic_audit(n_seeds=100, n_contexts=64, n_arms=8, horizon=16384,
-                          gap=0.7, noise=0.15):
-    """Audit of theorem-tuned runs on the synthetic tabular suite. The
-    seeds run on a process pool of one worker per seed, capped by
-    harness.worker_cap() (CROSSLEARN_THREADS, else the usable CPUs; serially
-    under CROSSLEARN_THREADS=1); the records are summarised in seed order
-    either way."""
-    params = tune_parameters(n_arms, horizon)
-    spec = {"kind": "tabular_synthetic", "C": n_contexts, "K": n_arms, "gap": gap, "noise": noise}
-    tasks = [(seed, params, spec, horizon) for seed in range(n_seeds)]
+def tuned_synthetic_audit(n_seeds=100, horizon=16384):
+    """Audit of theorem-tuned runs on the AUDIT_ENV suite. The seeds run on
+    a process pool of one worker per seed, capped by harness.worker_cap()
+    (CROSSLEARN_THREADS, else the usable CPUs; serially under
+    CROSSLEARN_THREADS=1); the records are summarised in seed order either
+    way."""
+    params = tune_parameters(AUDIT_ENV["K"], horizon)
+    tasks = [(seed, params, horizon) for seed in range(n_seeds)]
     per_seed = map_tasks(_audit_seed, tasks, n_seeds)
     return audit_summary([r for records in per_seed for r in records])
 

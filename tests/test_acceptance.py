@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from crosslearn.envs import TabularEnv, hindsight_regret
-from crosslearn.harness import map_tasks, run_experiment, run_single, write_csv
+from crosslearn.harness import run_experiment, write_csv
 from crosslearn.learner import (bernoulli_param, calibrated_params,
                                 select_sampling_distribution)
 from crosslearn.verify import (inverse_moment_tail_sum, lemma_suite,
@@ -107,7 +107,7 @@ def test_criterion_02_loss_estimator_unbiased():
 
 
 def test_criterion_03_inverse_mean_lemma_suite():
-    results = lemma_suite(n_trials=100_000, seed=0)
+    results = lemma_suite(n_trials=100_000)
     n_pass = sum(r.passed for r in results)
     report(3, "inverse-mean bound, all 32 (dist, t) cells", n_pass == 32,
            f"{n_pass}/32 cells passed")
@@ -172,28 +172,25 @@ def test_criterion_07_known_nu_parity(synthetic_suite):
            ours <= 3.0 * known, f"{ours:.1f} vs 3 x {known:.1f} = {3 * known:.1f}")
 
 
-def _auction_point(task):
-    horizon, seed = task
-    n_arms = math.ceil(horizon ** (1.0 / 3.0))
-    # desk-scale rate: at these horizons the optimization term dominates the
-    # estimator-variance term, so eta grows with the bid grid (eta_scale=K/8)
-    params = calibrated_params(n_arms, horizon, eta_scale=n_arms / 8.0)
-    overrides = {"eta": params.eta, "gamma": params.gamma,
-                 "L": params.epoch_len, "unsafe": True}
-    res = run_single(AUCTION_ENV, "crosslearn", horizon, seed, overrides)
-    return horizon, res.checkpoints[-1][1], res.fallback_count
-
-
 @pytest.mark.slow
 def test_criterion_08_auction_scaling():
     from crosslearn.harness import fit_scaling
 
-    tasks = [(T, seed) for T in AUCTION_GRID for seed in range(20)]
-    runs = map_tasks(_auction_point, tasks, WORKERS)
-    fit = fit_scaling([(T, regret) for T, regret, _ in runs])
+    runs = []
+    for T in AUCTION_GRID:
+        K = math.ceil(T ** (1.0 / 3.0))
+        # desk-scale rate: at these horizons the optimization term dominates the
+        # estimator-variance term, so eta grows with the bid grid (eta_scale=K/8)
+        p = calibrated_params(K, T, eta_scale=K / 8.0)
+        runs += run_experiment({
+            "env": AUCTION_ENV, "algos": ["crosslearn"], "T_grid": [T],
+            "seeds": list(range(20)), "workers": WORKERS,
+            "overrides": {"eta": p.eta, "gamma": p.gamma, "L": p.epoch_len, "unsafe": True}})
+    fit = fit_scaling([(r.horizon, r.checkpoints[-1][1]) for r in runs])
     # reported, not gated: the fallback rate of the calibrated rate
     rates = ", ".join(
-        f"{T}: {np.mean([fb / T for h, _, fb in runs if h == T]):.4f}" for T in AUCTION_GRID)
+        f"{T}: {np.mean([r.fallback_count / T for r in runs if r.horizon == T]):.4f}"
+        for T in AUCTION_GRID)
     ok = 0.55 <= fit.slope <= 0.78
     report(8, "auction regret slope in [0.55, 0.78]", ok,
            f"slope {fit.slope:.4f} +- {fit.stderr:.4f} over T={fit.horizons}; "

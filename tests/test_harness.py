@@ -13,7 +13,7 @@ import pytest
 
 import crosslearn
 from crosslearn import harness
-from crosslearn.envs import EnvError, TabularEnv
+from crosslearn.envs import EnvError, TabularEnv, spec_arms
 from crosslearn.harness import (
     ALGO_STREAMS,
     CSV_HEADER,
@@ -22,6 +22,7 @@ from crosslearn.harness import (
     build_algo,
     build_env,
     checkpoint_schedule,
+    crosslearn_params,
     fit_scaling,
     load_results_csv,
     main,
@@ -32,6 +33,7 @@ from crosslearn.harness import (
     worker_cap,
     write_csv,
 )
+from crosslearn.learner import calibrated_params
 from crosslearn.simplex import RngStream
 
 SMALL_ENV = {"kind": "tabular_synthetic", "C": 4, "K": 3}
@@ -227,6 +229,18 @@ def test_invalid_override_rejected():
     validate_config(small_config(overrides={"eta": 5.0, "unsafe": True}))
 
 
+@pytest.mark.parametrize("horizon", [2 ** e for e in range(12, 19)])
+def test_auction_overrides_rebuild_the_calibrated_params(horizon):
+    # criterion 08 and the reductions_grid benchmark state the bid-grid
+    # calibrated parameters as an unsafe overrides dict: the harness must
+    # rebuild them field for field, on the auction's own number of bids
+    n_arms = math.ceil(horizon ** (1.0 / 3.0))
+    assert spec_arms({"kind": "auction"}, horizon) == n_arms
+    p = calibrated_params(n_arms, horizon, eta_scale=n_arms / 8.0)
+    overrides = {"eta": p.eta, "gamma": p.gamma, "L": p.epoch_len, "unsafe": True}
+    assert crosslearn_params(n_arms, horizon, overrides) == p
+
+
 def test_validate_config_errors():
     with pytest.raises(ConfigError, match="env"):
         validate_config({"algos": ["crosslearn"], "T_grid": [8], "seeds": [0]})
@@ -416,6 +430,23 @@ def test_pool_workers_inherit_numpy_random(tmp_path):
     assert out.stdout.strip() == "False [True, True]"
 
 
+def test_pool_workers_inherit_scipy_special_on_beta_values(tmp_path):
+    # run_experiment loads the beta CDF's module before the pool forks
+    # (validation alone does not), so no pooled run imports it again
+    (tmp_path / "probe_task.py").write_text(
+        "import sys\n\n\ndef loaded(task):\n    return ['scipy.special' in sys.modules]\n")
+    path = os.pathsep.join([str(Path(crosslearn.__file__).parents[1]), str(tmp_path)])
+    env = dict(os.environ, PYTHONPATH=path, CROSSLEARN_THREADS="2")
+    config = {"env": {"kind": "auction", "values": {"kind": "beta", "a": 2, "b": 5}},
+              "algos": ["crosslearn"], "T_grid": [64], "seeds": [0, 1], "workers": 2}
+    probe = ("import sys, crosslearn, probe_task; from crosslearn import harness; "
+             "harness._run_task = probe_task.loaded; "
+             f"print('scipy' in sys.modules, harness.run_experiment({config!r}))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False [True, True]"
+
+
 @pytest.mark.parametrize("text, match", [
     ("", "empty results file"),
     (",".join(CSV_HEADER) + "\n0,0,crosslearn,tabular,64\n", "line 2: expected 9 fields, got 5"),
@@ -441,9 +472,10 @@ def test_cli_names_a_file_that_is_not_utf8_text(tmp_path, capsys, command):
 
 
 def test_scaling_refuses_a_repeated_run(tmp_path, capsys):
-    # the committed results cut to seeds 0-4, every crosslearn row written
-    # twice: counted twice, the 5 seeds would pass the 10-seed rule
-    rows = [row for row in load_results_csv(ROOT / "results.csv") if int(row["seed"]) < 5]
+    # the golden synthetic_quick results cut to seeds 0-4, every crosslearn
+    # row written twice: counted twice, the 5 seeds would pass the 10-seed rule
+    golden = Path(__file__).parent / "data" / "synthetic_quick.csv"
+    rows = [row for row in load_results_csv(golden) if int(row["seed"]) < 5]
     repeated = [row for row in rows if row["algo"] == "crosslearn"]
     path = tmp_path / "r.csv"
     with open(path, "w", newline="") as fh:

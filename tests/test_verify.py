@@ -5,7 +5,7 @@ import pytest
 
 from crosslearn import learner as learner_module
 from crosslearn import verify as verify_module
-from crosslearn.envs import AuctionEnv, SleepingEnv, TabularEnv
+from crosslearn.envs import AuctionEnv, SleepingEnv, TabularEnv, build_env
 from crosslearn.harness import main
 from crosslearn.learner import tune_parameters
 from crosslearn.simplex import RngStream
@@ -65,7 +65,7 @@ def test_inverse_mean_bound_spot_checks():
 
 
 def test_lemma_suite_layout():
-    results = lemma_suite(n_trials=5000, seed=0)
+    results = lemma_suite(n_trials=5000)
     assert len(results) == len(LEMMA_DISTS) * len(LEMMA_SAMPLE_SIZES) == 32
     assert all(r.passed for r in results)
 
@@ -159,14 +159,13 @@ def test_tuned_audit_runs_its_seeds_on_a_pool_in_seed_order(monkeypatch):
 
     monkeypatch.setattr(verify_module, "map_tasks", recording)
     monkeypatch.setenv("CROSSLEARN_THREADS", "2")
-    shape = dict(n_contexts=8, n_arms=4, horizon=1024)
-    summary = verify_module.tuned_synthetic_audit(n_seeds=3, **shape)
+    summary = verify_module.tuned_synthetic_audit(n_seeds=3, horizon=1024)
     assert calls == [3]  # one worker per seed, before the cap of 2
-    params = tune_parameters(4, 1024)
-    serial = [audit_run(TabularEnv.synthetic(8, 4, 1024, RngStream(seed, 0)), params, seed)
+    spec = verify_module.AUDIT_ENV
+    params = tune_parameters(spec["K"], 1024)
+    serial = [audit_run(build_env(spec, 1024, RngStream(seed, 0)), params, seed)
               for seed in range(3)]
-    spec = {"kind": "tabular_synthetic", "C": 8, "K": 4, "gap": 0.7, "noise": 0.15}
-    tasks = [(seed, params, spec, 1024) for seed in range(3)]
+    tasks = [(seed, params, 1024) for seed in range(3)]
     assert [_records_key(r) for r in pooled(verify_module._audit_seed, tasks, 2)] == \
         [_records_key(r) for r in serial]
     assert summary == audit_summary([r for records in serial for r in records])
