@@ -33,7 +33,6 @@ values inside its fields (NaN, ranges, lengths) as it does.
 
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
@@ -199,14 +198,6 @@ def _active_matrix(active, n_contexts, n_arms):
     return out
 
 
-def _is_number(field):
-    try:
-        float(field)
-    except ValueError:
-        return False
-    return True
-
-
 class TabularEnv:
     """Finite context space with a per-round loss tensor.
 
@@ -280,34 +271,6 @@ class TabularEnv:
         # contexts are drawn from nu as given, the env keeps it normalised
         contexts = _categorical(nu, horizon, rng.gen)
         return cls(nu / nu.sum(), contexts, n_arms, tensor=tensor, active=active)
-
-    @classmethod
-    def from_csv(cls, path, nu, rng, active=None):
-        """Load a loss tensor from rows t,k,c,value after an optional header
-        row: nonnegative integers t, k, c, each triple once, and a number;
-        EnvError naming the line otherwise."""
-        losses = {}
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            for row in reader:
-                if not row or reader.line_num == 1 and not _is_number(row[0]):
-                    continue  # a blank line, or the header
-                where = f"{path} line {reader.line_num}"
-                if len(row) != 4 or not all(f.strip().isdecimal() for f in row[:3]):
-                    raise EnvError(f"{where}: expected t,k,c,value with nonnegative "
-                                   f"integers t, k, c, got {row!r}")
-                key = tuple(int(f) for f in row[:3])
-                if key in losses:
-                    raise EnvError(f"{where}: duplicate entry for (t, k, c) = {key}")
-                losses[key] = _number(row[3], f"{where}: value")
-        if not losses:
-            raise EnvError(f"no loss rows found in {path}")
-        keys = np.array(list(losses))
-        tensor = np.zeros(keys.max(axis=0) + 1)
-        if len(keys) != tensor.size:
-            raise EnvError("loss tensor has missing (t, k, c) entries")
-        tensor[tuple(keys.T)] = list(losses.values())
-        return cls.from_tensor(tensor, nu, rng, active=active)
 
     def context(self, t):
         return self._context_list[t]

@@ -532,6 +532,12 @@ def _int_at_least(low):
 def _cmd_verify(args):
     from .verify import run_verify
 
+    try:
+        # the audit's pool reads CROSSLEARN_THREADS: check it before the lemma suite
+        worker_cap()
+    except ConfigError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     return run_verify(quick=args.quick, seeds=args.seeds, trials=args.trials)
 
 

@@ -1,4 +1,3 @@
-import csv
 import gc
 import math
 import weakref
@@ -260,54 +259,6 @@ def test_from_tensor_normalises_nu_for_known_nu_and_audit():
     for nu in ([1, 1, 1], [1, -1, 1, 1], [0, 0, 0, 0], "foo"):
         with pytest.raises(EnvError, match="nu"):
             TabularEnv.from_tensor(tensor, nu, RngStream(0, 0))
-
-
-def test_from_csv_roundtrip(tmp_path):
-    gen = np.random.default_rng(8)
-    tensor = gen.random((5, 2, 3))
-    path = tmp_path / "losses.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "k", "c", "value"])
-        for t in range(5):
-            for k in range(2):
-                for c in range(3):
-                    w.writerow([t, k, c, repr(float(tensor[t, k, c]))])
-    env = TabularEnv.from_csv(path, np.ones(3) / 3, RngStream(2, 0))
-    for c in range(3):
-        assert np.array_equal(env.loss_columns(np.arange(5), [c] * 5), tensor[:, :, c])
-
-
-def test_from_csv_missing_entry(tmp_path):
-    path = tmp_path / "sparse.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([0, 0, 0, 0.5])
-        w.writerow([1, 1, 1, 0.5])
-    with pytest.raises(EnvError):
-        TabularEnv.from_csv(path, np.ones(2) / 2, RngStream(0, 0))
-
-
-# a header and every (t, k, c) of a 2 x 2 x 1 tensor, on lines 1 to 5
-CSV_ROWS = "t,k,c,value\n0,0,0,0.5\n0,1,0,0.25\n1,0,0,0.75\n1,1,0,1.0\n"
-
-
-@pytest.mark.parametrize("row, match", [
-    ("-1,0,0,0.9", "nonnegative integers"),
-    ("0.5,0,0,0.3", "nonnegative integers"),
-    ("0,1.5,0,0.3", "nonnegative integers"),
-    ("0,0", "expected t,k,c,value"),
-    ("0,0,1,abc", "value must be a number"),
-    ("1,1,0,0.5", "duplicate"),
-], ids=["negative_t", "fractional_t", "fractional_k", "short", "text_value", "duplicate"])
-def test_from_csv_names_the_line_of_a_bad_row(tmp_path, row, match):
-    path = tmp_path / "losses.csv"
-    path.write_text(CSV_ROWS + row + "\n")
-    with pytest.raises(EnvError, match=f"line 6: .*{match}"):
-        TabularEnv.from_csv(path, np.ones(1), RngStream(0, 0))
-    path.write_text(CSV_ROWS)
-    env = TabularEnv.from_csv(path, np.ones(1), RngStream(0, 0))
-    assert env.loss_columns([0, 1], [0, 0]).tolist() == [[0.5, 0.25], [0.75, 1.0]]
 
 
 def test_subset_mask_roundtrip():

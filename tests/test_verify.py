@@ -181,6 +181,16 @@ def test_cli_verify_rejects_counts_it_cannot_use(capsys, args):
     assert "must be an integer >= " in capsys.readouterr().err
 
 
+def test_cli_verify_reports_a_malformed_thread_cap_before_any_lemma_cell(monkeypatch, capsys):
+    # any lemma cell would crash
+    monkeypatch.setattr(verify_module, "inverse_mean_bound_check", None)
+    monkeypatch.setenv("CROSSLEARN_THREADS", "junk")
+    assert main(["verify", "--quick", "--seeds", "1", "--trials", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: CROSSLEARN_THREADS must be an integer, got 'junk'\n"
+
+
 @pytest.mark.parametrize("args, want", [
     ([], (100, 16384, 100000)),
     (["--quick"], (10, 8192, 20000)),
